@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
+from .manifolds import (Euclidean, ManifoldPoint, Product, Sphere, sphere_bases,
                         sphere_basis)
 
 TWO_D = "2d"
@@ -97,7 +97,7 @@ def rot2(angle: float) -> np.ndarray:
 
 
 def perp2(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +200,8 @@ class Frame2D:
                            np.asarray(self.translation, dtype=float))
 
     def to_object(self, p_world: np.ndarray) -> np.ndarray:
-        return rot2(-self.angle) @ (np.asarray(p_world) - self.translation)
+        """Object-frame coordinates of a world point, or of N x 2 rows."""
+        return (np.asarray(p_world) - self.translation) @ rot2(-self.angle).T
 
     def to_world(self, p_obj: np.ndarray) -> np.ndarray:
         return self.translation + rot2(self.angle) @ np.asarray(p_obj)
@@ -223,7 +224,8 @@ class Frame3D:
         return rotmat_from_quat(self.quaternion)
 
     def to_object(self, p_world: np.ndarray) -> np.ndarray:
-        return self.rotation.T @ (np.asarray(p_world) - self.translation)
+        """Object-frame coordinates of a world point, or of N x 3 rows."""
+        return (np.asarray(p_world) - self.translation) @ self.rotation
 
     def to_world(self, p_obj: np.ndarray) -> np.ndarray:
         return self.translation + self.rotation @ np.asarray(p_obj)
@@ -282,11 +284,17 @@ class ChartPose:
                                              self.orientation.coords]))
 
 
-def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    r = float(np.linalg.norm(v))
-    if r < RADIUS_EPS:
-        raise OriginSingularity(f"{what} radius {r} below {RADIUS_EPS}")
-    return v / r, r
+def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and radii along the last axis; OriginSingularity.row is
+    the first row with a radius below RADIUS_EPS."""
+    r = np.sqrt(np.sum(v * v, axis=-1))
+    bad = np.flatnonzero(r < RADIUS_EPS)
+    if bad.size:
+        exc = OriginSingularity(f"{what} radius {r.flat[bad[0]]} below "
+                                f"{RADIUS_EPS}")
+        exc.row = int(bad[0])
+        raise exc
+    return v / r[..., None], r
 
 
 # --- chart maps -------------------------------------------------------------
@@ -295,24 +303,51 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ChartPose:
     """Express a world-frame pose in the given chart of the object frame."""
     if pose.space != chart.space:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
-    if chart.space == TWO_D:
-        return _to_chart_2d(pose, chart, frame)
-    return _to_chart_3d(pose, chart, frame)
+    if chart.space == THREE_D:
+        return _to_chart_3d(pose, chart, frame)
+    x = chart_rows_2d(chart, frame, pose.position[None],
+                      np.array([pose.heading_angle]))[0][0]
+    k = _POS_SPECS[chart].ambient_dim
+    return ChartPose(chart, ManifoldPoint(_POS_SPECS[chart], x[:k]),
+                     ManifoldPoint(Sphere(1), x[k:]))
 
 
-def _to_chart_2d(pose, chart, frame: Frame2D) -> ChartPose:
-    p = frame.to_object(pose.position)
-    phi = pose.heading_angle - frame.angle  # heading in the object frame
+def _s1_signs(points: np.ndarray) -> np.ndarray:
+    """Rate of the intrinsic S1 coordinate per unit angle rate at each row."""
+    return np.einsum("ni,ni->n", sphere_bases(points)[:, :, 0], perp2(points))
+
+
+def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
+                  headings: np.ndarray, jacobian: bool = False):
+    """Chart points (N x ambient) of planar world poses given as positions
+    (N x 2) and headings (N,), and None or, with jacobian=True, the chart
+    Jacobians (N x 3 x 3) from (dx, dy, dheading) to intrinsic velocities."""
+    if chart.space != TWO_D:
+        raise DimensionMismatch(f"planar poses cannot use chart {chart}")
+    p = frame.to_object(positions)
+    phi = headings - frame.angle  # heading in the object frame
     if chart == CARTESIAN_2D:
-        pos = ManifoldPoint(Euclidean(2), p)
-        ori = ManifoldPoint(Sphere(1), np.array([np.cos(phi), np.sin(phi)]))
-        return ChartPose(chart, pos, ori)
-    a, r = _unit(p, "polar")
-    az = float(np.arctan2(p[1], p[0]))
-    pos = ManifoldPoint(_POS_SPECS[chart], np.array([a[0], a[1], r]))
-    loc = phi - az  # orientation in the azimuth-rotated base frame
-    ori = ManifoldPoint(Sphere(1), np.array([np.cos(loc), np.sin(loc)]))
-    return ChartPose(chart, pos, ori)
+        pos, loc = p, phi
+    else:
+        a, r = _unit(p, "polar")
+        pos = np.column_stack([a, r])
+        loc = phi - np.arctan2(p[:, 1], p[:, 0])  # in the azimuth-rotated frame
+    ori = np.stack([np.cos(loc), np.sin(loc)], axis=1)
+    X = np.hstack([pos, ori])
+    if not jacobian:
+        return X, None
+    G = rot2(-frame.angle)
+    s = _s1_signs(ori)
+    J = np.zeros((len(X), 3, 3))
+    J[:, 2, 2] = s
+    if chart == CARTESIAN_2D:
+        J[:, 0:2, 0:2] = G
+        return X, J
+    daz_dp = (perp2(a) / r[:, None]) @ G  # d(azimuth)/d(world position)
+    J[:, 0, 0:2] = _s1_signs(a)[:, None] * daz_dp  # azimuth, arc-length rate
+    J[:, 1, 0:2] = a @ G                             # radius
+    J[:, 2, 0:2] = -s[:, None] * daz_dp
+    return X, J
 
 
 def _to_chart_3d(pose, chart, frame: Frame3D) -> ChartPose:
@@ -376,37 +411,13 @@ def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
     """
     if pose.space != chart.space:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
-    cp = to_chart(pose, chart, frame)
-    if chart.space == TWO_D:
-        return _jac_2d(pose, chart, frame, cp)
-    return _jac_3d(pose, chart, frame, cp)
+    if chart.space == THREE_D:
+        return _jac_3d(pose, chart, frame)
+    return chart_rows_2d(chart, frame, pose.position[None],
+                         np.array([pose.heading_angle]), jacobian=True)[1][0]
 
 
-def _s1_sign(point: np.ndarray) -> float:
-    # rate of the intrinsic coordinate per unit angle rate at an S1 point
-    return float(sphere_basis(point)[:, 0] @ perp2(point))
-
-
-def _jac_2d(pose, chart, frame, cp) -> np.ndarray:
-    G = rot2(-frame.angle)
-    J = np.zeros((3, 3))
-    if chart == CARTESIAN_2D:
-        J[0:2, 0:2] = G
-        J[2, 2] = _s1_sign(cp.orientation.coords)
-        return J
-    p = frame.to_object(pose.position)
-    a, r = _unit(p, "polar")
-    daz_dp = (perp2(a) / r) @ G  # d(azimuth)/d(world position)
-    b = sphere_basis(np.array([a[0], a[1]]))[:, 0]
-    J[0, 0:2] = (b @ perp2(a)) * daz_dp  # azimuth block, arc-length rate
-    J[1, 0:2] = a @ G                    # radius
-    s = _s1_sign(cp.orientation.coords)
-    J[2, 0:2] = -s * daz_dp
-    J[2, 2] = s
-    return J
-
-
-def _jac_3d(pose, chart, frame, cp) -> np.ndarray:
+def _jac_3d(pose, chart, frame) -> np.ndarray:
     R_of = frame.rotation
     Gp = R_of.T  # d p_obj / d p_world
     p = frame.to_object(pose.position)

@@ -14,15 +14,16 @@ import sys
 
 import numpy as np
 
-from .charts import (ChartPose, charts_for, chart_spec, from_chart,
-                     orientation_spec, position_spec)
+from .charts import (ChartPose, charts_for, from_chart, orientation_spec,
+                     position_spec)
 from .io import (atomic_write_text, demos_from_dict, demos_to_csv,
                  demos_to_dict, write_json)
-from .kinematics import ArmModel, forward_kinematics
-from .manifolds import ManifoldPoint, TangentVector, exp_map
+from .kinematics import ArmModel, forward_kinematics, kinematics_rows
+from .manifolds import ManifoldPoint, exp_rows
 from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
                      phase_model_to_dict)
 from .planner import PlanProblem, result_to_dict, solve
+from .stats import select_winner
 from .tasks import (DEFAULT_ARM, TaskSpec, build_references, default_spec,
                     evaluate_trial, plan_mode, run_experiment,
                     sample_initial_states)
@@ -124,6 +125,8 @@ def _snapshot(config: dict, seed: int) -> dict:
 
 
 def _resolve_strategy(name: str, space: str):
+    if space != "2d":  # the arm is planar
+        raise ConfigError("planning needs a 2D task kind (grasp2d, boxopen2d)")
     if name == "optimal":
         return "optimal"
     for chart in charts_for(space):
@@ -167,7 +170,7 @@ def cmd_fit(args) -> int:
     with open(demos_path) as fh:
         demos = demos_from_dict(json.load(fh))
     charts = charts_for(_task_space(spec))
-    gmm = fit_time_gmm(demos, spec.phase_count, seed=seed)
+    gmm = fit_time_gmm(demos, spec.phase_count)
     model = build_phase_model(demos, gmm, charts, horizon=spec.horizon)
     payload = phase_model_to_dict(model)
     payload["config"] = _snapshot(config, seed)
@@ -177,8 +180,7 @@ def cmd_fit(args) -> int:
     rows = ["chart,phase,determinant,winner"]
     print(f"{'chart':<12}" + "".join(f"phase {k+1:<12}"
                                      for k in range(spec.phase_count)))
-    winners = [min(charts, key=lambda c: (dets[c][k], c.index))
-               for k in range(spec.phase_count)]
+    winners = [select_winner(phase) for phase in model.phases]
     for chart in charts:
         cells = []
         for k in range(spec.phase_count):
@@ -196,24 +198,16 @@ def cmd_fit(args) -> int:
 def _reference_contour(ref, frame, n: int = 60) -> np.ndarray:
     """World-frame 1-standard-deviation contour of a reference's position
     marginal, mapped through the chart."""
-    chart = ref.chart
-    spec = chart_spec(chart)
-    cov = np.linalg.inv(ref.precision)[:2, :2]
-    vals, vecs = np.linalg.eigh(cov)
-    pts = []
-    p_dim = position_spec(chart).ambient_dim
-    for t in np.linspace(0.0, 2.0 * np.pi, n):
-        v = np.zeros(spec.tangent_dim)
-        v[:2] = vecs @ (np.sqrt(np.maximum(vals, 0.0))
-                        * np.array([np.cos(t), np.sin(t)]))
-        point = exp_map(ref.mean, TangentVector(ref.mean, v))
-        cp = ChartPose(chart,
-                       ManifoldPoint(position_spec(chart),
-                                     point.coords[:p_dim]),
-                       ManifoldPoint(orientation_spec(chart),
-                                     point.coords[p_dim:]))
-        pts.append(from_chart(cp, frame).position)
-    return np.array(pts)
+    vals, vecs = np.linalg.eigh(np.linalg.inv(ref.precision)[:2, :2])
+    a = np.linspace(0.0, 2.0 * np.pi, n)
+    V = np.zeros((n, ref.mean.spec.tangent_dim))
+    V[:, :2] = (np.stack([np.cos(a), np.sin(a)], axis=1)
+                * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    pos, k = position_spec(ref.chart), position_spec(ref.chart).ambient_dim
+    return np.array([from_chart(ChartPose(
+        ref.chart, ManifoldPoint(pos, x[:k]),
+        ManifoldPoint(orientation_spec(ref.chart), x[k:])), frame).position
+        for x in exp_rows(ref.mean.spec, ref.mean.coords[None], V)])
 
 
 def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
@@ -221,8 +215,7 @@ def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
     1-sigma reference contours."""
     from .kinematics import link_positions
     T = problem.horizon
-    world = np.array([forward_kinematics(arm, q).position
-                      for q in result.trajectory.states])
+    world = kinematics_rows(arm, result.trajectory.states)[0]
     pts = [world]
     snaps = []
     for i, t in enumerate(np.linspace(0, T - 1, 6).astype(int)):
@@ -273,12 +266,12 @@ def cmd_plan(args) -> int:
     spec = build_task(config, seed)
     arm = build_arm(config)
     out = _out_dir(args, config)
+    strategy = _resolve_strategy(args.strategy, _task_space(spec))
     model_path = args.model or os.path.join(out, "model.json")
     if not os.path.exists(model_path):
         raise ConfigError(f"model file not found: {model_path}")
     with open(model_path) as fh:
         model = phase_model_from_dict(json.load(fh))
-    strategy = _resolve_strategy(args.strategy, _task_space(spec))
     activation = int(config.get("activation_start", 20))
     refs = build_references(model, strategy, spec.horizon, activation,
                             plan_mode(spec.kind))

@@ -46,13 +46,25 @@ class JointTrajectory:
         return self.states.shape[0]
 
 
+def kinematics_rows(arm: ArmModel, Q: np.ndarray, jacobian: bool = False):
+    """End-effector positions (N x 2), headings (N,) and None or, with
+    jacobian=True, (x, y, heading) Jacobians (N x 3 x D) of joint rows Q."""
+    angles = arm.base_angle + np.cumsum(Q, axis=1)
+    cos = arm.link_lengths * np.cos(angles)
+    sin = arm.link_lengths * np.sin(angles)
+    P = arm.base_position + np.stack([cos.sum(axis=1), sin.sum(axis=1)], axis=1)
+    if not jacobian:
+        return P, angles[:, -1], None
+    # joint i moves every link j >= i
+    J = np.ones((len(Q), 3, arm.dof))
+    J[:, 0] = -np.cumsum(sin[:, ::-1], axis=1)[:, ::-1]
+    J[:, 1] = np.cumsum(cos[:, ::-1], axis=1)[:, ::-1]
+    return P, angles[:, -1], J
+
+
 def forward_kinematics(arm: ArmModel, q: np.ndarray) -> CartesianPose:
-    q = np.asarray(q, dtype=float)
-    angles = arm.base_angle + np.cumsum(q)
-    p = arm.base_position + np.array([arm.link_lengths @ np.cos(angles),
-                                      arm.link_lengths @ np.sin(angles)])
-    heading = float(angles[-1])
-    return CartesianPose(p, np.array([np.cos(heading), np.sin(heading)]))
+    P, heading, _ = kinematics_rows(arm, np.asarray(q, dtype=float)[None])
+    return CartesianPose(P[0], np.array([np.cos(heading[0]), np.sin(heading[0])]))
 
 
 def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
@@ -65,16 +77,7 @@ def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
 
 def kinematic_jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     """3 x D matrix of (dx, dy, dheading) per joint rate."""
-    q = np.asarray(q, dtype=float)
-    D = arm.dof
-    angles = arm.base_angle + np.cumsum(q)
-    J = np.zeros((3, D))
-    # joint i moves every link j >= i
-    for i in range(D):
-        J[0, i] = -(arm.link_lengths[i:] * np.sin(angles[i:])).sum()
-        J[1, i] = (arm.link_lengths[i:] * np.cos(angles[i:])).sum()
-    J[2, :] = 1.0
-    return J
+    return kinematics_rows(arm, np.asarray(q, dtype=float)[None], True)[2][0]
 
 
 def batch_dynamics(D: int, T: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -82,22 +85,15 @@ def batch_dynamics(D: int, T: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     if D < 1 or T < 1 or dt <= 0.0:
         raise ValueError("need D >= 1, T >= 1, dt > 0")
     S_q = np.tile(np.eye(D), (T, 1))
-    S_u = np.zeros((D * T, D * T))
-    for s in range(T):
-        for t in range(s):
-            S_u[s * D:(s + 1) * D, t * D:(t + 1) * D] = dt * np.eye(D)
+    S_u = np.kron(np.tril(np.ones((T, T)), -1), dt * np.eye(D))
     return S_q, S_u
 
 
 def rollout(q0: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """Step-by-step integration; states T x D with states[0] = q0."""
+    """Integrated states T x D with states[0] = q0."""
     u = np.atleast_2d(u)
-    T, D = u.shape
-    states = np.empty((T, D))
-    states[0] = q0
-    for t in range(T - 1):
-        states[t + 1] = states[t] + dt * u[t]
-    return states
+    return np.cumsum(np.vstack([np.broadcast_to(q0, u[:1].shape), dt * u[:-1]]),
+                     axis=0)
 
 
 def planar_ik_3link(arm: ArmModel, target: CartesianPose,

@@ -103,6 +103,14 @@ class ManifoldPoint:
         object.__setattr__(self, "coords", c)
 
 
+def _point(spec, coords: np.ndarray) -> ManifoldPoint:
+    """ManifoldPoint of coords just normalized here, without revalidation."""
+    point = object.__new__(ManifoldPoint)
+    object.__setattr__(point, "spec", spec)
+    object.__setattr__(point, "coords", coords)
+    return point
+
+
 @dataclass(frozen=True)
 class TangentVector:
     base: ManifoldPoint
@@ -115,35 +123,25 @@ class TangentVector:
                 f"tangent has {c.shape} coords, spec needs ({self.base.spec.tangent_dim},)")
         object.__setattr__(self, "coords", c)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+
+def _reflect(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Rows of Y reflected by the Householder map swapping e1 and P's unit
+    row p (identity at p = e1); its columns 2..n are the tangent basis."""
+    H = P.copy()
+    H[..., 0] -= 1.0
+    hh = np.vecdot(H, H)
+    c = (hh >= 1e-30) * (2.0 / np.maximum(hh, 1e-30))
+    return Y - (c * np.vecdot(H, Y))[..., None] * H
+
+
+def sphere_bases(P: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases (N x n x n-1) at the unit-vector rows of P."""
+    return np.swapaxes(_reflect(P[:, None], np.eye(P.shape[1])[1:]), 1, 2)
 
 
 def sphere_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent basis (ambient x d) at unit vector p.
-
-    Columns 2..n of the Householder reflection sending e1 to p. Deterministic
-    and smooth except at p = e1 exactly, where the identity completion is used.
-    """
-    n = p.shape[0]
-    v = p.copy()
-    v[0] -= 1.0
-    nv2 = float(v @ v)
-    if nv2 < 1e-30:
-        return np.eye(n)[:, 1:]
-    return np.eye(n)[:, 1:] - np.outer(v, (2.0 / nv2) * v[1:])
-
-
-def tangent_basis(spec, coords: np.ndarray) -> np.ndarray:
-    """Block-diagonal ambient x tangent basis at a point with given coords."""
-    B = np.zeros((spec.ambient_dim, spec.tangent_dim))
-    for leaf, asl, tsl in leaves(spec):
-        if isinstance(leaf, Euclidean):
-            B[asl, tsl] = np.eye(leaf.dim)
-        else:
-            B[asl, tsl] = sphere_basis(coords[asl])
-    return B
+    """Orthonormal tangent basis (ambient x d) at unit vector p."""
+    return sphere_bases(p[None])[0]
 
 
 def _check_same(a: ManifoldPoint, b: ManifoldPoint):
@@ -151,49 +149,87 @@ def _check_same(a: ManifoldPoint, b: ManifoldPoint):
         raise SpecMismatch(f"specs differ: {a.spec} vs {b.spec}")
 
 
-def _sphere_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Intrinsic log map on the unit sphere (vector in the basis at p)."""
-    dot = float(np.clip(p @ q, -1.0, 1.0))
-    if dot <= -1.0 + ANTIPODAL_TOL:
-        raise AntipodalPoint("log map undefined for antipodal sphere points")
-    w = q - dot * p
-    nw = float(np.linalg.norm(w))
-    if nw < ZERO_TOL:
-        return np.zeros(p.shape[0] - 1)
-    u = (np.arctan2(nw, dot) / nw) * w
-    return sphere_basis(p).T @ u
+def _check_antipodal(dots: np.ndarray, what: str):
+    """Raise AntipodalPoint, row being the first row whose dot product is -1."""
+    bad = dots <= -1.0 + ANTIPODAL_TOL
+    if bad.any():
+        exc = AntipodalPoint(f"{what} undefined for antipodal sphere points")
+        exc.row = int(np.argmax(bad))
+        raise exc
+
+
+# --- row kernels ------------------------------------------------------------
+# Row i of a result belongs to base point P[i] and point (or tangent) X[i];
+# a single row on either side is shared by all rows of the other.
+
+def log_rows(spec, P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Log maps (N x tangent) of the rows of X at the base rows of P."""
+    out = np.empty((len(X) if len(P) == 1 else len(P), spec.tangent_dim))
+    for leaf, asl, tsl in leaves(spec):
+        if isinstance(leaf, Euclidean):
+            out[:, tsl] = X[:, asl] - P[:, asl]
+            continue
+        y = _reflect(P[:, asl], X[:, asl])  # (p . x, B^T x)
+        _check_antipodal(y[:, 0], "log map")
+        r = y[:, 1:]
+        nr = np.sqrt(np.vecdot(r, r))
+        angle = np.arctan2(nr, y[:, 0]) * (nr >= ZERO_TOL)
+        out[:, tsl] = (angle / np.maximum(nr, ZERO_TOL))[:, None] * r
+    return out
+
+
+def exp_rows(spec, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Geodesic steps (N x ambient) from the rows of P along those of V."""
+    out = np.empty((len(V) if len(P) == 1 else len(P), spec.ambient_dim))
+    for leaf, asl, tsl in leaves(spec):
+        v = V[:, tsl]
+        if isinstance(leaf, Euclidean):
+            out[:, asl] = P[:, asl] + v
+            continue
+        # exp_p(B v) is the reflection at p of (cos|v|, sin|v| v / |v|)
+        nv = np.sqrt(np.vecdot(v, v))
+        k = np.sin(nv) / np.maximum(nv, ZERO_TOL)
+        q = _reflect(P[:, asl], np.column_stack([np.cos(nv), k[:, None] * v]))
+        out[:, asl] = q / np.sqrt(np.vecdot(q, q))[:, None]  # suppress drift
+    return out
+
+
+def log_jacobian_rows(spec, P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Differentials (N x tangent x tangent) of Log_p at x, rows p of P and x
+    of X, from intrinsic coords at x to those at p. On a sphere factor it is
+    an isometry along the geodesic and scales by theta/sin(theta) across."""
+    d = spec.tangent_dim
+    J = np.zeros((len(X) if len(P) == 1 else len(P), d, d))
+    for leaf, asl, tsl in leaves(spec):
+        if isinstance(leaf, Euclidean):
+            J[:, tsl, tsl] = np.eye(leaf.dim)
+            continue
+        p, q = np.broadcast_arrays(P[:, asl], X[:, asl])
+        dots = np.vecdot(p, q)
+        _check_antipodal(dots, "log differential")
+        dots = np.minimum(dots, 1.0)
+        theta = np.arccos(dots)
+        w = q - dots[:, None] * p  # geodesic direction at p (0 at q = p) ...
+        w /= np.maximum(np.sqrt(np.vecdot(w, w)), ZERO_TOL)[:, None]
+        e = w * np.cos(theta)[:, None] - p * np.sin(theta)[:, None]  # ... at q
+        k = np.where(theta < 1e-8, 1.0, theta / np.sin(np.maximum(theta, 1e-8)))
+        n = leaf.ambient_dim
+        D = (w[:, :, None] * e[:, None, :] + k[:, None, None]
+             * (np.eye(n) - q[:, :, None] * q[:, None, :]
+                - e[:, :, None] * e[:, None, :]))
+        J[:, tsl, tsl] = np.swapaxes(sphere_bases(p), 1, 2) @ D @ sphere_bases(q)
+    return J
 
 
 def log_map(mu: ManifoldPoint, x: ManifoldPoint) -> TangentVector:
     """Tangent-space residual of x at base point mu."""
     _check_same(mu, x)
-    out = np.empty(mu.spec.tangent_dim)
-    for leaf, asl, tsl in leaves(mu.spec):
-        if isinstance(leaf, Euclidean):
-            out[tsl] = x.coords[asl] - mu.coords[asl]
-        else:
-            out[tsl] = _sphere_log(mu.coords[asl], x.coords[asl])
-    return TangentVector(mu, out)
+    return TangentVector(mu, log_rows(mu.spec, mu.coords[None], x.coords[None])[0])
 
 
 def log_map_batch(mu: ManifoldPoint, X: np.ndarray) -> np.ndarray:
     """Log map of many points (rows of X, ambient coords) at one base point."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty((X.shape[0], mu.spec.tangent_dim))
-    for leaf, asl, tsl in leaves(mu.spec):
-        if isinstance(leaf, Euclidean):
-            out[:, tsl] = X[:, asl] - mu.coords[asl]
-        else:
-            p = mu.coords[asl]
-            dots = np.clip(X[:, asl] @ p, -1.0, 1.0)
-            if np.any(dots <= -1.0 + ANTIPODAL_TOL):
-                raise AntipodalPoint("log map undefined for antipodal sphere points")
-            W = X[:, asl] - dots[:, None] * p
-            nw = np.linalg.norm(W, axis=1)
-            scale = np.where(nw < ZERO_TOL, 0.0,
-                             np.arctan2(nw, dots) / np.maximum(nw, ZERO_TOL))
-            out[:, tsl] = (scale[:, None] * W) @ sphere_basis(p)
-    return out
+    return log_rows(mu.spec, mu.coords[None], np.asarray(X, dtype=float))
 
 
 def exp_map(mu: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
@@ -201,21 +237,7 @@ def exp_map(mu: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
     if v.base is not mu and not (v.base.spec == mu.spec
                                  and np.array_equal(v.base.coords, mu.coords)):
         raise SpecMismatch("tangent vector is not based at mu")
-    out = np.empty(mu.spec.ambient_dim)
-    for leaf, asl, tsl in leaves(mu.spec):
-        if isinstance(leaf, Euclidean):
-            out[asl] = mu.coords[asl] + v.coords[tsl]
-        else:
-            p = mu.coords[asl]
-            vi = v.coords[tsl]
-            nv = float(np.linalg.norm(vi))
-            if nv < ZERO_TOL:
-                out[asl] = p
-            else:
-                w = sphere_basis(p) @ (vi / nv)
-                q = p * np.cos(nv) + w * np.sin(nv)
-                out[asl] = q / np.linalg.norm(q)  # suppress drift
-    return ManifoldPoint(mu.spec, out)
+    return _point(mu.spec, exp_rows(mu.spec, mu.coords[None], v.coords[None])[0])
 
 
 def parallel_transport(src: ManifoldPoint, dst: ManifoldPoint,
@@ -244,36 +266,9 @@ def geodesic_distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
 
 
 def log_map_jacobian(mu: ManifoldPoint, x: ManifoldPoint) -> np.ndarray:
-    """Differential of Log_mu at x, intrinsic coords at x -> intrinsic at mu.
-
-    For a sphere factor the exact closed form is used: along the geodesic
-    direction the map is an isometry, orthogonal to it the rate is
-    theta/sin(theta).
-    """
+    """Differential of Log_mu at x, intrinsic coords at x -> intrinsic at mu."""
     _check_same(mu, x)
-    d = mu.spec.tangent_dim
-    J = np.zeros((d, d))
-    for leaf, asl, tsl in leaves(mu.spec):
-        if isinstance(leaf, Euclidean):
-            J[tsl, tsl] = np.eye(leaf.dim)
-        else:
-            p, q = mu.coords[asl], x.coords[asl]
-            Bp, Bq = sphere_basis(p), sphere_basis(q)
-            dot = float(np.clip(p @ q, -1.0, 1.0))
-            if dot <= -1.0 + ANTIPODAL_TOL:
-                raise AntipodalPoint("log differential undefined at antipode")
-            theta = np.arccos(dot)
-            if theta < 1e-8:
-                J[tsl, tsl] = Bp.T @ Bq
-                continue
-            w = q - dot * p
-            w /= np.linalg.norm(w)
-            e = -p * np.sin(theta) + w * np.cos(theta)  # geodesic direction at q
-            n = leaf.ambient_dim
-            D = np.outer(w, e) + (theta / np.sin(theta)) * (
-                np.eye(n) - np.outer(q, q) - np.outer(e, e))
-            J[tsl, tsl] = Bp.T @ D @ Bq
-    return J
+    return log_jacobian_rows(mu.spec, mu.coords[None], x.coords[None])[0]
 
 
 def random_point(spec, rng: np.random.Generator) -> ManifoldPoint:
@@ -282,7 +277,7 @@ def random_point(spec, rng: np.random.Generator) -> ManifoldPoint:
     for leaf, asl, _ in leaves(spec):
         if isinstance(leaf, Sphere):
             c[asl] /= np.linalg.norm(c[asl])
-    return ManifoldPoint(spec, c)
+    return _point(spec, c)
 
 
 def random_tangent(base: ManifoldPoint, rng: np.random.Generator,

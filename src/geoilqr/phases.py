@@ -15,9 +15,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .charts import ChartId, chart_spec, to_chart
-from .manifolds import (ManifoldPoint, TangentVector, exp_map, log_map,
-                        log_map_batch, parallel_transport)
-from .stats import ManifoldGaussian, WeightedSample, fit_gaussian, select_winner
+from .manifolds import (ManifoldPoint, TangentVector, exp_rows, log_map_batch,
+                        log_rows, parallel_transport)
+from .stats import (ManifoldGaussian, WeightedSample, fit_gaussian,
+                    quat_sign_align, select_winner)
 
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-8
@@ -64,13 +65,10 @@ class TimeGmm:
 
 
 def _pooled_features(demos: list[Demonstration]) -> np.ndarray:
-    rows = []
-    for demo in demos:
-        s = demo.phase_variable()
-        for si, pose in zip(s, demo.poses):
-            rows.append(np.concatenate(([si],
-                                        demo.object_frame.to_object(pose.position))))
-    return np.array(rows)
+    return np.vstack([
+        np.column_stack([d.phase_variable(), d.object_frame.to_object(
+            np.array([p.position for p in d.poses]))])
+        for d in demos])
 
 
 def _log_gauss(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -81,7 +79,7 @@ def _log_gauss(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
                    + (z * z).sum(axis=0))
 
 
-def fit_time_gmm(demos: list[Demonstration], K: int, seed: int = 0) -> TimeGmm:
+def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
     """EM over pooled (normalized time, position) with time-quantile init.
 
     The initialization slices the data into K time bins, so phases come out
@@ -188,10 +186,8 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
     trends = [dict() for _ in range(K)]   # (k, chart) -> time regression
     for chart in charts:
         spec = chart_spec(chart)
-        points = []
-        for demo in demos:
-            for pose in demo.poses:
-                points.append(to_chart(pose, chart, demo.object_frame).point())
+        points = [to_chart(pose, chart, demo.object_frame).point()
+                  for demo in demos for pose in demo.poses]
         X = np.array([p.coords for p in points])
         for k in range(K):
             samples = [WeightedSample(p, w)
@@ -207,40 +203,37 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
             # of collapsing to the phase mean.
             w = frame_h[:, k]
             W = w.sum()
-            V = log_map_batch(g.mean, X)
+            V = log_map_batch(g.mean, quat_sign_align(spec, X, g.mean.coords))
             m_s = float(w @ frame_s) / W
             c_ss = float(w @ (frame_s - m_s) ** 2) / W + 1e-12
             c_vs = (w * (frame_s - m_s)) @ V / W
             trends[k][chart] = (m_s, c_ss, c_vs)
 
+    s_grid = np.arange(T) / max(T - 1, 1)
+    anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
     references = {}
     for chart in charts:
-        means, covs = [], []
-        d = chart_spec(chart).tangent_dim
-        s_grid = np.arange(T) / max(T - 1, 1)
-        for t in range(T):
-            h = H[t]
-            k_star = int(np.argmax(h))
-            anchor = phases[k_star][chart].mean
-            blend = np.zeros(d)
-            cov = np.zeros((d, d))
-            for k in range(K):
-                if h[k] <= 1e-12:
-                    continue
-                g = phases[k][chart]
-                m_s, c_ss, c_vs = trends[k][chart]
-                # Conditional mean/covariance of the phase Gaussian given time.
-                drift = TangentVector(g.mean, c_vs / c_ss * (s_grid[t] - m_s))
-                drift = parallel_transport(g.mean, anchor, drift)
-                blend += h[k] * (log_map(anchor, g.mean).coords + drift.coords)
-                cov += h[k] * (g.covariance - np.outer(c_vs, c_vs) / c_ss)
-            means.append(exp_map(anchor, TangentVector(anchor, blend)))
-            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-            covs.append((vecs * np.maximum(vals, floor)) @ vecs.T)
-        covs = np.array(covs)
-        dets = np.array([np.linalg.det(c) for c in covs])
-        precs = np.array([np.linalg.inv(c) for c in covs])
-        references[chart] = ChartReferences(means, covs, precs, dets)
+        spec = chart_spec(chart)
+        gs = [phases[k][chart] for k in range(K)]
+        A = np.array([g.mean.coords for g in gs])[anchor]
+        blend, cov = 0.0, 0.0
+        for k, g in enumerate(gs):
+            h = np.where(H[:, k] > 1e-12, H[:, k], 0.0)
+            m_s, c_ss, c_vs = trends[k][chart]
+            # Conditional mean/covariance of the phase Gaussian given time;
+            # the trend reaches each anchor by parallel transport.
+            trend = np.array([parallel_transport(
+                g.mean, a.mean, TangentVector(g.mean, c_vs / c_ss)).coords
+                for a in gs])[anchor]
+            blend = blend + h[:, None] * (log_rows(spec, A, g.mean.coords[None])
+                                          + trend * (s_grid - m_s)[:, None])
+            cov = cov + h[:, None, None] * (g.covariance
+                                            - np.outer(c_vs, c_vs) / c_ss)
+        vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
+        covs = (vecs * np.maximum(vals, floor)[:, None]) @ np.swapaxes(vecs, 1, 2)
+        means = [ManifoldPoint(spec, x) for x in exp_rows(spec, A, blend)]
+        references[chart] = ChartReferences(means, covs, np.linalg.inv(covs),
+                                            np.linalg.det(covs))
 
     winners = []
     for t in range(T):
@@ -293,8 +286,7 @@ def phase_model_from_dict(d: dict) -> PhaseModel:
         spec = chart_spec(chart)
         means = [ManifoldPoint(spec, np.array(m)) for m in r["means"]]
         covs = np.array(r["covariances"])
-        dets = np.array([np.linalg.det(c) for c in covs])
-        precs = np.array([np.linalg.inv(c) for c in covs])
-        references[chart] = ChartReferences(means, covs, precs, dets)
+        references[chart] = ChartReferences(means, covs, np.linalg.inv(covs),
+                                            np.linalg.det(covs))
     winners = [ChartId(c["space"], c["index"]) for c in d["winners"]]
     return PhaseModel(charts, phases, weights, references, winners)

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from .charts import (ChartId, OriginSingularity, chart_jacobian,
-                     chart_spec, to_chart)
+from .charts import ChartId, OriginSingularity, chart_rows_2d, chart_spec
 from .kinematics import (ArmModel, JointTrajectory, batch_dynamics,
-                         forward_kinematics, kinematic_jacobian, rollout)
-from .manifolds import (AntipodalPoint, ManifoldPoint, log_map_batch,
-                        log_map_jacobian)
+                         kinematics_rows, rollout)
+from .manifolds import (AntipodalPoint, ManifoldPoint, log_jacobian_rows,
+                        log_rows)
 
 LINE_SEARCH_MIN_STEP = 1e-4
 STEP_TOL = 1e-9
@@ -60,8 +59,18 @@ class PlanProblem:
         self.q0 = np.asarray(self.q0, dtype=float)
         if len(self.references) != self.horizon:
             raise ValueError("references list must match the horizon")
-        if not any(self.active_references()):
+        active = self.active_references()
+        if not active:
             raise ValueError("at least one active reference required")
+        # row arrays of the active references, built once for the solver
+        self._active_ts = np.array([t for t, _ in active])
+        self._precisions = np.array([r.precision for _, r in active])
+        charts = [r.chart for _, r in active]
+        self._chart_rows = []
+        for chart in dict.fromkeys(charts):
+            rows = np.flatnonzero([c == chart for c in charts])
+            means = np.array([active[i][1].mean.coords for i in rows])
+            self._chart_rows.append((chart, rows, means))
 
     def active_references(self):
         """(t, Reference) pairs honoring the activation window."""
@@ -78,42 +87,50 @@ class PlanResult:
     residual_norms: dict = field(default_factory=dict)  # timestep -> norm
 
 
-def _states_from_u(problem: PlanProblem, u: np.ndarray) -> np.ndarray:
-    return rollout(problem.q0, u.reshape(problem.horizon, problem.arm.dof),
-                   problem.dt)
+def _residuals(problem: PlanProblem, u: np.ndarray, jacobian: bool):
+    """Residuals (n x 3) of the n active timesteps and None or, with
+    jacobian=True, their Jacobians (n x 3 x D) w.r.t. the joint states.
+    A chart singularity raises naming the first offending timestep."""
+    ts = problem._active_ts
+    states = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)
+    P, H, Jk = kinematics_rows(problem.arm, states[ts], jacobian)
+    F = np.empty((len(ts), 3))
+    J = np.empty((len(ts), 3, problem.arm.dof)) if jacobian else None
+    failures = []
+    for chart, rows, means in problem._chart_rows:
+        spec = chart_spec(chart)
+        try:
+            X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows],
+                                  jacobian)
+        except OriginSingularity as exc:
+            failures.append((rows[exc.row], exc))
+            # the log map may still fail on a row before the singular one
+            rows, means = rows[:exc.row], means[:exc.row]
+            X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows],
+                                  jacobian)
+        try:
+            F[rows] = log_rows(spec, means, X)
+            if jacobian:
+                J[rows] = log_jacobian_rows(spec, means, X) @ Jc @ Jk[rows]
+        except AntipodalPoint as exc:
+            failures.append((rows[exc.row], exc))
+    if failures:
+        row, exc = min(failures, key=lambda f: f[0])
+        raise type(exc)(f"timestep {ts[row]}: {exc}") from exc
+    return F, J
 
 
 def residuals_and_jacobian(problem: PlanProblem, u: np.ndarray):
     """Stacked residual f, its Jacobian w.r.t. stacked states q, and the big
     block-diagonal precision. Inactive timesteps contribute no rows.
     """
-    D, T = problem.arm.dof, problem.horizon
-    states = _states_from_u(problem, u)
-    active = problem.active_references()
-    m = sum(ref.mean.spec.tangent_dim for _, ref in active)
-    f = np.empty(m)
-    J = np.zeros((m, D * T))
-    Q = np.zeros((m, m))
-    norms = {}
-    row = 0
-    for t, ref in active:
-        pose = forward_kinematics(problem.arm, states[t])
-        try:
-            cp = to_chart(pose, ref.chart, problem.frame)
-            x = cp.point()
-            res = log_map_batch(ref.mean, x.coords[None, :])[0]
-            Jlog = log_map_jacobian(ref.mean, x)
-            Jchart = chart_jacobian(pose, ref.chart, problem.frame)
-        except (OriginSingularity, AntipodalPoint) as exc:
-            raise type(exc)(f"timestep {t}: {exc}") from exc
-        Jkin = kinematic_jacobian(problem.arm, states[t])
-        d = res.shape[0]
-        f[row:row + d] = res
-        J[row:row + d, t * D:(t + 1) * D] = Jlog @ Jchart @ Jkin
-        Q[row:row + d, row:row + d] = ref.precision
-        norms[t] = float(np.linalg.norm(res))
-        row += d
-    return f, J, Q, norms
+    F, Jrows = _residuals(problem, u, jacobian=True)
+    n, D, T, ts = len(F), problem.arm.dof, problem.horizon, problem._active_ts
+    J = np.zeros((n, 3, T, D))
+    J[np.arange(n), :, ts, :] = Jrows
+    norms = dict(zip(ts.tolist(), np.linalg.norm(F, axis=1).tolist()))
+    return (F.ravel(), J.reshape(3 * n, D * T),
+            block_diag(*problem._precisions), norms)
 
 
 def cost(problem: PlanProblem, u: np.ndarray) -> float:
@@ -122,17 +139,12 @@ def cost(problem: PlanProblem, u: np.ndarray) -> float:
     Poses that fall into a chart singularity make the candidate infeasible
     (infinite cost), so the line search rejects such steps.
     """
-    states = _states_from_u(problem, u)
-    total = problem.control_weight * float(u @ u)
-    for t, ref in problem.active_references():
-        pose = forward_kinematics(problem.arm, states[t])
-        try:
-            x = to_chart(pose, ref.chart, problem.frame).point()
-            res = log_map_batch(ref.mean, x.coords[None, :])[0]
-        except (OriginSingularity, AntipodalPoint):
-            return np.inf
-        total += float(res @ ref.precision @ res)
-    return total
+    try:
+        F, _ = _residuals(problem, u, jacobian=False)
+    except (OriginSingularity, AntipodalPoint):
+        return np.inf
+    return (problem.control_weight * float(u @ u)
+            + float(np.einsum("ni,nij,nj->", F, problem._precisions, F)))
 
 
 def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
@@ -172,9 +184,13 @@ def solve(problem: PlanProblem) -> PlanResult:
                 break
             alpha *= 0.5
         else:
-            import warnings
-            warnings.warn("no descent step found; returning best iterate",
-                          LineSearchFailed)
+            # no descent: a stationary point up to rounding if even the last
+            # candidate moves the cost by less than the tolerance
+            converged = c_new - c < COST_TOL * max(abs(c), 1.0)
+            if not converged:
+                import warnings
+                warnings.warn("no descent step found; returning best iterate",
+                              LineSearchFailed)
             break
         u = u + alpha * du
         improvement = c - c_new
@@ -184,8 +200,8 @@ def solve(problem: PlanProblem) -> PlanResult:
             converged = True
             break
     _, _, _, norms = residuals_and_jacobian(problem, u)
-    traj = JointTrajectory(problem.dt, _states_from_u(problem, u),
-                           u.reshape(T, D))
+    traj = JointTrajectory(problem.dt, rollout(problem.q0, u.reshape(T, D),
+                                               problem.dt), u.reshape(T, D))
     return PlanResult(traj, history, converged, it, norms)
 
 

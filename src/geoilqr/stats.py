@@ -61,20 +61,17 @@ class ManifoldGaussian:
         return cls(mean, cov, float(np.prod(w)), prec)
 
 
-def _quat_sign_align(spec, X: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def quat_sign_align(spec, X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Flip S3 blocks so their dot with the reference block is non-negative.
 
     Unit quaternions double-cover rotations; statistics must be done on one
     sheet. Only Sphere(3) factors are touched.
     """
-    flipped = X
+    X = X.copy()
     for leaf, asl, _ in leaves(spec):
         if isinstance(leaf, Sphere) and leaf.dim == 3:
-            if flipped is X:
-                flipped = X.copy()
-            sign = np.where(flipped[:, asl] @ ref[asl] < 0.0, -1.0, 1.0)
-            flipped[:, asl] *= sign[:, None]
-    return flipped
+            X[:, asl] *= np.where(X[:, asl] @ ref[asl] < 0.0, -1.0, 1.0)[:, None]
+    return X
 
 
 def _prepare(samples: list[WeightedSample], spec):
@@ -96,10 +93,13 @@ def geometric_mean(samples: list[WeightedSample], spec,
                    max_iter: int = MEAN_MAX_ITER) -> ManifoldPoint:
     """Weighted Fréchet mean by Gauss-Newton iteration on the manifold."""
     X, w = _prepare(samples, spec)
-    mu = ManifoldPoint(spec, X[0])
+    # start from the first sample on its w >= 0 sheet, so that neither the
+    # mean nor its covariance basis depends on the samples' quaternion signs
+    w_axes = np.zeros(spec.ambient_dim)
+    w_axes[[asl.start for _, asl, _ in leaves(spec)]] = 1.0
+    mu = ManifoldPoint(spec, quat_sign_align(spec, X[:1], w_axes)[0])
     for _ in range(max_iter):
-        Xa = _quat_sign_align(spec, X, mu.coords)
-        u = w @ log_map_batch(mu, Xa)
+        u = w @ log_map_batch(mu, quat_sign_align(spec, X, mu.coords))
         mu = exp_map(mu, TangentVector(mu, u))
         if np.linalg.norm(u) < tol:
             return mu
@@ -112,7 +112,7 @@ def fit_gaussian(samples: list[WeightedSample], spec,
     """Weighted Gaussian on the manifold: Fréchet mean + tangent covariance."""
     mu = geometric_mean(samples, spec)
     X, w = _prepare(samples, spec)
-    U = log_map_batch(mu, _quat_sign_align(spec, X, mu.coords))
+    U = log_map_batch(mu, quat_sign_align(spec, X, mu.coords))
     cov = (U * w[:, None]).T @ U
     return ManifoldGaussian.from_moments(mu, cov, floor)
 

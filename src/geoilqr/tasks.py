@@ -16,7 +16,7 @@ from .charts import (CartesianPose, Frame2D, Frame3D, charts_for,
                      quat_from_axis_angle, quat_from_two_vectors, quat_mul,
                      quat_normalize)
 from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
-                         planar_ik_3link)
+                         kinematics_rows, planar_ik_3link)
 from .phases import (Demonstration, PhaseModel, build_phase_model,
                      fit_time_gmm)
 from .planner import PlanProblem, PlanResult, Reference, solve
@@ -122,14 +122,7 @@ def _generate_grasp2d(spec: TaskSpec, rng) -> list[Demonstration]:
         r = radii + rng.normal(0.0, spec.radial_sigma, T)
         az = psi + rng.normal(0.0, 0.01, T)
         heading = az + np.pi + rng.normal(0.0, spec.orientation_sigma, T)
-        poses = []
-        for t in range(T):
-            p_obj = r[t] * np.array([np.cos(az[t]), np.sin(az[t])])
-            poses.append(CartesianPose.from_angle(
-                *spec.object_frame.to_world(p_obj),
-                heading[t] + spec.object_frame.angle))
-        demos.append(Demonstration(f"grasp2d-{i}", spec.dt, np.arange(T),
-                                   poses, spec.object_frame))
+        demos.append(_planar_demo(spec, f"grasp2d-{i}", r, az, heading))
     return demos
 
 
@@ -140,15 +133,17 @@ def _generate_boxopen2d(spec: TaskSpec, rng) -> list[Demonstration]:
         sweep = spec.arc_start + spec.arc_sweep * np.arange(T) / (T - 1)
         r = spec.arc_radius + rng.normal(0.0, spec.radial_sigma, T)
         heading = sweep - np.pi / 2 + rng.normal(0.0, spec.orientation_sigma, T)
-        poses = []
-        for t in range(T):
-            p_obj = r[t] * np.array([np.cos(sweep[t]), np.sin(sweep[t])])
-            poses.append(CartesianPose.from_angle(
-                *spec.object_frame.to_world(p_obj),
-                heading[t] + spec.object_frame.angle))
-        demos.append(Demonstration(f"boxopen2d-{i}", spec.dt, np.arange(T),
-                                   poses, spec.object_frame))
+        demos.append(_planar_demo(spec, f"boxopen2d-{i}", r, sweep, heading))
     return demos
+
+
+def _planar_demo(spec: TaskSpec, name: str, r, az, heading) -> Demonstration:
+    """Demonstration through object-frame polar points and headings."""
+    poses = [CartesianPose.from_angle(
+        *spec.object_frame.to_world(ri * np.array([np.cos(a), np.sin(a)])),
+        h + spec.object_frame.angle) for ri, a, h in zip(r, az, heading)]
+    return Demonstration(name, spec.dt, np.arange(len(poses)), poses,
+                         spec.object_frame)
 
 
 def _generate_grasppose3d(spec: TaskSpec, rng) -> list[Demonstration]:
@@ -249,9 +244,8 @@ def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM
     if plan.trajectory.horizon != spec.horizon:
         raise HorizonMismatch(
             f"plan horizon {plan.trajectory.horizon} != spec {spec.horizon}")
-    poses = [forward_kinematics(arm, q) for q in plan.trajectory.states]
     if spec.kind == GRASP2D:
-        final = poses[-1]
+        final = forward_kinematics(arm, plan.trajectory.states[-1])
         p_obj = spec.object_frame.to_object(final.position)
         radius_err = abs(np.linalg.norm(p_obj) - spec.phase_radii[-1])
         aim = np.arctan2(-p_obj[1], -p_obj[0]) + spec.object_frame.angle
@@ -262,12 +256,10 @@ def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM
             return False, f"heading error {np.degrees(heading_err):.1f} deg"
         return True, "ok"
     if spec.kind == BOXOPEN2D:
-        p_obj = np.array([spec.object_frame.to_object(p.position)
-                          for p in poses[activation_start:]])
-        radii = np.linalg.norm(p_obj, axis=1)
-        dev = np.max(np.abs(radii - spec.arc_radius)) / spec.arc_radius
+        dev = arc_radius_deviation(plan, spec, arm, activation_start)
         if dev > thresholds.arc_radius_rel_tol:
             return False, f"radius deviation {100 * dev:.1f}%"
+        p_obj = _active_object_positions(plan, spec, arm, activation_start)
         az = np.unwrap(np.arctan2(p_obj[:, 1], p_obj[:, 0]))
         swept = abs(az[-1] - az[0])
         target = abs(spec.arc_sweep) * (len(az) - 1) / (spec.horizon - 1)
@@ -278,13 +270,18 @@ def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM
     raise ValueError(f"no trial evaluation for task kind {spec.kind}")
 
 
+def _active_object_positions(plan: PlanResult, spec: TaskSpec, arm: ArmModel,
+                             activation_start: int) -> np.ndarray:
+    """Object-frame end-effector positions from activation_start on."""
+    states = plan.trajectory.states[activation_start:]
+    return spec.object_frame.to_object(kinematics_rows(arm, states)[0])
+
+
 def arc_radius_deviation(plan: PlanResult, spec: TaskSpec,
                          arm: ArmModel = DEFAULT_ARM,
                          activation_start: int = 20) -> float:
     """Max relative radius deviation over the active arc (BoxOpen2D)."""
-    poses = [forward_kinematics(arm, q) for q in plan.trajectory.states]
-    p_obj = np.array([spec.object_frame.to_object(p.position)
-                      for p in poses[activation_start:]])
+    p_obj = _active_object_positions(plan, spec, arm, activation_start)
     radii = np.linalg.norm(p_obj, axis=1)
     return float(np.max(np.abs(radii - spec.arc_radius)) / spec.arc_radius)
 
@@ -316,11 +313,10 @@ class TrialReport:
         }
 
 
-def fit_task_model(spec: TaskSpec, seed: int | None = None):
+def fit_task_model(spec: TaskSpec):
     """Demos, GMM and phase model for a task; shared across strategies."""
     demos = generate_demos(spec)
-    gmm = fit_time_gmm(demos, spec.phase_count,
-                       seed=spec.seed if seed is None else seed)
+    gmm = fit_time_gmm(demos, spec.phase_count)
     space = "2d" if spec.kind in (GRASP2D, BOXOPEN2D) else "3d"
     model = build_phase_model(demos, gmm, charts_for(space),
                               horizon=spec.horizon)

@@ -11,7 +11,7 @@ import pytest
 from geoilqr.charts import CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D, SPHERICAL_3D
 from geoilqr.kinematics import batch_dynamics
 from geoilqr.manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
-                               exp_map, geodesic_distance, log_map,
+                               exp_map, exp_rows, geodesic_distance, log_map,
                                random_point, random_tangent)
 from geoilqr.planner import PlanProblem, residuals_and_jacobian, solve
 from geoilqr.stats import WeightedSample, geometric_mean, select_winner
@@ -101,19 +101,17 @@ def _sphere_grid_mean(X, w):
     theta = np.pi * (1 + 5 ** 0.5) * i
     C = np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
                   np.cos(phi)], axis=1)
-    c = C[np.argmin(cost_at(C))]
-    # local tangent-plane refinement around the coarse winner
-    base = ManifoldPoint(Sphere(2), c)
+    base = C[np.argmin(cost_at(C))]
+    # local tangent-plane refinement around the coarse winner, each grid
+    # mapped through one batched exp call
     for span, steps in ((0.03, 121), (0.001, 201)):
         g = np.linspace(-span, span, steps)
         U, V = np.meshgrid(g, g)
-        from geoilqr.manifolds import TangentVector
-        cands = np.array([
-            exp_map(base, TangentVector(base, np.array([u, v]))).coords
-            for u, v in zip(U.ravel(), V.ravel())])
+        cands = exp_rows(Sphere(2), base[None],
+                         np.stack([U.ravel(), V.ravel()], axis=1))
         best = cands[np.argmin(cost_at(cands))]
-        base = ManifoldPoint(Sphere(2), best / np.linalg.norm(best))
-    return base.coords
+        base = best / np.linalg.norm(best)
+    return base
 
 
 def test_criterion_02_geometric_mean_oracle(capsys):

@@ -150,3 +150,12 @@ def test_evaluate_outputs(cfg, tmp_path, capsys):
     assert by_name["optimal"]["successes"] >= by_name["fixed-1"]["successes"]
     lines = (out / "report.csv").read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+def test_plan_and_evaluate_reject_3d_task(command, tmp_path, capsys):
+    path = tmp_path / "cfg3d.json"
+    path.write_text(json.dumps({"task": {"kind": "grasppose3d"},
+                                "out_dir": str(tmp_path / "out")}))
+    assert _run(command, "--config", str(path)) == 2
+    assert "2D task kind" in capsys.readouterr().err

@@ -155,3 +155,27 @@ def test_phase_model_json_round_trip():
                                model.references[c].means[t].coords)
             assert np.allclose(back.references[c].precisions[t],
                                model.references[c].precisions[t])
+
+
+def test_quaternion_sign_flips_leave_model_unchanged():
+    # q and -q are the same rotation, so negating half of the demonstrated
+    # quaternions must not move any statistic of the phase model
+    from geoilqr.charts import CartesianPose
+    demos = generate_demos(default_spec("grasppose3d", seed=0,
+                                        symmetry="spherical"))
+    flipped = [Demonstration(d.id, d.dt, d.times,
+                             [CartesianPose(p.position, -p.orientation)
+                              if i % 2 else p for i, p in enumerate(d.poses)],
+                             d.object_frame)
+               for d in demos]
+    a, b = [build_phase_model(ds, fit_time_gmm(ds, 3), charts_for("3d"),
+                              horizon=100) for ds in (demos, flipped)]
+    assert b.winners == a.winners
+    for c in a.charts:
+        np.testing.assert_allclose(b.phase_dets()[c], a.phase_dets()[c],
+                                   rtol=1e-9)
+        np.testing.assert_allclose(b.references[c].dets, a.references[c].dets,
+                                   rtol=1e-9)
+        for k in range(3):
+            np.testing.assert_allclose(b.phases[k][c].covariance,
+                                       a.phases[k][c].covariance, rtol=1e-9)

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from geoilqr.charts import (CARTESIAN_2D, POLAR_2D, CartesianPose, Frame2D,
-                            chart_spec, to_chart)
+                            OriginSingularity, chart_spec, to_chart)
 from geoilqr.kinematics import ArmModel, batch_dynamics, forward_kinematics, rollout
-from geoilqr.manifolds import ManifoldPoint
+from geoilqr.manifolds import AntipodalPoint, ManifoldPoint
 from geoilqr.planner import (PlanProblem, Reference, cost, gauss_newton_step,
                              problem_from_dict, problem_to_dict,
                              residuals_and_jacobian, result_from_dict,
@@ -72,12 +72,26 @@ def test_cartesian_residual_is_position_difference():
     assert np.allclose(f[:2], pose0.position - pose1.position, atol=1e-12)
 
 
-@pytest.mark.parametrize("chart", [CARTESIAN_2D, POLAR_2D],
-                         ids=lambda c: c.name)
+def _mixed_chart_problem(seed, T=30):
+    """Viapoints on every third step from T // 3 on, alternating between the
+    Cartesian and the polar chart."""
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(0.2, 0.8, size=3)
+    q_goal = q0 + rng.uniform(-0.5, 0.5, size=3)
+    refs = [None] * T
+    for k, t in enumerate(range(T // 3, T, 3)):
+        refs[t] = _reference_at(q_goal + 0.02 * k,
+                                (CARTESIAN_2D, POLAR_2D)[k % 2])
+    return PlanProblem(ARM, q0, T, 0.1, FRAME, refs, 1e-3)
+
+
+@pytest.mark.parametrize("chart", [CARTESIAN_2D, POLAR_2D, "mixed"],
+                         ids=lambda c: getattr(c, "name", c))
 def test_jacobian_vs_finite_differences(chart):
     h = 1e-6
     for seed in range(5):
-        p = _viapoint_problem(chart, seed=seed)
+        p = (_mixed_chart_problem(seed) if chart == "mixed"
+             else _viapoint_problem(chart, seed=seed))
         D, T = 3, p.horizon
         _, S_u = batch_dynamics(D, T, p.dt)
         u = 0.1 * np.random.default_rng(seed).standard_normal(D * T)
@@ -92,6 +106,29 @@ def test_jacobian_vs_finite_differences(chart):
             num[:, j] = (fp - fm) / (2 * h)
         rel = np.abs(Ju - num).max() / max(np.abs(num).max(), 1.0)
         assert rel < 1e-4
+
+
+def test_chart_singularity_names_first_timestep():
+    # the arm tip sits on the object origin at t = 6, where the polar chart
+    # is singular; a reference opposite in azimuth at t = 3 fails earlier
+    T, u = 10, 0.5 * np.random.default_rng(3).standard_normal(30)
+    states = rollout(np.array([0.3, 0.4, 0.5]), u.reshape(T, 3), 0.1)
+    frame = Frame2D(forward_kinematics(ARM, states[6]).position, 0.3)
+    refs = [None] * T
+    for t in range(2, T):
+        pose = forward_kinematics(ARM, states[t] + 0.05)
+        refs[t] = Reference(POLAR_2D, to_chart(pose, POLAR_2D, frame).point(),
+                            np.eye(3))
+    x3 = to_chart(forward_kinematics(ARM, states[3]), POLAR_2D, frame)
+    opposite = np.concatenate([-x3.position.coords[:2], refs[3].mean.coords[2:]])
+    for t_bad, exc, mean3 in ((6, OriginSingularity, refs[3].mean.coords),
+                              (3, AntipodalPoint, opposite)):
+        refs[3] = Reference(POLAR_2D, ManifoldPoint(chart_spec(POLAR_2D), mean3),
+                            np.eye(3))
+        p = PlanProblem(ARM, states[0], T, 0.1, frame, list(refs))
+        with pytest.raises(exc, match=f"timestep {t_bad}:"):
+            residuals_and_jacobian(p, u)
+        assert cost(p, u) == np.inf
 
 
 def test_step_zero_at_stationary_point():
