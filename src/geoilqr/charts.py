@@ -101,22 +101,26 @@ def perp2(v: np.ndarray) -> np.ndarray:
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Hamilton product of quaternions (w, x, y, z): single quaternions and
+    N x 4 rows broadcast alike."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
     return np.array([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ]).T
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.asarray(q, dtype=float) / np.linalg.norm(q)
+    # C order: the rounding of vecdot depends on the memory layout
+    q = np.ascontiguousarray(q, dtype=float)
+    return q / np.sqrt(np.vecdot(q, q))[..., None]
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -138,22 +142,6 @@ def rotmat_from_quat(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def quat_from_two_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking unit vector a to unit vector b.
-
-    Antipodal inputs fall back to a half-turn about a fixed perpendicular axis.
-    """
-    d = float(np.clip(a @ b, -1.0, 1.0))
-    if d <= -1.0 + 1e-9:
-        axis = np.array([1.0, 0.0, 0.0])
-        if abs(a[0]) > 0.9:
-            axis = np.array([0.0, 1.0, 0.0])
-        axis = axis - (axis @ a) * a
-        return quat_from_axis_angle(axis, np.pi)
-    q = np.concatenate(([1.0 + d], np.cross(a, b)))
-    return quat_normalize(q)
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]],
                      [v[2], 0.0, -v[0]],
@@ -165,12 +153,31 @@ def vee(M: np.ndarray) -> np.ndarray:
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
-def minimal_rotation(u: np.ndarray, axis: np.ndarray = None) -> np.ndarray:
-    """Rotation matrix of the minimal rotation taking the reference axis to u."""
-    e = np.array([0.0, 0.0, 1.0]) if axis is None else axis
+def azimuth_quat(az) -> np.ndarray:
+    """Rotation about the z axis by the angle az (a scalar or N angles), as
+    quaternion rows: the local base frame of the cylindrical chart."""
+    h = 0.5 * np.asarray(az, dtype=float)
+    zero = np.zeros_like(h)
+    return np.array([np.cos(h), zero, zero, np.sin(h)]).T
+
+
+def pole_quat(u: np.ndarray) -> np.ndarray:
+    """Minimal rotation taking e_z to the unit vector u (or to N x 3 rows),
+    as quaternion rows: the local base frame of the spherical chart. At
+    u = -e_z it is the half-turn about the x axis."""
+    x, y, z = u.T
+    d = np.clip(z, -1.0, 1.0)
+    q = np.array([1.0 + d, -y, x, np.zeros_like(d)]).T
+    q = np.where((d <= -1.0 + 1e-9)[..., None], (0.0, 1.0, 0.0, 0.0), q)
+    return quat_normalize(q)
+
+
+def minimal_rotation(u: np.ndarray) -> np.ndarray:
+    """Rotation matrix of the minimal rotation taking e_z to u."""
+    e = np.array([0.0, 0.0, 1.0])
     c = float(np.clip(e @ u, -1.0, 1.0))
     if c <= -1.0 + 1e-9:
-        return rotmat_from_quat(quat_from_two_vectors(e, u))
+        return rotmat_from_quat(pole_quat(u))
     a = np.cross(e, u)
     A = skew(a)
     return np.eye(3) + A + (A @ A) / (1.0 + c)
@@ -304,12 +311,14 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ChartPose:
     if pose.space != chart.space:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
     if chart.space == THREE_D:
-        return _to_chart_3d(pose, chart, frame)
-    x = chart_rows_2d(chart, frame, pose.position[None],
-                      np.array([pose.heading_angle]))[0][0]
+        x = chart_rows_3d(chart, frame, pose.position[None],
+                          pose.orientation[None])[0]
+    else:
+        x = chart_rows_2d(chart, frame, pose.position[None],
+                          np.array([pose.heading_angle]))[0][0]
     k = _POS_SPECS[chart].ambient_dim
     return ChartPose(chart, ManifoldPoint(_POS_SPECS[chart], x[:k]),
-                     ManifoldPoint(Sphere(1), x[k:]))
+                     ManifoldPoint(orientation_spec(chart), x[k:]))
 
 
 def _s1_signs(points: np.ndarray) -> np.ndarray:
@@ -350,24 +359,29 @@ def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
     return X, J
 
 
-def _to_chart_3d(pose, chart, frame: Frame3D) -> ChartPose:
-    p = frame.to_object(pose.position)
-    q_obj = quat_mul(quat_conj(frame.quaternion), pose.orientation)
+def chart_rows_3d(chart: ChartId, frame: Frame3D, positions: np.ndarray,
+                  quaternions: np.ndarray) -> np.ndarray:
+    """Chart points (N x ambient) of spatial world poses given as positions
+    (N x 3) and unit quaternions (N x 4). The orientation is expressed in
+    the chart's local base frame: the object frame itself (Cartesian), turned
+    by the azimuth (cylindrical) or by the minimal rotation from e_z to the
+    radial direction (spherical)."""
+    if chart.space != THREE_D:
+        raise DimensionMismatch(f"spatial poses cannot use chart {chart}")
+    p = frame.to_object(positions)
+    q = quat_mul(quat_conj(frame.quaternion), quaternions)
     if chart == CARTESIAN_3D:
-        return ChartPose(chart, ManifoldPoint(Euclidean(3), p),
-                         ManifoldPoint(Sphere(3), quat_normalize(q_obj)))
-    if chart == CYLINDRICAL_3D:
-        a, rho = _unit(p[:2], "cylindrical")
-        az = float(np.arctan2(p[1], p[0]))
-        pos = ManifoldPoint(_POS_SPECS[chart], np.array([a[0], a[1], rho, p[2]]))
-        q_f = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), az)
-        q_loc = quat_mul(quat_conj(q_f), q_obj)
-        return ChartPose(chart, pos, ManifoldPoint(Sphere(3), quat_normalize(q_loc)))
-    u, r = _unit(p, "spherical")
-    pos = ManifoldPoint(_POS_SPECS[chart], np.concatenate([u, [r]]))
-    q_f = quat_from_two_vectors(np.array([0.0, 0.0, 1.0]), u)
-    q_loc = quat_mul(quat_conj(q_f), q_obj)
-    return ChartPose(chart, pos, ManifoldPoint(Sphere(3), quat_normalize(q_loc)))
+        pos = p
+    elif chart == CYLINDRICAL_3D:
+        a, rho = _unit(p[:, :2], "cylindrical")
+        pos = np.column_stack([a, rho, p[:, 2]])
+        q_f = azimuth_quat(np.arctan2(p[:, 1], p[:, 0]))
+        q = quat_mul(quat_conj(q_f), q)
+    else:
+        u, r = _unit(p, "spherical")
+        pos = np.column_stack([u, r])
+        q = quat_mul(quat_conj(pole_quat(u)), q)
+    return np.hstack([pos, quat_normalize(q)])
 
 
 def from_chart(cp: ChartPose, frame) -> CartesianPose:
@@ -387,15 +401,11 @@ def from_chart(cp: ChartPose, frame) -> CartesianPose:
     if chart == CARTESIAN_3D:
         p_obj, q_obj = pc, oc
     elif chart == CYLINDRICAL_3D:
-        az = float(np.arctan2(pc[1], pc[0]))
         p_obj = np.array([pc[2] * pc[0], pc[2] * pc[1], pc[3]])
-        q_f = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), az)
-        q_obj = quat_mul(q_f, oc)
+        q_obj = quat_mul(azimuth_quat(np.arctan2(pc[1], pc[0])), oc)
     else:
-        u, r = pc[:3], pc[3]
-        p_obj = r * u
-        q_f = quat_from_two_vectors(np.array([0.0, 0.0, 1.0]), u)
-        q_obj = quat_mul(q_f, oc)
+        p_obj = pc[3] * pc[:3]
+        q_obj = quat_mul(pole_quat(pc[:3]), oc)
     q_w = quat_normalize(quat_mul(frame.quaternion, q_obj))
     return CartesianPose(frame.to_world(p_obj), q_w)
 
@@ -418,65 +428,39 @@ def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
 
 
 def _jac_3d(pose, chart, frame) -> np.ndarray:
-    R_of = frame.rotation
-    Gp = R_of.T  # d p_obj / d p_world
-    p = frame.to_object(pose.position)
-    q_obj = quat_mul(quat_conj(frame.quaternion), pose.orientation)
-    d = chart_spec(chart).tangent_dim
-    J = np.zeros((d, 6))
-
-    def ori_rows(q_loc, RF, omega_F_cols):
-        """Rows for the orientation factor.
-
-        omega_F_cols: 3 x 6 angular velocity of the local base frame (object
-        frame coords) per input column; world angular velocity enters as
-        R_of^T w.
-        """
-        B = sphere_basis(quat_normalize(q_loc))
-        rows = np.zeros((3, 6))
-        for j in range(6):
-            w_obj = Gp @ np.eye(3)[j - 3] if j >= 3 else np.zeros(3)
-            w_rel = RF.T @ (w_obj - omega_F_cols[:, j])
-            dq = 0.5 * quat_mul(np.concatenate(([0.0], w_rel)), q_loc)
-            rows[:, j] = B.T @ dq
-        return rows
-
+    Gp = frame.rotation.T  # d p_obj / d p_world
+    x = chart_rows_3d(chart, frame, pose.position[None],
+                      pose.orientation[None])[0]
+    J = np.zeros((chart_spec(chart).tangent_dim, 6))
+    # local base frame RF and its angular velocity (object frame coords) per
+    # input column
+    RF, omega_F = np.eye(3), np.zeros((3, 6))
     if chart == CARTESIAN_3D:
         J[0:3, 0:3] = Gp
-        J[3:6] = ori_rows(q_obj, np.eye(3), np.zeros((3, 6)))
-        return J
-
-    if chart == CYLINDRICAL_3D:
-        a, rho = _unit(p[:2], "cylindrical")
+    elif chart == CYLINDRICAL_3D:
+        a, rho = x[:2], x[2]
         b = sphere_basis(a)[:, 0]
-        daz = np.zeros(6)
-        daz[0:3] = (perp2(a) / rho) @ Gp[:2]
-        J[0, 0:3] = (b @ perp2(a)) * daz[0:3]
+        daz = (perp2(a) / rho) @ Gp[:2]
+        J[0, 0:3] = (b @ perp2(a)) * daz
         J[1, 0:3] = a @ Gp[:2]
         J[2, 0:3] = Gp[2]
-        az = float(np.arctan2(p[1], p[0]))
-        # local base frame: azimuthal rotation about the cylinder axis
-        RF = np.array([[np.cos(az), -np.sin(az), 0.0],
-                       [np.sin(az), np.cos(az), 0.0],
-                       [0.0, 0.0, 1.0]])
-        omega_F = np.outer(np.array([0.0, 0.0, 1.0]), daz)
-        q_f = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), az)
-        q_loc = quat_mul(quat_conj(q_f), q_obj)
-        J[3:6] = ori_rows(q_loc, RF, omega_F)
-        return J
-
-    u, r = _unit(p, "spherical")
-    Bu = sphere_basis(u)
-    Pu = (np.eye(3) - np.outer(u, u)) / r
-    J[0:2, 0:3] = Bu.T @ Pu @ Gp
-    J[2, 0:3] = u @ Gp
-    RF = minimal_rotation(u)
-    omega_F = np.zeros((3, 6))
-    for j in range(3):
-        du = Pu @ Gp[:, j]
-        dR = _minimal_rotation_diff(u, du)
-        omega_F[:, j] = vee(dR @ RF.T)
-    q_f = quat_from_two_vectors(np.array([0.0, 0.0, 1.0]), u)
-    q_loc = quat_mul(quat_conj(q_f), q_obj)
-    J[3:6] = ori_rows(q_loc, RF, omega_F)
+        RF = rotmat_from_quat(azimuth_quat(np.arctan2(a[1], a[0])))
+        omega_F[2, 0:3] = daz
+    else:
+        u, r = x[:3], x[3]
+        Pu = (np.eye(3) - np.outer(u, u)) / r
+        J[0:2, 0:3] = sphere_basis(u).T @ Pu @ Gp
+        J[2, 0:3] = u @ Gp
+        RF = minimal_rotation(u)
+        for j in range(3):
+            dR = _minimal_rotation_diff(u, Pu @ Gp[:, j])
+            omega_F[:, j] = vee(dR @ RF.T)
+    # the local orientation turns with R_F^T (R_of^T w - omega_F), w the
+    # world angular velocity
+    q_loc = x[-4:]
+    w_obj = np.zeros((3, 6))
+    w_obj[:, 3:] = Gp
+    w_rel = (RF.T @ (w_obj - omega_F)).T
+    dq = 0.5 * quat_mul(np.column_stack([np.zeros(6), w_rel]), q_loc)
+    J[-3:] = sphere_basis(q_loc).T @ dq.T
     return J

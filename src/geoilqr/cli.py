@@ -197,12 +197,13 @@ def cmd_fit(args) -> int:
 
 def _reference_contour(ref, frame, n: int = 60) -> np.ndarray:
     """World-frame 1-standard-deviation contour of a reference's position
-    marginal, mapped through the chart."""
-    vals, vecs = np.linalg.eigh(np.linalg.inv(ref.precision)[:2, :2])
+    marginal, mapped through the chart. The circle is scaled by the Cholesky
+    factor, which, unlike eigenvectors, moves continuously with the
+    covariance, also where its eigenvalues are equal."""
+    L = np.linalg.cholesky(np.linalg.inv(ref.precision)[:2, :2])
     a = np.linspace(0.0, 2.0 * np.pi, n)
     V = np.zeros((n, ref.mean.spec.tangent_dim))
-    V[:, :2] = (np.stack([np.cos(a), np.sin(a)], axis=1)
-                * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    V[:, :2] = np.stack([np.cos(a), np.sin(a)], axis=1) @ L.T
     pos, k = position_spec(ref.chart), position_spec(ref.chart).ambient_dim
     return np.array([from_chart(ChartPose(
         ref.chart, ManifoldPoint(pos, x[:k]),

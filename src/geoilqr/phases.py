@@ -4,7 +4,7 @@ Demonstrations are clustered into temporal phases with a GMM over
 (normalized time, object-frame position). The time marginal of each
 component provides per-timestep weights, which drive weighted Gaussian fits
 in every candidate chart and a tangent-space blend of the phase means into a
-smooth per-timestep reference with blended precision.
+smooth per-timestep reference with blended covariance.
 """
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .charts import ChartId, chart_spec, to_chart
+from .charts import (THREE_D, ChartId, chart_rows_2d, chart_rows_3d,
+                     chart_spec)
 from .manifolds import (ManifoldPoint, TangentVector, exp_rows, log_map_batch,
                         log_rows, parallel_transport)
-from .stats import (ManifoldGaussian, WeightedSample, fit_gaussian,
+from .stats import (EIGVAL_FLOOR, ManifoldGaussian, fit_gaussian,
                     quat_sign_align, select_winner)
 
 GMM_MAX_ITER = 200
@@ -26,7 +27,8 @@ GMM_REG = 1e-8
 
 
 class DegenerateComponent(RuntimeWarning):
-    """A GMM covariance collapsed and was re-regularized."""
+    """A GMM component collapsed: its responsibility mass is below F + 1
+    points, too few to span the F feature dimensions."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,11 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
         for k in range(K):
             Xc = X - means[k]
             cov = (resp[k][:, None] * Xc).T @ Xc / nk[k]
+            if nk[k] < F + 1:
+                warnings.warn(f"component {k} collapsed onto {nk[k]:.3g} "
+                              f"points", DegenerateComponent)
+            # a flat feature, such as a constant height, is not a collapse
             if np.linalg.eigvalsh(cov).min() < GMM_REG:
-                warnings.warn(f"component {k} covariance collapsed",
-                              DegenerateComponent)
                 cov = cov + GMM_REG * np.eye(F)
             covs[k] = cov
         if ll - ll_prev < GMM_TOL:
@@ -144,10 +148,8 @@ def phase_weights(gmm: TimeGmm, T: int) -> np.ndarray:
 @dataclass
 class ChartReferences:
     """Per-timestep blended references in one chart."""
-    means: list                 # ManifoldPoint per timestep
-    covariances: np.ndarray     # (T, d, d)
-    precisions: np.ndarray      # (T, d, d)
-    dets: np.ndarray            # (T,)
+    means: np.ndarray           # (T, ambient) points on the chart manifold
+    covariances: np.ndarray     # (T, d, d) tangent covariances at the means
 
 
 @dataclass
@@ -168,13 +170,22 @@ class PhaseModel:
                 for c in self.charts}
 
 
+def _chart_rows(chart: ChartId, demo: Demonstration) -> np.ndarray:
+    """Chart points (N x ambient) of a demonstration's poses."""
+    P = np.array([p.position for p in demo.poses])
+    O = np.array([p.orientation for p in demo.poses])
+    if chart.space == THREE_D:
+        return chart_rows_3d(chart, demo.object_frame, P, O)
+    return chart_rows_2d(chart, demo.object_frame, P,
+                         np.arctan2(O[:, 1], O[:, 0]))[0]
+
+
 def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
-                      charts: list[ChartId], horizon: int | None = None,
-                      eig_floor: float = None) -> PhaseModel:
+                      charts: list[ChartId],
+                      horizon: int | None = None) -> PhaseModel:
     """Fit per-phase per-chart Gaussians and blend them into per-timestep
-    references with Eq.-style winner selection by covariance determinant."""
-    from .stats import EIGVAL_FLOOR
-    floor = EIGVAL_FLOOR if eig_floor is None else eig_floor
+    references; each timestep's winner is the chart whose blended covariance
+    has the smallest determinant."""
     K = gmm.n_components
     T = horizon if horizon is not None else max(len(d) for d in demos)
     H = phase_weights(gmm, T)
@@ -186,14 +197,11 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
     trends = [dict() for _ in range(K)]   # (k, chart) -> time regression
     for chart in charts:
         spec = chart_spec(chart)
-        points = [to_chart(pose, chart, demo.object_frame).point()
-                  for demo in demos for pose in demo.poses]
-        X = np.array([p.coords for p in points])
+        X = np.vstack([_chart_rows(chart, demo) for demo in demos])
         for k in range(K):
-            samples = [WeightedSample(p, w)
-                       for p, w in zip(points, frame_h[:, k])]
+            w = frame_h[:, k]
             try:
-                g = fit_gaussian(samples, spec, floor=floor)
+                g = fit_gaussian(spec, X, w)
             except Exception as exc:
                 raise RuntimeError(
                     f"fit failed for phase {k}, chart {chart}") from exc
@@ -201,7 +209,6 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
             # Linear regression of the tangent residual on normalized time,
             # so per-timestep references track motion within a phase instead
             # of collapsing to the phase mean.
-            w = frame_h[:, k]
             W = w.sum()
             V = log_map_batch(g.mean, quat_sign_align(spec, X, g.mean.coords))
             m_s = float(w @ frame_s) / W
@@ -211,7 +218,7 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
 
     s_grid = np.arange(T) / max(T - 1, 1)
     anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
-    references = {}
+    references, dets = {}, {}
     for chart in charts:
         spec = chart_spec(chart)
         gs = [phases[k][chart] for k in range(K)]
@@ -230,15 +237,13 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
             cov = cov + h[:, None, None] * (g.covariance
                                             - np.outer(c_vs, c_vs) / c_ss)
         vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
-        covs = (vecs * np.maximum(vals, floor)[:, None]) @ np.swapaxes(vecs, 1, 2)
-        means = [ManifoldPoint(spec, x) for x in exp_rows(spec, A, blend)]
-        references[chart] = ChartReferences(means, covs, np.linalg.inv(covs),
-                                            np.linalg.det(covs))
+        vals = np.maximum(vals, EIGVAL_FLOOR)
+        covs = (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2)
+        references[chart] = ChartReferences(exp_rows(spec, A, blend), covs)
+        dets[chart] = np.prod(vals, axis=1)
 
-    winners = []
-    for t in range(T):
-        winners.append(select_winner(
-            {c: references[c].dets[t] for c in charts}))
+    winners = [select_winner({c: dets[c][t] for c in charts})
+               for t in range(T)]
     return PhaseModel(list(charts), phases, H, references, winners)
 
 
@@ -259,7 +264,7 @@ def phase_model_to_dict(model: PhaseModel) -> dict:
             for phase in model.phases
         ],
         "references": {
-            str(c): {"means": [m.coords.tolist() for m in r.means],
+            str(c): {"means": r.means.tolist(),
                      "covariances": r.covariances.tolist()}
             for c, r in model.references.items()
         },
@@ -280,13 +285,8 @@ def phase_model_from_dict(d: dict) -> PhaseModel:
             entry[chart] = ManifoldGaussian.from_moments(
                 mean, np.array(g["covariance"]))
         phases.append(entry)
-    references = {}
-    for name, r in d["references"].items():
-        chart = by_name[name]
-        spec = chart_spec(chart)
-        means = [ManifoldPoint(spec, np.array(m)) for m in r["means"]]
-        covs = np.array(r["covariances"])
-        references[chart] = ChartReferences(means, covs, np.linalg.inv(covs),
-                                            np.linalg.det(covs))
+    references = {by_name[name]: ChartReferences(np.array(r["means"]),
+                                                 np.array(r["covariances"]))
+                  for name, r in d["references"].items()}
     winners = [ChartId(c["space"], c["index"]) for c in d["winners"]]
     return PhaseModel(charts, phases, weights, references, winners)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import (ManifoldPoint, Sphere, exp_map, leaves,
-                        log_map_batch, TangentVector)
+from .manifolds import (ManifoldPoint, SpecMismatch, Sphere, exp_rows, leaves,
+                        log_map_batch, log_rows)
 
 EIGVAL_FLOOR = 1e-8
 MEAN_TOL = 1e-10
@@ -33,12 +33,6 @@ class NoConvergence(RuntimeWarning):
 
 
 @dataclass(frozen=True)
-class WeightedSample:
-    point: ManifoldPoint
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
 class ManifoldGaussian:
     mean: ManifoldPoint
     covariance: np.ndarray
@@ -50,12 +44,13 @@ class ManifoldGaussian:
         return self.mean.spec.tangent_dim
 
     @classmethod
-    def from_moments(cls, mean: ManifoldPoint, covariance: np.ndarray,
-                     floor: float = EIGVAL_FLOOR) -> "ManifoldGaussian":
-        """Symmetrize, floor the eigenvalues and cache det and precision."""
+    def from_moments(cls, mean: ManifoldPoint,
+                     covariance: np.ndarray) -> "ManifoldGaussian":
+        """Symmetrize, floor the eigenvalues at EIGVAL_FLOOR and cache det
+        and precision."""
         cov = 0.5 * (covariance + covariance.T)
         w, V = np.linalg.eigh(cov)
-        w = np.maximum(w, floor)
+        w = np.maximum(w, EIGVAL_FLOOR)
         cov = (V * w) @ V.T
         prec = (V / w) @ V.T
         return cls(mean, cov, float(np.prod(w)), prec)
@@ -74,47 +69,54 @@ def quat_sign_align(spec, X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return X
 
 
-def _prepare(samples: list[WeightedSample], spec):
-    if not samples:
-        raise EmptySample("no samples")
-    X = np.array([s.point.coords for s in samples])
-    w = np.array([s.weight for s in samples], dtype=float)
+def _validated(spec, X, w) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of X with positive weight and their normalized weights."""
+    X, w = np.asarray(X, dtype=float), np.asarray(w, dtype=float)
+    if X.ndim != 2 or X.shape[1] != spec.ambient_dim or w.shape != X.shape[:1]:
+        raise SpecMismatch(f"samples {X.shape} and weights {w.shape} do not "
+                           f"fit N x {spec.ambient_dim} points")
+    for leaf, asl, _ in leaves(spec):
+        if isinstance(leaf, Sphere) and np.any(
+                np.abs(np.sqrt(np.vecdot(X[:, asl], X[:, asl])) - 1.0) > 1e-9):
+            raise ValueError("sphere block norm is not 1 within 1e-9")
     if np.any(w < 0.0):
         raise ValueError("negative sample weight")
     keep = w > 0.0
-    X, w = X[keep], w[keep]
-    if X.shape[0] == 0:
+    if not keep.any():
         raise EmptySample("no sample with positive weight")
-    return X, w / w.sum()
+    return X[keep], w[keep] / w[keep].sum()
 
 
-def geometric_mean(samples: list[WeightedSample], spec,
-                   tol: float = MEAN_TOL,
-                   max_iter: int = MEAN_MAX_ITER) -> ManifoldPoint:
-    """Weighted Fréchet mean by Gauss-Newton iteration on the manifold."""
-    X, w = _prepare(samples, spec)
+def _mean(spec, X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Fréchet mean of validated rows by Gauss-Newton iteration."""
     # start from the first sample on its w >= 0 sheet, so that neither the
     # mean nor its covariance basis depends on the samples' quaternion signs
     w_axes = np.zeros(spec.ambient_dim)
     w_axes[[asl.start for _, asl, _ in leaves(spec)]] = 1.0
-    mu = ManifoldPoint(spec, quat_sign_align(spec, X[:1], w_axes)[0])
-    for _ in range(max_iter):
-        u = w @ log_map_batch(mu, quat_sign_align(spec, X, mu.coords))
-        mu = exp_map(mu, TangentVector(mu, u))
-        if np.linalg.norm(u) < tol:
-            return mu
+    mu = quat_sign_align(spec, X[:1], w_axes)
+    for _ in range(MEAN_MAX_ITER):
+        u = w @ log_rows(spec, mu, quat_sign_align(spec, X, mu[0]))
+        mu = exp_rows(spec, mu, u[None])
+        if np.linalg.norm(u) < MEAN_TOL:
+            return mu[0]
     warnings.warn("geometric mean did not converge", NoConvergence)
-    return mu
+    return mu[0]
 
 
-def fit_gaussian(samples: list[WeightedSample], spec,
-                 floor: float = EIGVAL_FLOOR) -> ManifoldGaussian:
-    """Weighted Gaussian on the manifold: Fréchet mean + tangent covariance."""
-    mu = geometric_mean(samples, spec)
-    X, w = _prepare(samples, spec)
+def geometric_mean(spec, X: np.ndarray, w: np.ndarray) -> ManifoldPoint:
+    """Weighted Fréchet mean of the points in the rows of X (N x ambient)
+    with weights w (N,); zero weights drop their rows."""
+    return ManifoldPoint(spec, _mean(spec, *_validated(spec, X, w)))
+
+
+def fit_gaussian(spec, X: np.ndarray, w: np.ndarray) -> ManifoldGaussian:
+    """Weighted Gaussian of the points in the rows of X (N x ambient) with
+    weights w (N,): Fréchet mean + tangent covariance at the mean."""
+    X, w = _validated(spec, X, w)
+    mu = ManifoldPoint(spec, _mean(spec, X, w))
     U = log_map_batch(mu, quat_sign_align(spec, X, mu.coords))
     cov = (U * w[:, None]).T @ U
-    return ManifoldGaussian.from_moments(mu, cov, floor)
+    return ManifoldGaussian.from_moments(mu, cov)
 
 
 def log_density(g: ManifoldGaussian, x: ManifoldPoint) -> float:

@@ -12,11 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import (CartesianPose, Frame2D, Frame3D, charts_for,
-                     quat_from_axis_angle, quat_from_two_vectors, quat_mul,
+from .charts import (CartesianPose, Frame2D, Frame3D, azimuth_quat, chart_spec,
+                     charts_for, pole_quat, quat_from_axis_angle, quat_mul,
                      quat_normalize)
 from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
                          kinematics_rows, planar_ik_3link)
+from .manifolds import ManifoldPoint
 from .phases import (Demonstration, PhaseModel, build_phase_model,
                      fit_time_gmm)
 from .planner import PlanProblem, PlanResult, Reference, solve
@@ -148,7 +149,6 @@ def _planar_demo(spec: TaskSpec, name: str, r, az, heading) -> Demonstration:
 
 def _generate_grasppose3d(spec: TaskSpec, rng) -> list[Demonstration]:
     T = spec.horizon
-    e_z = np.array([0.0, 0.0, 1.0])
     q_grip = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.7)
     demos = []
     for i in range(spec.demo_count):
@@ -165,12 +165,12 @@ def _generate_grasppose3d(spec: TaskSpec, rng) -> list[Demonstration]:
             if spec.symmetry == "cylindrical":
                 p_obj = np.array([(rho[t] + jr) * np.cos(psi),
                                   (rho[t] + jr) * np.sin(psi), height[t]])
-                q_f = quat_from_axis_angle(e_z, psi)
+                q_f = azimuth_quat(psi)
             else:
                 u = np.array([np.sin(polar) * np.cos(psi),
                               np.sin(polar) * np.sin(psi), np.cos(polar)])
                 p_obj = (rad[t] + jr) * u
-                q_f = quat_from_two_vectors(e_z, u)
+                q_f = pole_quat(u)
             jit = quat_from_axis_angle(rng.standard_normal(3),
                                        rng.normal(0.0, spec.orientation_sigma))
             q_obj = quat_normalize(quat_mul(quat_mul(q_f, q_grip), jit))
@@ -189,16 +189,16 @@ DEFAULT_ARM = ArmModel(np.array([1.5, 1.5, 1.0]))
 PRECISION_CAP = 1e4
 
 
-def _cap_precision(precision: np.ndarray, cap: float) -> np.ndarray:
-    """Clip precision eigenvalues so near-noiseless demonstrations do not
-    produce an ill-conditioned tracking cost."""
-    vals, vecs = np.linalg.eigh(precision)
-    return (vecs * np.minimum(vals, cap)) @ vecs.T
+def _capped_precision(covariance: np.ndarray) -> np.ndarray:
+    """Precision of a covariance whose eigenvalues are floored at
+    1 / PRECISION_CAP, so near-noiseless demonstrations do not produce an
+    ill-conditioned tracking cost."""
+    vals, vecs = np.linalg.eigh(covariance)
+    return (vecs / np.maximum(vals, 1.0 / PRECISION_CAP)) @ vecs.T
 
 
 def build_references(model: PhaseModel, selector, T: int,
-                     activation_start: int, mode: str,
-                     precision_cap: float = PRECISION_CAP) -> list:
+                     activation_start: int, mode: str) -> list:
     """References for a plan: 'stepwise' places one viapoint per phase at the
     end of its dominance window; 'dense' activates the blended reference at
     every timestep after the warm-up. selector is a ChartId or 'optimal'."""
@@ -207,8 +207,9 @@ def build_references(model: PhaseModel, selector, T: int,
         for t in range(activation_start, T):
             chart = model.winners[t] if selector == "optimal" else selector
             r = model.references[chart]
-            refs[t] = Reference(chart, r.means[t],
-                                _cap_precision(r.precisions[t], precision_cap))
+            refs[t] = Reference(chart, ManifoldPoint(chart_spec(chart),
+                                                     r.means[t]),
+                                _capped_precision(r.covariances[t]))
         return refs
     K = model.weights.shape[1]
     dominant = np.argmax(model.weights, axis=1)
@@ -220,8 +221,7 @@ def build_references(model: PhaseModel, selector, T: int,
         chart = (select_winner(model.phases[k]) if selector == "optimal"
                  else selector)
         g = model.phases[k][chart]
-        refs[t_k] = Reference(chart, g.mean,
-                              _cap_precision(g.precision, precision_cap))
+        refs[t_k] = Reference(chart, g.mean, _capped_precision(g.covariance))
     return refs
 
 

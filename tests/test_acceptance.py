@@ -14,7 +14,7 @@ from geoilqr.manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
                                exp_map, exp_rows, geodesic_distance, log_map,
                                random_point, random_tangent)
 from geoilqr.planner import PlanProblem, residuals_and_jacobian, solve
-from geoilqr.stats import WeightedSample, geometric_mean, select_winner
+from geoilqr.stats import geometric_mean, select_winner
 from geoilqr.tasks import (DEFAULT_ARM, build_references, default_spec,
                            evaluate_trial, fit_task_model, plan_mode,
                            run_experiment, sample_initial_states)
@@ -123,26 +123,20 @@ def test_criterion_02_geometric_mean_oracle(capsys):
         w = rng.uniform(0.2, 1.0, size=n)
         # circle
         angles = rng.normal(rng.uniform(-2, 2), 0.4, size=n)
-        pts = [ManifoldPoint(Sphere(1),
-                             np.array([np.cos(a), np.sin(a)]))
-               for a in angles]
-        mu = geometric_mean([WeightedSample(p, wi)
-                             for p, wi in zip(pts, w)], Sphere(1))
+        mu = geometric_mean(Sphere(1), np.column_stack([np.cos(angles),
+                                                        np.sin(angles)]), w)
         oracle = ManifoldPoint(Sphere(1), _circle_grid_mean(angles, w))
         worst_c = max(worst_c, geodesic_distance(mu, oracle))
         # sphere
         center = random_point(Sphere(2), rng)
         X = np.array([exp_map(center, random_tangent(center, rng, 0.3)).coords
                       for _ in range(n)])
-        pts = [ManifoldPoint(Sphere(2), x) for x in X]
-        mu = geometric_mean([WeightedSample(p, wi)
-                             for p, wi in zip(pts, w)], Sphere(2))
+        mu = geometric_mean(Sphere(2), X, w)
         oracle = ManifoldPoint(Sphere(2), _sphere_grid_mean(X, w))
         worst_s = max(worst_s, geodesic_distance(mu, oracle))
         # Euclidean
         E = rng.standard_normal((n, 4))
-        mu = geometric_mean([WeightedSample(ManifoldPoint(Euclidean(4), x), wi)
-                             for x, wi in zip(E, w)], Euclidean(4))
+        mu = geometric_mean(Euclidean(4), E, w)
         expect = np.average(E, axis=0, weights=w)
         worst_e = max(worst_e, float(np.abs(mu.coords - expect).max()))
     crit.report(worst_c < 1e-4 and worst_s < 1e-4 and worst_e < 1e-10,

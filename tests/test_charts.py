@@ -6,8 +6,8 @@ from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             POLAR_2D, SPHERICAL_3D, CartesianPose, ChartId,
                             Frame2D, Frame3D, OriginSingularity, chart_jacobian,
                             chart_spec, charts_for, from_chart,
-                            minimal_rotation, position_spec, quat_from_axis_angle,
-                            quat_from_two_vectors, quat_mul, quat_rotate,
+                            minimal_rotation, pole_quat, position_spec,
+                            quat_from_axis_angle, quat_mul, quat_rotate,
                             rotmat_from_quat, to_chart)
 from geoilqr.manifolds import Euclidean, Product, Sphere
 
@@ -230,12 +230,13 @@ def test_quaternion_helpers():
                        atol=1e-12)
     v = RNG.standard_normal(3)
     assert np.allclose(quat_rotate(a, v), rotmat_from_quat(a) @ v, atol=1e-12)
-    # minimal rotation sends the first vector onto the second
-    u = RNG.standard_normal(3)
-    w = RNG.standard_normal(3)
-    u, w = u / np.linalg.norm(u), w / np.linalg.norm(w)
-    q = quat_from_two_vectors(u, w)
-    assert np.allclose(quat_rotate(q, u), w, atol=1e-12)
+    # minimal rotation sends e_z onto each direction row, antipode included
+    e_z = np.array([0.0, 0.0, 1.0])
+    W = np.vstack([RNG.standard_normal((5, 3)), -e_z])
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    for q, w in zip(pole_quat(W), W):
+        assert np.allclose(quat_rotate(q, e_z), w, atol=1e-12)
+    assert np.allclose(pole_quat(W[0]), pole_quat(W)[0], atol=1e-15)
 
 
 def test_minimal_rotation_sends_ez_to_direction():

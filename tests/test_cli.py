@@ -159,3 +159,20 @@ def test_plan_and_evaluate_reject_3d_task(command, tmp_path, capsys):
                                 "out_dir": str(tmp_path / "out")}))
     assert _run(command, "--config", str(path)) == 2
     assert "2D task kind" in capsys.readouterr().err
+
+
+def test_reference_contour_is_continuous_at_isotropic_covariance():
+    # capped references have equal position variances; their contour must
+    # not turn with last-bit changes of the covariance
+    from geoilqr.charts import POLAR_2D, CartesianPose, Frame2D, to_chart
+    from geoilqr.cli import _reference_contour
+    from geoilqr.planner import Reference
+    frame = Frame2D(np.array([0.7, 0.0]))
+    mean = to_chart(CartesianPose.from_angle(0.4, 0.3, 2.0), POLAR_2D,
+                    frame).point()
+    cov = 1e-4 * np.eye(3)
+    bump = np.zeros((3, 3))
+    bump[:2, :2] = [[1.0, 0.5], [0.5, -1.0]]
+    a, b = [_reference_contour(Reference(POLAR_2D, mean, np.linalg.inv(c)),
+                               frame) for c in (cov, cov + 1e-15 * bump)]
+    assert np.abs(a - b).max() <= 1e-9

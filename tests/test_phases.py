@@ -1,12 +1,15 @@
 """Phase segmentation (time-augmented GMM) and per-chart phase statistics."""
+import warnings
+
 import numpy as np
 import pytest
 
-from geoilqr.charts import CARTESIAN_2D, POLAR_2D, charts_for
-from geoilqr.phases import (Demonstration, build_phase_model, fit_time_gmm,
+from geoilqr.charts import CARTESIAN_2D, POLAR_2D, chart_spec, charts_for
+from geoilqr.phases import (DegenerateComponent, Demonstration,
+                            build_phase_model, fit_time_gmm,
                             phase_model_from_dict, phase_model_to_dict,
                             phase_weights, phase_weights_at)
-from geoilqr.tasks import default_spec, generate_demos
+from geoilqr.tasks import default_spec, fit_task_model, generate_demos
 
 RNG = np.random.default_rng(5)
 
@@ -68,6 +71,14 @@ def test_gmm_recovers_separated_time_clusters():
     assert np.all(np.abs(np.sort(gmm.means[:, 0]) - expect) < 5 / 90)
 
 
+def test_cylindrical_fit_emits_no_degenerate_component():
+    # the height is constant on each phase plateau: a flat feature, not a
+    # component collapsed onto too few points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateComponent)
+        fit_task_model(default_spec("grasppose3d", seed=0))
+
+
 def test_phase_weights_properties():
     gmm = fit_time_gmm(_grasp_demos(), 3)
     H = phase_weights(gmm, 100)
@@ -100,7 +111,8 @@ def test_phase_model_shapes_and_winners():
     assert len(model.winners) == 100
     # per-timestep winner matches the determinant ordering of the blends
     for t in range(0, 100, 17):
-        dets = {c: model.references[c].dets[t] for c in model.charts}
+        dets = {c: np.linalg.det(model.references[c].covariances[t])
+                for c in model.charts}
         best = min(dets, key=lambda c: (dets[c], c.index))
         assert model.winners[t] == best
 
@@ -125,7 +137,7 @@ def test_reference_mean_at_dominant_time_matches_phase_mean():
     demos = _grasp_demos()
     gmm = fit_time_gmm(demos, 3)
     model = build_phase_model(demos, gmm, charts_for("2d"), horizon=100)
-    from geoilqr.manifolds import geodesic_distance
+    from geoilqr.manifolds import ManifoldPoint, geodesic_distance
     H = model.weights
     for k in range(3):
         t = int(np.argmax(H[:, k]))
@@ -133,7 +145,8 @@ def test_reference_mean_at_dominant_time_matches_phase_mean():
             continue
         # with an overwhelming weight the blend stays close to the phase
         # Gaussian (time regression shifts it along the phase's own trend)
-        ref = model.references[POLAR_2D].means[t]
+        ref = ManifoldPoint(chart_spec(POLAR_2D),
+                            model.references[POLAR_2D].means[t])
         d = geodesic_distance(ref, model.phases[k][POLAR_2D].mean)
         assert d < 0.5
 
@@ -151,18 +164,19 @@ def test_phase_model_json_round_trip():
             assert np.allclose(back.phases[k][c].covariance,
                                model.phases[k][c].covariance)
         for t in (0, 25, 49):
-            assert np.allclose(back.references[c].means[t].coords,
-                               model.references[c].means[t].coords)
-            assert np.allclose(back.references[c].precisions[t],
-                               model.references[c].precisions[t])
+            assert np.allclose(back.references[c].means[t],
+                               model.references[c].means[t])
+            assert np.allclose(back.references[c].covariances[t],
+                               model.references[c].covariances[t])
 
 
-def test_quaternion_sign_flips_leave_model_unchanged():
+@pytest.mark.parametrize("symmetry", ["cylindrical", "spherical"])
+def test_quaternion_sign_flips_leave_model_unchanged(symmetry):
     # q and -q are the same rotation, so negating half of the demonstrated
     # quaternions must not move any statistic of the phase model
     from geoilqr.charts import CartesianPose
     demos = generate_demos(default_spec("grasppose3d", seed=0,
-                                        symmetry="spherical"))
+                                        symmetry=symmetry))
     flipped = [Demonstration(d.id, d.dt, d.times,
                              [CartesianPose(p.position, -p.orientation)
                               if i % 2 else p for i, p in enumerate(d.poses)],
@@ -174,8 +188,8 @@ def test_quaternion_sign_flips_leave_model_unchanged():
     for c in a.charts:
         np.testing.assert_allclose(b.phase_dets()[c], a.phase_dets()[c],
                                    rtol=1e-9)
-        np.testing.assert_allclose(b.references[c].dets, a.references[c].dets,
-                                   rtol=1e-9)
+        np.testing.assert_allclose(b.references[c].covariances,
+                                   a.references[c].covariances, rtol=1e-9)
         for k in range(3):
             np.testing.assert_allclose(b.phases[k][c].covariance,
                                        a.phases[k][c].covariance, rtol=1e-9)

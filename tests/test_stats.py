@@ -6,16 +6,17 @@ from geoilqr.charts import CARTESIAN_2D, POLAR_2D, CartesianPose, Frame2D, to_ch
 from geoilqr.manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
                                geodesic_distance, random_point)
 from geoilqr.stats import (EIGVAL_FLOOR, EmptyInput, EmptySample,
-                           ManifoldGaussian, WeightedSample, fit_gaussian,
-                           geometric_mean, log_density, select_winner)
+                           ManifoldGaussian, fit_gaussian, geometric_mean,
+                           log_density, select_winner)
 
 RNG = np.random.default_rng(2)
 
 
 def _samples(points, weights=None):
+    """(X, w) arrays of points, unit weights by default."""
     if weights is None:
         weights = np.ones(len(points))
-    return [WeightedSample(p, w) for p, w in zip(points, weights)]
+    return np.array([p.coords for p in points]), np.asarray(weights)
 
 
 def _circle(angle):
@@ -25,7 +26,7 @@ def _circle(angle):
 def test_single_sample_mean_is_that_point():
     spec = Product((Sphere(2), Euclidean(1)))
     p = random_point(spec, RNG)
-    mu = geometric_mean(_samples([p]), spec)
+    mu = geometric_mean(spec, *_samples([p]))
     assert np.allclose(mu.coords, p.coords, atol=1e-12)
 
 
@@ -33,14 +34,14 @@ def test_euclidean_mean_is_weighted_arithmetic_mean():
     spec = Euclidean(3)
     pts = [random_point(spec, RNG) for _ in range(10)]
     w = RNG.uniform(0.1, 1.0, size=10)
-    mu = geometric_mean(_samples(pts, w), spec)
+    mu = geometric_mean(spec, *_samples(pts, w))
     expect = np.average([p.coords for p in pts], axis=0, weights=w)
     assert np.allclose(mu.coords, expect, atol=1e-12)
 
 
 def test_circle_symmetric_samples():
     pts = [_circle(np.deg2rad(30)), _circle(np.deg2rad(-30))]
-    mu = geometric_mean(_samples(pts), Sphere(1))
+    mu = geometric_mean(Sphere(1), *_samples(pts))
     assert np.allclose(mu.coords, [1.0, 0.0], atol=1e-9)
 
 
@@ -49,7 +50,7 @@ def test_circle_mean_matches_grid_search():
         angles = RNG.uniform(-1.2, 1.2, size=8)
         w = RNG.uniform(0.2, 1.0, size=8)
         pts = [_circle(a) for a in angles]
-        mu = geometric_mean(_samples(pts, w), Sphere(1))
+        mu = geometric_mean(Sphere(1), *_samples(pts, w))
         grid = np.linspace(-np.pi, np.pi, 200001)
         # wrapped squared geodesic distances at every grid angle
         diffs = np.angle(np.exp(1j * (grid[:, None] - angles[None, :])))
@@ -63,7 +64,7 @@ def test_covariance_of_symmetric_pair():
     s = 0.7
     pts = [ManifoldPoint(spec, np.array([s])),
            ManifoldPoint(spec, np.array([-s]))]
-    g = fit_gaussian(_samples(pts), spec)
+    g = fit_gaussian(spec, *_samples(pts))
     assert np.isclose(g.covariance[0, 0], s * s, atol=1e-9)
     assert np.isclose(g.det, s * s, rtol=1e-9)
 
@@ -71,7 +72,7 @@ def test_covariance_of_symmetric_pair():
 def test_identical_samples_hit_floor():
     spec = Euclidean(2)
     p = ManifoldPoint(spec, np.array([0.3, -0.1]))
-    g = fit_gaussian(_samples([p, p, p]), spec)
+    g = fit_gaussian(spec, *_samples([p, p, p]))
     assert np.allclose(g.covariance, EIGVAL_FLOOR * np.eye(2), atol=1e-15)
     assert np.isclose(g.det, EIGVAL_FLOOR ** 2, rtol=1e-9)
 
@@ -79,7 +80,7 @@ def test_identical_samples_hit_floor():
 def test_gaussian_invariants():
     spec = Product((Sphere(1), Euclidean(2)))
     pts = [random_point(spec, RNG) for _ in range(40)]
-    g = fit_gaussian(_samples(pts), spec)
+    g = fit_gaussian(spec, *_samples(pts))
     assert np.allclose(g.covariance, g.covariance.T, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(g.covariance)) >= EIGVAL_FLOOR - 1e-12
     assert np.isclose(g.det, np.linalg.det(g.covariance), rtol=1e-9)
@@ -91,7 +92,7 @@ def test_euclidean_agreement_with_classical_statistics():
     X = RNG.standard_normal((50, 3))
     w = RNG.uniform(0.1, 1.0, size=50)
     pts = [ManifoldPoint(spec, x) for x in X]
-    g = fit_gaussian(_samples(pts, w), spec)
+    g = fit_gaussian(spec, *_samples(pts, w))
     mean = np.average(X, axis=0, weights=w)
     centered = X - mean
     cov = (centered * (w / w.sum())[:, None]).T @ centered
@@ -109,7 +110,7 @@ def test_polar_samples_on_circle_have_small_radial_variance():
              for r, a in zip(radius, angles)]
     pts = [to_chart(p, POLAR_2D, frame).point() for p in poses]
     spec = pts[0].spec
-    g = fit_gaussian(_samples(pts), spec)
+    g = fit_gaussian(spec, *_samples(pts))
     var_ang, var_rad = g.covariance[0, 0], g.covariance[1, 1]
     assert var_rad / var_ang < 1e-2
 
@@ -148,7 +149,11 @@ def test_select_winner_paper_style_and_ties():
 
 def test_empty_inputs_raise():
     with pytest.raises(EmptySample):
-        geometric_mean([], Euclidean(2))
+        geometric_mean(Euclidean(2), np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(EmptySample):
+        fit_gaussian(Euclidean(2), np.ones((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="negative"):
+        fit_gaussian(Euclidean(2), np.ones((3, 2)), np.array([1.0, -1.0, 1.0]))
     with pytest.raises(EmptyInput):
         select_winner({})
 
@@ -164,5 +169,5 @@ def test_quaternion_sign_alignment():
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X[::2] *= -1.0   # flip half of the signs
     pts = [ManifoldPoint(spec, x) for x in X]
-    g = fit_gaussian(_samples(pts), spec)
+    g = fit_gaussian(spec, *_samples(pts))
     assert np.trace(g.covariance) < 0.01
