@@ -74,6 +74,12 @@ def load_config(path: str) -> dict:
     _check_keys(task, _TASK_KEYS, "task")
     arm = raw.get("arm", {})
     _check_keys(arm if isinstance(arm, dict) else {}, _ARM_KEYS, "arm")
+    weight = raw.get("control_weight", 1e-2)
+    if type(weight) not in (int, float) or not 0.0 < weight < np.inf:
+        raise ConfigError("config: 'control_weight' must be finite and > 0")
+    for key, low in (("activation_start", 0), ("trials", 1)):
+        if type(raw.get(key, low)) is not int or raw.get(key, low) < low:
+            raise ConfigError(f"config: {key!r} must be an integer >= {low}")
     return raw
 
 

@@ -1,20 +1,20 @@
 """Batch iLQR with Gauss-Newton updates and backtracking line search.
 
-The problem is open loop: stacked joint states are a linear function of the
-stacked velocity commands, the state cost is a precision-weighted squared
-geodesic residual in the selected chart at each active timestep, and each
-iteration solves the regularized normal equations for the full horizon.
+The problem is open loop: the joint states are the running sum of the
+velocity commands, the state cost is a precision-weighted squared geodesic
+residual in the selected chart at each active timestep, and each iteration
+solves the regularized normal equations for the full horizon as a band in
+the moves of the states q_2..q_T. u_T moves no state; its step is -u_T.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import solveh_banded
 
 from .charts import ChartId, OriginSingularity, chart_rows_2d, chart_spec
-from .kinematics import (ArmModel, JointTrajectory, batch_dynamics,
-                         kinematics_rows, rollout)
+from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
 from .manifolds import (AntipodalPoint, ManifoldPoint, log_jacobian_rows,
                         log_rows)
 
@@ -22,10 +22,6 @@ LINE_SEARCH_MIN_STEP = 1e-4
 STEP_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITER = 100
-
-
-class SingularSystem(RuntimeError):
-    """Normal equations are not positive definite (r = 0 and rank deficient)."""
 
 
 class LineSearchFailed(RuntimeWarning):
@@ -57,6 +53,8 @@ class PlanProblem:
 
     def __post_init__(self):
         self.q0 = np.asarray(self.q0, dtype=float)
+        if self.horizon < 1 or not (self.dt > 0 and self.control_weight > 0):
+            raise ValueError("need horizon >= 1, dt > 0, control_weight > 0")
         if len(self.references) != self.horizon:
             raise ValueError("references list must match the horizon")
         active = self.active_references()
@@ -121,16 +119,12 @@ def _residuals(problem: PlanProblem, u: np.ndarray, jacobian: bool):
 
 
 def residuals_and_jacobian(problem: PlanProblem, u: np.ndarray):
-    """Stacked residual f, its Jacobian w.r.t. stacked states q, and the big
-    block-diagonal precision. Inactive timesteps contribute no rows.
-    """
-    F, Jrows = _residuals(problem, u, jacobian=True)
-    n, D, T, ts = len(F), problem.arm.dof, problem.horizon, problem._active_ts
-    J = np.zeros((n, 3, T, D))
-    J[np.arange(n), :, ts, :] = Jrows
-    norms = dict(zip(ts.tolist(), np.linalg.norm(F, axis=1).tolist()))
-    return (F.ravel(), J.reshape(3 * n, D * T),
-            block_diag(*problem._precisions), norms)
+    """Stacked residual f (3n) of the n active timesteps, its Jacobian rows
+    (3n x D) w.r.t. the state at each row's own timestep, and the norms."""
+    F, J = _residuals(problem, u, jacobian=True)
+    norms = dict(zip(problem._active_ts.tolist(),
+                     np.linalg.norm(F, axis=1).tolist()))
+    return F.ravel(), J.reshape(-1, problem.arm.dof), norms
 
 
 def cost(problem: PlanProblem, u: np.ndarray) -> float:
@@ -148,32 +142,42 @@ def cost(problem: PlanProblem, u: np.ndarray) -> float:
 
 
 def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
-                      J: np.ndarray, Q: np.ndarray,
-                      S_u: np.ndarray) -> np.ndarray:
-    """Regularized Gauss-Newton update of the stacked controls."""
-    JS = J @ S_u
-    H = JS.T @ Q @ JS
-    r = problem.control_weight
-    H[np.diag_indices_from(H)] += r
-    g = -JS.T @ (Q @ f) - r * u
-    try:
-        return cho_solve(cho_factor(H), g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("normal equations not positive definite; "
-                             "set control_weight > 0") from exc
+                      J: np.ndarray) -> np.ndarray:
+    """Regularized Gauss-Newton update of the stacked controls, solved in the
+    state moves x_t (x_1 = 0, du_t = (x_{t+1} - x_t)/dt), where the normal
+    matrix (r/dt²)·(K ⊗ I_D) + blockdiag(JₜᵀQₜJₜ) has half-bandwidth D, with
+    K = tridiag(-1, 2, -1) but 1 in the last entry. u_T moves no state, so
+    its step is -u_T."""
+    D, T, ts = problem.arm.dof, problem.horizon, problem._active_ts
+    r, dt, U = problem.control_weight, problem.dt, u.reshape(T, D)
+    Jr = J.reshape(-1, 3, D)
+    JtQ = Jr.transpose(0, 2, 1) @ problem._precisions
+    # control term r/dt (u_t - u_{t-1}) at state t, u_T left out; row 0 unused
+    g = (r / dt) * np.diff(U[:-1], axis=0, prepend=0.0, append=0.0)
+    g[ts] -= np.einsum("nai,ni->na", JtQ, f.reshape(-1, 3))
+    # lower band storage, a column per state: band[d, t, a] = A[tD+a+d, tD+a]
+    band = np.zeros((D + 1, T, D))
+    a, b = np.tril_indices(D)
+    band[a - b, ts[:, None], b] = (JtQ @ Jr)[:, a, b]
+    band[0, 1:] += 2.0 * r / dt ** 2
+    band[0, -1] -= r / dt ** 2
+    band[D, 1:-1] = -r / dt ** 2
+    x = solveh_banded(band[:, 1:].reshape(D + 1, -1), g[1:].ravel(),
+                      lower=True)
+    dX = np.diff(x.reshape(T - 1, D), axis=0, prepend=0.0) / dt
+    return np.concatenate([dX.ravel(), -U[-1]])
 
 
 def solve(problem: PlanProblem) -> PlanResult:
     D, T = problem.arm.dof, problem.horizon
-    _, S_u = batch_dynamics(D, T, problem.dt)
     u = np.zeros(D * T)
     c = cost(problem, u)
     history = [c]
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        f, J, Q, _ = residuals_and_jacobian(problem, u)
-        du = gauss_newton_step(problem, u, f, J, Q, S_u)
+        f, J, _ = residuals_and_jacobian(problem, u)
+        du = gauss_newton_step(problem, u, f, J)
         if np.linalg.norm(du) < STEP_TOL:
             converged = True
             break
@@ -199,7 +203,7 @@ def solve(problem: PlanProblem) -> PlanResult:
         if improvement < COST_TOL * max(abs(c), 1.0):
             converged = True
             break
-    _, _, _, norms = residuals_and_jacobian(problem, u)
+    _, _, norms = residuals_and_jacobian(problem, u)
     traj = JointTrajectory(problem.dt, rollout(problem.q0, u.reshape(T, D),
                                                problem.dt), u.reshape(T, D))
     return PlanResult(traj, history, converged, it, norms)

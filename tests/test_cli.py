@@ -176,3 +176,32 @@ def test_reference_contour_is_continuous_at_isotropic_covariance():
     a, b = [_reference_contour(Reference(POLAR_2D, mean, np.linalg.inv(c)),
                                frame) for c in (cov, cov + 1e-15 * bump)]
     assert np.abs(a - b).max() <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def grasp_model(tmp_path_factory):
+    """model.json of a grasp2d fit, for plan runs that must get past the
+    model lookup."""
+    out = tmp_path_factory.mktemp("model")
+    path = out / "cfg.json"
+    path.write_text(json.dumps({"task": {"kind": "grasp2d"},
+                                "out_dir": str(out)}))
+    assert _run("demo-gen", "--config", str(path)) == 0
+    assert _run("fit", "--config", str(path)) == 0
+    return str(out / "model.json")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("control_weight", 0), ("control_weight", float("inf")),
+    ("control_weight", "0.01"),
+    ("activation_start", -1), ("activation_start", 2.5), ("trials", 0),
+    ("trials", True)])
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+def test_plan_and_evaluate_reject_bad_planning_numbers(
+        command, key, value, grasp_model, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": {"kind": "grasp2d"}, "trials": 3,
+                                key: value, "out_dir": str(tmp_path)}))
+    model = ["--model", grasp_model] if command == "plan" else []
+    assert _run(command, "--config", str(path), *model) == 2
+    assert repr(key) in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Batch Gauss-Newton planner: residuals, steps, convergence, round trips."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from geoilqr.charts import (CARTESIAN_2D, POLAR_2D, CartesianPose, Frame2D,
                             OriginSingularity, chart_spec, to_chart)
@@ -34,11 +36,42 @@ def _viapoint_problem(chart, T=30, seed=0, q0=None):
     return PlanProblem(ARM, q0, T, 0.1, FRAME, refs, 1e-3)
 
 
+def _dense_jacobian(p, J):
+    """Scatter the per-timestep Jacobian rows (3n x D) into the Jacobian
+    w.r.t. all stacked states (3n x T·D)."""
+    ts = [t for t, _ in p.active_references()]
+    D = J.shape[1]
+    dense = np.zeros((len(ts), 3, p.horizon, D))
+    dense[np.arange(len(ts)), :, ts, :] = J.reshape(-1, 3, D)
+    return dense.reshape(3 * len(ts), p.horizon * D)
+
+
+def _dense_step(p, u, f, J):
+    """Oracle: the Gauss-Newton step solved in the stacked controls, with the
+    dense transfer matrix S_u and a dense (T·D)² Cholesky factorization."""
+    _, S_u = batch_dynamics(p.arm.dof, p.horizon, p.dt)
+    JS = _dense_jacobian(p, J) @ S_u
+    Q = block_diag(*[r.precision for _, r in p.active_references()])
+    H = JS.T @ Q @ JS
+    H[np.diag_indices_from(H)] += p.control_weight
+    return cho_solve(cho_factor(H), -JS.T @ (Q @ f) - p.control_weight * u)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, [None] * 9)
     with pytest.raises(ValueError):
         PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, [None] * 10)
+
+
+@pytest.mark.parametrize("horizon, dt, control_weight",
+                         [(0, 0.1, 1e-2), (3, 0.0, 1e-2), (3, -0.1, 1e-2),
+                          (3, 0.1, 0.0), (3, 0.1, -1e-2), (3, 0.1, np.nan)])
+def test_problem_rejects_bad_planning_numbers(horizon, dt, control_weight):
+    refs = [_reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)] * horizon
+    with pytest.raises(ValueError, match="dt > 0"):
+        PlanProblem(ARM, np.zeros(3), horizon, dt, FRAME, refs,
+                    control_weight)
 
 
 def test_activation_window():
@@ -55,7 +88,7 @@ def test_residual_zero_at_reference():
     refs = [None] * 5
     refs[0] = _reference_at(q0, CARTESIAN_2D)
     p = PlanProblem(ARM, q0, 5, 0.01, FRAME, refs)
-    f, J, Q, norms = residuals_and_jacobian(p, np.zeros(15))
+    f, J, norms = residuals_and_jacobian(p, np.zeros(15))
     assert np.allclose(f[:3], 0.0, atol=1e-9)
     assert norms[0] < 1e-9
 
@@ -66,7 +99,7 @@ def test_cartesian_residual_is_position_difference():
     refs = [None] * 3
     refs[2] = _reference_at(target, CARTESIAN_2D)
     p = PlanProblem(ARM, q0, 3, 0.01, FRAME, refs)
-    f, _, _, _ = residuals_and_jacobian(p, np.zeros(9))
+    f, _, _ = residuals_and_jacobian(p, np.zeros(9))
     pose0 = forward_kinematics(ARM, q0)
     pose1 = forward_kinematics(ARM, target)
     assert np.allclose(f[:2], pose0.position - pose1.position, atol=1e-12)
@@ -95,14 +128,14 @@ def test_jacobian_vs_finite_differences(chart):
         D, T = 3, p.horizon
         _, S_u = batch_dynamics(D, T, p.dt)
         u = 0.1 * np.random.default_rng(seed).standard_normal(D * T)
-        f, J, _, _ = residuals_and_jacobian(p, u)
-        Ju = J @ S_u
+        f, J, _ = residuals_and_jacobian(p, u)
+        Ju = _dense_jacobian(p, J) @ S_u
         num = np.zeros_like(Ju)
         for j in range(D * T):
             e = np.zeros(D * T)
             e[j] = h
-            fp, _, _, _ = residuals_and_jacobian(p, u + e)
-            fm, _, _, _ = residuals_and_jacobian(p, u - e)
+            fp, _, _ = residuals_and_jacobian(p, u + e)
+            fm, _, _ = residuals_and_jacobian(p, u - e)
             num[:, j] = (fp - fm) / (2 * h)
         rel = np.abs(Ju - num).max() / max(np.abs(num).max(), 1.0)
         assert rel < 1e-4
@@ -136,24 +169,63 @@ def test_step_zero_at_stationary_point():
     refs = [None] * 5
     refs[0] = _reference_at(q0, CARTESIAN_2D)
     p = PlanProblem(ARM, q0, 5, 0.01, FRAME, refs, control_weight=1e-2)
-    _, S_u = batch_dynamics(3, 5, p.dt)
     u = np.zeros(15)
-    f, J, Q, _ = residuals_and_jacobian(p, u)
+    f, J, _ = residuals_and_jacobian(p, u)
     f[:] = 0.0
-    du = gauss_newton_step(p, u, f, J, Q, S_u)
+    du = gauss_newton_step(p, u, f, J)
     assert np.allclose(du, 0.0, atol=1e-12)
 
 
 def test_step_scale_invariance():
     p = _viapoint_problem(CARTESIAN_2D)
-    _, S_u = batch_dynamics(3, p.horizon, p.dt)
     u = 0.05 * RNG.standard_normal(3 * p.horizon)
-    f, J, Q, _ = residuals_and_jacobian(p, u)
-    du1 = gauss_newton_step(p, u, f, J, Q, S_u)
-    scaled = PlanProblem(ARM, p.q0, p.horizon, p.dt, FRAME,
-                         list(p.references), 7.0 * p.control_weight )
-    du2 = gauss_newton_step(scaled, u, f, J, 7.0 * Q, S_u)
+    f, J, _ = residuals_and_jacobian(p, u)
+    du1 = gauss_newton_step(p, u, f, J)
+    refs = [None if r is None else Reference(r.chart, r.mean, 7.0 * r.precision)
+            for r in p.references]
+    scaled = PlanProblem(ARM, p.q0, p.horizon, p.dt, FRAME, refs,
+                         7.0 * p.control_weight)
+    du2 = gauss_newton_step(scaled, u, f, J)
     assert np.allclose(du1, du2, atol=1e-9)
+
+
+FAR_FRAME = Frame2D(np.array([4.0, 1.0]), 0.3)   # beyond the arm's reach
+
+
+@st.composite
+def _step_cases(draw):
+    """Horizon, active mask, activation start, dt, log10 control weight,
+    chart per timestep and a seed for the poses, iterate and precisions."""
+    T = draw(st.integers(1, 40))
+    active = draw(st.lists(st.booleans(), min_size=T, max_size=T).filter(any))
+    start = draw(st.integers(0, max(np.flatnonzero(active))))
+    charts = draw(st.lists(st.sampled_from([CARTESIAN_2D, POLAR_2D]),
+                           min_size=T, max_size=T))
+    return (T, active, start, draw(st.floats(0.02, 0.2)),
+            draw(st.floats(-3.0, 0.0)), charts, draw(st.integers(0, 2 ** 16)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_step_cases())
+@example((1, [True], 0, 0.1, -2.0, [POLAR_2D], 0))
+@example((2, [True, True], 0, 0.05, -1.0, [CARTESIAN_2D, POLAR_2D], 1))
+def test_banded_step_matches_dense_oracle(case):
+    T, active, start, dt, log_r, charts, seed = case
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(0.2, 0.8, size=3)
+    u = 0.3 * rng.standard_normal(3 * T)
+    states = rollout(q0, u.reshape(T, 3), dt)
+    refs = [None] * T
+    for t in np.flatnonzero(active):
+        pose = forward_kinematics(ARM, states[t] + 0.1 * rng.standard_normal(3))
+        A = rng.standard_normal((3, 3))
+        refs[t] = Reference(charts[t],
+                            to_chart(pose, charts[t], FAR_FRAME).point(),
+                            10.0 * (A @ A.T + 0.1 * np.eye(3)))
+    p = PlanProblem(ARM, q0, T, dt, FAR_FRAME, refs, 10.0 ** log_r, start)
+    f, J, _ = residuals_and_jacobian(p, u)
+    du, oracle = gauss_newton_step(p, u, f, J), _dense_step(p, u, f, J)
+    assert np.abs(du - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
 
 def test_solver_converges_and_descends():
@@ -182,10 +254,9 @@ def test_quadratic_problem_one_step_optimum():
     # on a fine tolerance is negligible
     p = _viapoint_problem(CARTESIAN_2D, seed=1)
     result = solve(p)
-    _, S_u = batch_dynamics(3, p.horizon, p.dt)
     u = result.trajectory.controls.ravel()
-    f, J, Q, _ = residuals_and_jacobian(p, u)
-    du = gauss_newton_step(p, u, f, J, Q, S_u)
+    f, J, _ = residuals_and_jacobian(p, u)
+    du = gauss_newton_step(p, u, f, J)
     assert np.linalg.norm(du) < 1e-6
 
 
