@@ -123,10 +123,13 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.sqrt(np.vecdot(q, q))[..., None]
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
+    """Rotation by angle about axis as a unit quaternion: a single axis and
+    angle, or N x 3 axis rows and N angles."""
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return np.concatenate(([np.cos(angle / 2)], np.sin(angle / 2) * axis))
+    axis = axis / np.sqrt(np.vecdot(axis, axis))[..., None]
+    h = np.asarray(angle, dtype=float)[..., None] / 2
+    return np.concatenate([np.cos(h), np.sin(h) * axis], axis=-1)
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -211,7 +214,8 @@ class Frame2D:
         return (np.asarray(p_world) - self.translation) @ rot2(-self.angle).T
 
     def to_world(self, p_obj: np.ndarray) -> np.ndarray:
-        return self.translation + rot2(self.angle) @ np.asarray(p_obj)
+        """World coordinates of an object-frame point, or of N x 2 rows."""
+        return self.translation + np.asarray(p_obj) @ rot2(self.angle).T
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,8 @@ class Frame3D:
         return (np.asarray(p_world) - self.translation) @ self.rotation
 
     def to_world(self, p_obj: np.ndarray) -> np.ndarray:
-        return self.translation + self.rotation @ np.asarray(p_obj)
+        """World coordinates of an object-frame point, or of N x 3 rows."""
+        return self.translation + np.asarray(p_obj) @ self.rotation.T
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,7 @@ class CartesianPose:
         if (len(p), len(o)) not in ((2, 2), (3, 4)):
             raise DimensionMismatch(f"bad pose shape {p.shape}/{o.shape}")
         n = np.linalg.norm(o)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"orientation norm {n} not 1 within 1e-9")
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "orientation", o)

@@ -101,7 +101,10 @@ def build_task(config: dict, seed: int) -> TaskSpec:
     for key in ("phase_radii", "phase_heights"):
         if key in task:
             task[key] = tuple(task[key])
-    spec = default_spec(kind, seed=seed, **task)
+    try:
+        spec = default_spec(kind, seed=seed, **task)
+    except ValueError as exc:
+        raise ConfigError(f"task: {exc}") from exc
     if pos is not None:
         from dataclasses import replace
         frame = type(spec.object_frame)(np.asarray(pos, dtype=float))
@@ -201,14 +204,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _reference_contour(ref, frame, n: int = 60) -> np.ndarray:
+def _reference_contour(ref, frame) -> np.ndarray:
     """World-frame 1-standard-deviation contour of a reference's position
     marginal, mapped through the chart. The circle is scaled by the Cholesky
     factor, which, unlike eigenvectors, moves continuously with the
     covariance, also where its eigenvalues are equal."""
     L = np.linalg.cholesky(np.linalg.inv(ref.precision)[:2, :2])
-    a = np.linspace(0.0, 2.0 * np.pi, n)
-    V = np.zeros((n, ref.mean.spec.tangent_dim))
+    a = np.linspace(0.0, 2.0 * np.pi, 60)
+    V = np.zeros((len(a), ref.mean.spec.tangent_dim))
     V[:, :2] = np.stack([np.cos(a), np.sin(a)], axis=1) @ L.T
     pos, k = position_spec(ref.chart), position_spec(ref.chart).ambient_dim
     return np.array([from_chart(ChartPose(
@@ -284,8 +287,9 @@ def cmd_plan(args) -> int:
                             plan_mode(spec.kind))
     if args.initial:
         q0 = np.array([float(x) for x in args.initial.split(",")])
-        if q0.shape[0] != arm.dof:
-            raise ConfigError(f"initial state needs {arm.dof} joints")
+        if q0.shape[0] != arm.dof or not np.all(np.isfinite(q0)):
+            raise ConfigError(f"initial state needs {arm.dof} finite "
+                              "joint angles")
     else:
         from .tasks import generate_demos
         rng = np.random.default_rng(seed + 1)
@@ -320,6 +324,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     config = load_config(args.config)
     seed = resolve_seed(config, args.seed)
     spec = build_task(config, seed)
@@ -360,8 +366,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None,
                    help="override config seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for trial execution")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -392,6 +396,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run trial batches per strategy")
     _add_common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for trial execution")
     p.set_defaults(func=cmd_evaluate, fail_code=EXIT_EVALUATE)
     return parser
 

@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 
-from .charts import CartesianPose, Frame2D, Frame3D
+from .charts import Frame2D, Frame3D
 
 SCHEMA_VERSION = 1
 
@@ -46,13 +46,9 @@ def frame_from_dict(d: dict):
 
 
 def demos_to_dict(demos: list) -> dict:
-    rows = []
-    for demo in demos:
-        frames = []
-        for t, pose in zip(demo.times, demo.poses):
-            frames.append([int(t)] + pose.position.tolist()
-                          + pose.orientation.tolist())
-        rows.append(frames)
+    rows = [[[int(t), *p, *o] for t, p, o in zip(
+        demo.times, demo.positions.tolist(), demo.orientations.tolist())]
+        for demo in demos]
     first = demos[0]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -63,54 +59,44 @@ def demos_to_dict(demos: list) -> dict:
     }
 
 
-def demos_from_dict(d: dict) -> list:
+def _demo(demo_id: str, dt: float, rows, frame):
+    """Demonstration from (t, position, orientation) rows."""
     from .phases import Demonstration
+    arr = np.asarray(rows, dtype=float)
+    dim = len(frame.translation)
+    return Demonstration(demo_id, dt, arr[:, 0], arr[:, 1:1 + dim],
+                         arr[:, 1 + dim:], frame)
+
+
+def demos_from_dict(d: dict) -> list:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
     frame = frame_from_dict(d["object_frame"])
-    dim = 2 if isinstance(frame, Frame2D) else 3
     ids = d.get("ids") or [f"demo-{i}" for i in range(len(d["demos"]))]
-    demos = []
-    for i, rows in enumerate(d["demos"]):
-        arr = np.asarray(rows, dtype=float)
-        times = arr[:, 0].astype(int)
-        poses = [CartesianPose(row[1:1 + dim], row[1 + dim:])
-                 for row in arr]
-        demos.append(Demonstration(ids[i], float(d["dt"]), times, poses,
-                                   frame))
-    return demos
+    return [_demo(ids[i], float(d["dt"]), rows, frame)
+            for i, rows in enumerate(d["demos"])]
 
 
 def demos_to_csv(demos: list) -> str:
     """Flat CSV alternative; dt and object frame live in the JSON sidecar."""
-    dim = demos[0].poses[0].dim
-    header = (["demo", "t", "x", "y", "hx", "hy"] if dim == 2
+    header = (["demo", "t", "x", "y", "hx", "hy"]
+              if demos[0].positions.shape[1] == 2
               else ["demo", "t", "x", "y", "z", "qw", "qx", "qy", "qz"])
     lines = [",".join(header)]
     for i, demo in enumerate(demos):
-        for t, pose in zip(demo.times, demo.poses):
-            vals = [i, int(t), *pose.position, *pose.orientation]
+        for t, p, o in zip(demo.times, demo.positions, demo.orientations):
+            vals = [i, int(t), *p, *o]
             lines.append(",".join(str(v) for v in vals))
     return "\n".join(lines) + "\n"
 
 
 def demos_from_csv(text: str, dt: float, frame) -> list:
-    from .phases import Demonstration
     reader = csv.DictReader(text.splitlines())
+    cols = (["x", "y", "z", "qw", "qx", "qy", "qz"]
+            if "z" in (reader.fieldnames or []) else ["x", "y", "hx", "hy"])
     buckets = {}
     for row in reader:
-        i = int(row["demo"])
-        if "z" in (reader.fieldnames or []):
-            pos = [float(row["x"]), float(row["y"]), float(row["z"])]
-            ori = [float(row[k]) for k in ("qw", "qx", "qy", "qz")]
-        else:
-            pos = [float(row["x"]), float(row["y"])]
-            ori = [float(row["hx"]), float(row["hy"])]
-        buckets.setdefault(i, []).append((int(row["t"]), pos, ori))
-    demos = []
-    for i in sorted(buckets):
-        rows = sorted(buckets[i])
-        times = np.array([r[0] for r in rows])
-        poses = [CartesianPose(np.array(p), np.array(o)) for _, p, o in rows]
-        demos.append(Demonstration(f"demo-{i}", dt, times, poses, frame))
-    return demos
+        buckets.setdefault(int(row["demo"]), []).append(
+            [int(row["t"])] + [float(row[k]) for k in cols])
+    return [_demo(f"demo-{i}", dt, sorted(buckets[i]), frame)
+            for i in sorted(buckets)]

@@ -96,10 +96,10 @@ def rollout(q0: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
                      axis=0)
 
 
-def planar_ik_3link(arm: ArmModel, target: CartesianPose,
-                    elbow_up: bool = False) -> tuple[np.ndarray, bool]:
-    """Closed-form IK for a 3-link arm: the heading fixes the wrist point,
-    the first two links solve the standard 2R problem."""
+def planar_ik_3link(arm: ArmModel,
+                    target: CartesianPose) -> tuple[np.ndarray, bool]:
+    """Closed-form elbow-down IK for a 3-link arm: the heading fixes the
+    wrist point, the first two links solve the standard 2R problem."""
     if arm.dof != 3:
         raise ValueError("closed-form IK needs exactly 3 links")
     l1, l2, l3 = arm.link_lengths
@@ -111,8 +111,6 @@ def planar_ik_3link(arm: ArmModel, target: CartesianPose,
     if abs(c2) > 1.0 + 1e-9:
         return np.zeros(3), False
     q2 = np.arccos(np.clip(c2, -1.0, 1.0))
-    if elbow_up:
-        q2 = -q2
     q1 = np.arctan2(w[1], w[0]) - np.arctan2(l2 * np.sin(q2),
                                              l1 + l2 * np.cos(q2))
     q3 = phi - q1 - q2
@@ -121,18 +119,17 @@ def planar_ik_3link(arm: ArmModel, target: CartesianPose,
 
 
 def inverse_kinematics(arm: ArmModel, target: CartesianPose,
-                       q_seed: np.ndarray, max_iter: int = 200,
-                       tol: float = 1e-10) -> tuple[np.ndarray, bool]:
+                       q_seed: np.ndarray) -> tuple[np.ndarray, bool]:
     """Damped Gauss-Newton IK on (position, heading). Returns (q, converged)."""
     q = np.asarray(q_seed, dtype=float).copy()
     tgt_heading = target.heading_angle
-    for _ in range(max_iter):
+    for _ in range(200):
         pose = forward_kinematics(arm, q)
         err = np.empty(3)
         err[:2] = target.position - pose.position
         dh = tgt_heading - pose.heading_angle
         err[2] = np.arctan2(np.sin(dh), np.cos(dh))
-        if np.linalg.norm(err) < tol:
+        if np.linalg.norm(err) < 1e-10:
             return q, True
         J = kinematic_jacobian(arm, q)
         dq = np.linalg.solve(J.T @ J + 1e-6 * np.eye(arm.dof), J.T @ err)

@@ -98,7 +98,7 @@ class ManifoldPoint:
         for leaf, asl, _ in leaves(self.spec):
             if isinstance(leaf, Sphere):
                 n = float(np.linalg.norm(c[asl]))
-                if abs(n - 1.0) > 1e-9:
+                if not abs(n - 1.0) <= 1e-9:  # NaN fails too
                     raise ValueError(f"sphere block norm {n} is not 1 within 1e-9")
         object.__setattr__(self, "coords", c)
 

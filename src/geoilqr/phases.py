@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .charts import (THREE_D, ChartId, chart_rows_2d, chart_rows_3d,
-                     chart_spec)
+from .charts import (THREE_D, ChartId, DimensionMismatch, chart_rows_2d,
+                     chart_rows_3d, chart_spec)
 from .manifolds import (ManifoldPoint, TangentVector, exp_rows, log_map_batch,
                         log_rows, parallel_transport)
 from .stats import (EIGVAL_FLOOR, ManifoldGaussian, fit_gaussian,
@@ -33,19 +33,42 @@ class DegenerateComponent(RuntimeWarning):
 
 @dataclass(frozen=True)
 class Demonstration:
+    """One demonstrated trajectory of N frames: world-frame positions
+    (N x d, d = 2 or 3 as the object frame) and unit orientations (N x 2
+    headings in 2D, N x 4 quaternions (w, x, y, z) in 3D)."""
     id: str
     dt: float
     times: np.ndarray
-    poses: list                      # CartesianPose per frame, world frame
+    positions: np.ndarray
+    orientations: np.ndarray
     object_frame: object
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=int)
-        if len(times) < 2 or times[0] != 0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing from 0, >= 2 frames")
-        if len(self.poses) != len(times):
-            raise ValueError("times and poses length mismatch")
-        object.__setattr__(self, "times", times)
+        times = np.asarray(self.times)
+        if not (times.ndim == 1 and len(times) >= 2 and times[0] == 0
+                and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
+            raise ValueError(f"demo {self.id}: times must be strictly "
+                             "increasing from 0, >= 2 frames")
+        d = len(self.object_frame.translation)
+        P = np.ascontiguousarray(self.positions, dtype=float)
+        O = np.ascontiguousarray(self.orientations, dtype=float)
+        width = 4 if d == 3 else 2      # quaternions or headings
+        if P.shape != (len(times), d) or O.shape != (len(times), width):
+            raise DimensionMismatch(
+                f"demo {self.id}: positions {P.shape} and orientations "
+                f"{O.shape} do not fit {len(times)} frames in {d}D")
+        bad = np.flatnonzero(~np.isfinite(P).all(axis=1))
+        if bad.size:
+            raise ValueError(f"demo {self.id}: position at frame {bad[0]} "
+                             "is not finite")
+        n = np.sqrt(np.vecdot(O, O))
+        bad = np.flatnonzero(~(np.abs(n - 1.0) <= 1e-9))  # NaN fails too
+        if bad.size:
+            raise ValueError(f"demo {self.id}: orientation norm {n[bad[0]]} "
+                             f"at frame {bad[0]} is not 1 within 1e-9")
+        object.__setattr__(self, "times", times.astype(int))
+        object.__setattr__(self, "positions", P)
+        object.__setattr__(self, "orientations", O)
 
     def __len__(self):
         return len(self.times)
@@ -68,17 +91,21 @@ class TimeGmm:
 
 def _pooled_features(demos: list[Demonstration]) -> np.ndarray:
     return np.vstack([
-        np.column_stack([d.phase_variable(), d.object_frame.to_object(
-            np.array([p.position for p in d.poses]))])
+        np.column_stack([d.phase_variable(),
+                         d.object_frame.to_object(d.positions)])
         for d in demos])
 
 
-def _log_gauss(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    F = len(mean)
-    L = np.linalg.cholesky(cov)
-    z = np.linalg.solve(L, (X - mean).T)
-    return -0.5 * (F * np.log(2 * np.pi) + 2 * np.log(np.diag(L)).sum()
-                   + (z * z).sum(axis=0))
+def _log_gauss(X: np.ndarray, means: np.ndarray,
+               covs: np.ndarray) -> np.ndarray:
+    """Log densities (K x n) of the rows of X (n x F) under the K Gaussians
+    with means (K x F) and covariances (K x F x F)."""
+    F = means.shape[1]
+    L = np.linalg.cholesky(covs)
+    z = np.linalg.solve(L, np.swapaxes(X - means[:, None], 1, 2))
+    log_det = 2 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (F * np.log(2 * np.pi) + log_det[:, None]
+                   + (z * z).sum(axis=1))
 
 
 def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
@@ -101,24 +128,22 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
                      for b in bins])
     ll_prev = -np.inf
     for _ in range(GMM_MAX_ITER):
-        logp = np.stack([np.log(priors[k]) + _log_gauss(X, means[k], covs[k])
-                         for k in range(K)])
+        logp = np.log(priors)[:, None] + _log_gauss(X, means, covs)
         norm = logsumexp(logp, axis=0)
         ll = float(norm.sum())
         resp = np.exp(logp - norm)
         nk = resp.sum(axis=1)
         priors = nk / n
         means = (resp @ X) / nk[:, None]
-        for k in range(K):
-            Xc = X - means[k]
-            cov = (resp[k][:, None] * Xc).T @ Xc / nk[k]
-            if nk[k] < F + 1:
-                warnings.warn(f"component {k} collapsed onto {nk[k]:.3g} "
-                              f"points", DegenerateComponent)
-            # a flat feature, such as a constant height, is not a collapse
-            if np.linalg.eigvalsh(cov).min() < GMM_REG:
-                cov = cov + GMM_REG * np.eye(F)
-            covs[k] = cov
+        Xc = X - means[:, None]
+        covs = (np.swapaxes(resp[:, :, None] * Xc, 1, 2) @ Xc
+                / nk[:, None, None])
+        for k in np.flatnonzero(nk < F + 1):
+            warnings.warn(f"component {k} collapsed onto {nk[k]:.3g} "
+                          f"points", DegenerateComponent)
+        # a flat feature, such as a constant height, is not a collapse
+        low = np.linalg.eigvalsh(covs).min(axis=1) < GMM_REG
+        covs = covs + np.where(low[:, None, None], GMM_REG * np.eye(F), 0.0)
         if ll - ll_prev < GMM_TOL:
             break
         ll_prev = ll
@@ -128,12 +153,8 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
 def phase_weights_at(gmm: TimeGmm, s: np.ndarray) -> np.ndarray:
     """Responsibilities of the time marginals at normalized times s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    K = gmm.n_components
-    logp = np.stack([
-        np.log(gmm.priors[k])
-        - 0.5 * (np.log(2 * np.pi * gmm.covariances[k, 0, 0])
-                 + (s - gmm.means[k, 0]) ** 2 / gmm.covariances[k, 0, 0])
-        for k in range(K)])
+    logp = np.log(gmm.priors)[:, None] + _log_gauss(
+        s[:, None], gmm.means[:, :1], gmm.covariances[:, :1, :1])
     return np.exp(logp - logsumexp(logp, axis=0)).T
 
 
@@ -172,8 +193,7 @@ class PhaseModel:
 
 def _chart_rows(chart: ChartId, demo: Demonstration) -> np.ndarray:
     """Chart points (N x ambient) of a demonstration's poses."""
-    P = np.array([p.position for p in demo.poses])
-    O = np.array([p.orientation for p in demo.poses])
+    P, O = demo.positions, demo.orientations
     if chart.space == THREE_D:
         return chart_rows_3d(chart, demo.object_frame, P, O)
     return chart_rows_2d(chart, demo.object_frame, P,

@@ -55,6 +55,9 @@ class PlanProblem:
         self.q0 = np.asarray(self.q0, dtype=float)
         if self.horizon < 1 or not (self.dt > 0 and self.control_weight > 0):
             raise ValueError("need horizon >= 1, dt > 0, control_weight > 0")
+        if (self.q0.shape != (self.arm.dof,)
+                or not np.all(np.isfinite(self.q0))):
+            raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
         if len(self.references) != self.horizon:
             raise ValueError("references list must match the horizon")
         active = self.active_references()

@@ -76,8 +76,8 @@ def _validated(spec, X, w) -> tuple[np.ndarray, np.ndarray]:
         raise SpecMismatch(f"samples {X.shape} and weights {w.shape} do not "
                            f"fit N x {spec.ambient_dim} points")
     for leaf, asl, _ in leaves(spec):
-        if isinstance(leaf, Sphere) and np.any(
-                np.abs(np.sqrt(np.vecdot(X[:, asl], X[:, asl])) - 1.0) > 1e-9):
+        if isinstance(leaf, Sphere) and not np.all(  # NaN fails too
+                np.abs(np.sqrt(np.vecdot(X[:, asl], X[:, asl])) - 1) <= 1e-9):
             raise ValueError("sphere block norm is not 1 within 1e-9")
     if np.any(w < 0.0):
         raise ValueError("negative sample weight")

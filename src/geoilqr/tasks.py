@@ -59,6 +59,16 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind}")
         if self.demo_count < 1:
             raise ValueError("demo_count must be >= 1")
+        if self.phase_count < 1:
+            raise ValueError("phase_count must be >= 1")
+        if self.horizon < 2:
+            raise ValueError("horizon must be >= 2")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and > 0")
+        if self.symmetry not in ("cylindrical", "spherical"):
+            raise ValueError(f"unknown symmetry {self.symmetry!r}")
+        if not (len(self.phase_radii) and len(self.phase_heights)):
+            raise ValueError("phase_radii and phase_heights must not be empty")
         for v in (self.radial_sigma, self.orientation_sigma):
             if v < 0.0:
                 raise ValueError("noise levels must be >= 0")
@@ -140,44 +150,41 @@ def _generate_boxopen2d(spec: TaskSpec, rng) -> list[Demonstration]:
 
 def _planar_demo(spec: TaskSpec, name: str, r, az, heading) -> Demonstration:
     """Demonstration through object-frame polar points and headings."""
-    poses = [CartesianPose.from_angle(
-        *spec.object_frame.to_world(ri * np.array([np.cos(a), np.sin(a)])),
-        h + spec.object_frame.angle) for ri, a, h in zip(r, az, heading)]
-    return Demonstration(name, spec.dt, np.arange(len(poses)), poses,
-                         spec.object_frame)
+    frame = spec.object_frame
+    positions = frame.to_world(
+        r[:, None] * np.column_stack([np.cos(az), np.sin(az)]))
+    h = heading + frame.angle
+    return Demonstration(name, spec.dt, np.arange(len(r)), positions,
+                         np.column_stack([np.cos(h), np.sin(h)]), frame)
 
 
 def _generate_grasppose3d(spec: TaskSpec, rng) -> list[Demonstration]:
     T = spec.horizon
+    frame = spec.object_frame
     q_grip = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.7)
+    rad = _radius_profile(spec.phase_radii, T, len(spec.phase_radii))
+    height = _radius_profile(spec.phase_heights, T, len(spec.phase_heights))
     demos = []
     for i in range(spec.demo_count):
         psi = rng.uniform(-0.5, 0.5) * spec.angular_spread
-        if spec.symmetry == "cylindrical":
-            rho = _radius_profile(spec.phase_radii, T, len(spec.phase_radii))
-            height = _radius_profile(spec.phase_heights, T, len(spec.phase_heights))
-        else:
+        if spec.symmetry == "spherical":
             polar = rng.uniform(np.pi / 6, np.pi / 2.2)
-            rad = _radius_profile(spec.phase_radii, T, len(spec.phase_radii))
-        poses = []
-        for t in range(T):
-            jr = rng.normal(0.0, spec.radial_sigma)
-            if spec.symmetry == "cylindrical":
-                p_obj = np.array([(rho[t] + jr) * np.cos(psi),
-                                  (rho[t] + jr) * np.sin(psi), height[t]])
-                q_f = azimuth_quat(psi)
-            else:
-                u = np.array([np.sin(polar) * np.cos(psi),
-                              np.sin(polar) * np.sin(psi), np.cos(polar)])
-                p_obj = (rad[t] + jr) * u
-                q_f = pole_quat(u)
-            jit = quat_from_axis_angle(rng.standard_normal(3),
-                                       rng.normal(0.0, spec.orientation_sigma))
-            q_obj = quat_normalize(quat_mul(quat_mul(q_f, q_grip), jit))
-            q_w = quat_normalize(quat_mul(spec.object_frame.quaternion, q_obj))
-            poses.append(CartesianPose(spec.object_frame.to_world(p_obj), q_w))
+        # per frame: radial jitter, jitter axis (3), jitter angle
+        z = rng.standard_normal((T, 5))
+        r = rad + spec.radial_sigma * z[:, 0]
+        if spec.symmetry == "cylindrical":
+            p_obj = np.column_stack([r * np.cos(psi), r * np.sin(psi), height])
+            q_f = azimuth_quat(psi)
+        else:
+            u = np.array([np.sin(polar) * np.cos(psi),
+                          np.sin(polar) * np.sin(psi), np.cos(polar)])
+            p_obj = r[:, None] * u
+            q_f = pole_quat(u)
+        jit = quat_from_axis_angle(z[:, 1:4], spec.orientation_sigma * z[:, 4])
+        q_obj = quat_normalize(quat_mul(quat_mul(q_f, q_grip), jit))
+        q_w = quat_normalize(quat_mul(frame.quaternion, q_obj))
         demos.append(Demonstration(f"grasppose3d-{i}", spec.dt, np.arange(T),
-                                   poses, spec.object_frame))
+                                   frame.to_world(p_obj), q_w, frame))
     return demos
 
 
@@ -225,12 +232,11 @@ def build_references(model: PhaseModel, selector, T: int,
     return refs
 
 
-@dataclass(frozen=True)
-class SuccessThresholds:
-    grasp_radius_tol: float = 0.05      # meters
-    grasp_heading_tol: float = np.deg2rad(10.0)
-    arc_radius_rel_tol: float = 0.02
-    arc_sweep_fraction: float = 0.95
+# trial success thresholds
+GRASP_RADIUS_TOL = 0.05                 # meters
+GRASP_HEADING_TOL = np.deg2rad(10.0)
+ARC_RADIUS_REL_TOL = 0.02
+ARC_SWEEP_FRACTION = 0.95
 
 
 def _wrap(a: float) -> float:
@@ -238,8 +244,7 @@ def _wrap(a: float) -> float:
 
 
 def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM,
-                   activation_start: int = 20,
-                   thresholds: SuccessThresholds = SuccessThresholds()):
+                   activation_start: int = 20):
     """(success, reason) for one reproduction attempt."""
     if plan.trajectory.horizon != spec.horizon:
         raise HorizonMismatch(
@@ -250,20 +255,20 @@ def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM
         radius_err = abs(np.linalg.norm(p_obj) - spec.phase_radii[-1])
         aim = np.arctan2(-p_obj[1], -p_obj[0]) + spec.object_frame.angle
         heading_err = abs(_wrap(final.heading_angle - aim))
-        if radius_err > thresholds.grasp_radius_tol:
+        if radius_err > GRASP_RADIUS_TOL:
             return False, f"radius error {radius_err:.3f} m"
-        if heading_err > thresholds.grasp_heading_tol:
+        if heading_err > GRASP_HEADING_TOL:
             return False, f"heading error {np.degrees(heading_err):.1f} deg"
         return True, "ok"
     if spec.kind == BOXOPEN2D:
         dev = arc_radius_deviation(plan, spec, arm, activation_start)
-        if dev > thresholds.arc_radius_rel_tol:
+        if dev > ARC_RADIUS_REL_TOL:
             return False, f"radius deviation {100 * dev:.1f}%"
         p_obj = _active_object_positions(plan, spec, arm, activation_start)
         az = np.unwrap(np.arctan2(p_obj[:, 1], p_obj[:, 0]))
         swept = abs(az[-1] - az[0])
         target = abs(spec.arc_sweep) * (len(az) - 1) / (spec.horizon - 1)
-        if swept < thresholds.arc_sweep_fraction * target:
+        if swept < ARC_SWEEP_FRACTION * target:
             return False, f"swept {np.degrees(swept):.1f} deg of " \
                           f"{np.degrees(target):.1f}"
         return True, "ok"
@@ -328,11 +333,11 @@ def demo_initial_joint_states(demos: list[Demonstration],
     """IK solutions for every demonstration's starting pose."""
     qs = []
     for demo in demos:
+        start = CartesianPose(demo.positions[0], demo.orientations[0])
         if arm.dof == 3:
-            q, ok = planar_ik_3link(arm, demo.poses[0])
+            q, ok = planar_ik_3link(arm, start)
         else:
-            q, ok = inverse_kinematics(arm, demo.poses[0],
-                                       0.3 * np.ones(arm.dof))
+            q, ok = inverse_kinematics(arm, start, 0.3 * np.ones(arm.dof))
         if not ok:
             raise RuntimeError(f"IK failed for {demo.id} initial pose")
         qs.append(q)
@@ -340,13 +345,13 @@ def demo_initial_joint_states(demos: list[Demonstration],
 
 
 def sample_initial_states(demos: list[Demonstration], arm: ArmModel,
-                          n: int, rng, floor: float = 1e-3) -> np.ndarray:
+                          n: int, rng) -> np.ndarray:
     """Gaussian over the demonstrated initial joint states, floored so a
     single demonstration still yields diverse trials."""
     qs = demo_initial_joint_states(demos, arm)
     mean = qs.mean(axis=0)
     cov = np.cov(qs.T, bias=True) if len(qs) > 1 else np.zeros((arm.dof,) * 2)
-    cov = cov + floor * np.eye(arm.dof)
+    cov = cov + 1e-3 * np.eye(arm.dof)
     return rng.multivariate_normal(mean, cov, size=n)
 
 

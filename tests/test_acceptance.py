@@ -242,7 +242,9 @@ def test_criterion_06_box_radius(capsys, box):
     spec, demos, model = box
     from geoilqr.kinematics import planar_ik_3link
     from geoilqr.tasks import arc_radius_deviation
-    q0, ok = planar_ik_3link(DEFAULT_ARM, demos[0].poses[0])
+    from geoilqr.charts import CartesianPose
+    start = CartesianPose(demos[0].positions[0], demos[0].orientations[0])
+    q0, ok = planar_ik_3link(DEFAULT_ARM, start)
     assert ok
     devs = {}
     for chart in (POLAR_2D, CARTESIAN_2D):

@@ -43,6 +43,15 @@ def test_chart_inventory():
         ChartId("2d", 3)
 
 
+@pytest.mark.parametrize("position, orientation", [
+    ([0.0, 0.0], [1.0, 0.0, 0.0, 0.0]), ([0.0, 0.0], [1.0, 1.0]),
+    ([0.0, 0.0], [np.nan, 0.0]), ([0.0, 0.0, 0.0], [np.nan, 0, 0, 0])],
+    ids=["shape", "non-unit", "nan-heading", "nan-quaternion"])
+def test_pose_validation(position, orientation):
+    with pytest.raises(ValueError):
+        CartesianPose(np.array(position), np.array(orientation))
+
+
 def test_position_specs_match_table():
     assert position_spec(CARTESIAN_2D) == Euclidean(2)
     assert position_spec(POLAR_2D) == Product((Sphere(1), Euclidean(1)))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ def test_plan_bad_initial_length(cfg, tmp_path):
     assert _run("plan", "--config", cfg, "--initial", "1.0,2.0") == 2
 
 
+@pytest.mark.parametrize("initial", ["nan,0,0", "0,inf,0"])
+def test_plan_rejects_non_finite_initial_state(initial, grasp_model, cfg,
+                                               capsys):
+    assert _run("plan", "--config", cfg, "--model", grasp_model,
+                "--initial", initial) == 2
+    assert "finite joint angles" in capsys.readouterr().err
+
+
 def test_evaluate_outputs(cfg, tmp_path, capsys):
     assert _run("evaluate", "--config", cfg) == 0
     out = tmp_path / "out"
@@ -205,3 +214,48 @@ def test_plan_and_evaluate_reject_bad_planning_numbers(
     model = ["--model", grasp_model] if command == "plan" else []
     assert _run(command, "--config", str(path), *model) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("phase_radii", []), ("phase_heights", []), ("symmetry", "conical"),
+    ("dt", 0), ("dt", -1), ("phase_count", 0), ("horizon", 1)])
+@pytest.mark.parametrize("command", ["demo-gen", "fit", "plan", "evaluate"])
+def test_every_command_rejects_bad_task_numbers(command, key, value,
+                                                grasp_model, tmp_path,
+                                                capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": {"kind": "grasp2d", key: value},
+                                "out_dir": str(tmp_path)}))
+    model = ["--model", grasp_model] if command == "plan" else []
+    assert _run(command, "--config", str(path), *model) == 2
+    assert key in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_fit_rejects_a_nan_frame(grasp_model, tmp_path, capsys):
+    with open(os.path.join(os.path.dirname(grasp_model), "demos.json")) as fh:
+        demos = json.load(fh)
+    demos["demos"][2][17][1] = float("nan")
+    (tmp_path / "demos.json").write_text(json.dumps(demos))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": {"kind": "grasp2d"},
+                                "out_dir": str(tmp_path)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("fit", "--config", str(path)) == 3
+    assert caught == []
+    assert "demo grasp2d-2: position at frame 17" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_evaluate_rejects_jobs_below_one(jobs, cfg, capsys):
+    assert _run("evaluate", "--config", cfg, "--jobs", jobs) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["demo-gen", "fit", "plan"])
+def test_jobs_belongs_to_evaluate_only(command, cfg):
+    with pytest.raises(SystemExit) as e:
+        _run(command, "--config", cfg, "--jobs", "2")
+    assert e.value.code == 2

@@ -42,8 +42,8 @@ def test_frame_round_trips():
 
 
 def _poses_equal(a, b, atol=0.0):
-    assert np.allclose(a.position, b.position, atol=atol)
-    assert np.allclose(a.orientation, b.orientation, atol=atol)
+    assert np.allclose(a.positions, b.positions, atol=atol)
+    assert np.allclose(a.orientations, b.orientations, atol=atol)
 
 
 def test_demo_json_round_trip_2d_and_3d():
@@ -55,8 +55,7 @@ def test_demo_json_round_trip_2d_and_3d():
         assert len(back) == len(demos)
         for da, db in zip(demos, back):
             assert da.id == db.id and np.array_equal(da.times, db.times)
-            for pa, pb in zip(da.poses, db.poses):
-                _poses_equal(pa, pb)
+            _poses_equal(da, db)
 
 
 def test_demo_csv_round_trip():
@@ -66,5 +65,4 @@ def test_demo_csv_round_trip():
     back = demos_from_csv(text, spec.dt, spec.object_frame)
     assert len(back) == len(demos)
     for da, db in zip(demos, back):
-        for pa, pb in zip(da.poses, db.poses):
-            _poses_equal(pa, pb, atol=1e-9)
+        _poses_equal(da, db, atol=1e-9)

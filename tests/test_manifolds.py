@@ -37,6 +37,8 @@ def test_leaves_slices():
 def test_point_validation():
     with pytest.raises(ValueError):
         ManifoldPoint(Sphere(1), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="norm nan"):
+        ManifoldPoint(Sphere(1), np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         ManifoldPoint(Euclidean(2), np.zeros(3))
 

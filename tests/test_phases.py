@@ -21,12 +21,53 @@ def _grasp_demos(seed=0):
 def test_demonstration_validation():
     demos = _grasp_demos()
     d = demos[0]
+    P, O = d.positions, d.orientations
     with pytest.raises(ValueError):
-        Demonstration("bad", d.dt, d.times + 1, d.poses, d.object_frame)
+        Demonstration("bad", d.dt, d.times + 1, P, O, d.object_frame)
     with pytest.raises(ValueError):
-        Demonstration("bad", d.dt, d.times[:-1], d.poses, d.object_frame)
+        Demonstration("bad", d.dt, d.times[:-1], P, O, d.object_frame)
     s = d.phase_variable()
     assert s[0] == 0.0 and s[-1] == 1.0 and np.all(np.diff(s) > 0)
+
+
+def _bad_frame(X, value, col=0):
+    """A copy of X with column col of frame 17 set to value."""
+    X = X.copy()
+    X[17, col] = value
+    return X
+
+
+@pytest.mark.parametrize("case, message", [
+    ("times-nan", "times must be"), ("one-frame", "times must be"),
+    ("positions-short", "do not fit 100 frames in 2D"),
+    ("positions-3d", "do not fit 100 frames in 2D"),
+    ("orientations-3d", "do not fit 100 frames in 2D"),
+    ("positions-nan", "position at frame 17 is not finite"),
+    ("positions-inf", "position at frame 17 is not finite"),
+    ("orientations-nan", "orientation norm nan at frame 17"),
+    ("orientations-inf", "orientation norm inf at frame 17"),
+    ("orientations-long", "at frame 17 is not 1"),
+    ("orientations-zero", "orientation norm 0.0 at frame 17")])
+def test_demonstration_rejects_bad_arrays(case, message):
+    d = _grasp_demos()[0]
+    t, P, O = d.times.astype(float), d.positions, d.orientations
+    args = {
+        "times-nan": (np.where(t == 17, np.nan, t), P, O),
+        "one-frame": (t[:1], P[:1], O[:1]),
+        "positions-short": (t, P[:-1], O),
+        "positions-3d": (t, np.hstack([P, P[:, :1]]), O),
+        "orientations-3d": (t, P, np.hstack([O, O])),
+        "positions-nan": (t, _bad_frame(P, np.nan), O),
+        "positions-inf": (t, _bad_frame(P, -np.inf, 1), O),
+        "orientations-nan": (t, P, _bad_frame(O, np.nan)),
+        "orientations-inf": (t, P, _bad_frame(O, np.inf)),
+        "orientations-long": (t, P, O * np.where(t < 17, 1.0, 1.001)[:, None]),
+        "orientations-zero": (t, P, _bad_frame(_bad_frame(O, 0.0), 0.0, 1)),
+    }[case]
+    with pytest.raises(ValueError) as err:
+        Demonstration("odd", d.dt, *args, d.object_frame)
+    assert str(err.value).startswith("demo odd: ")
+    assert message in str(err.value)
 
 
 def test_gmm_single_component_is_pooled_statistics():
@@ -35,9 +76,9 @@ def test_gmm_single_component_is_pooled_statistics():
     feats = []
     for demo in demos:
         s = demo.phase_variable()
-        for si, pose in zip(s, demo.poses):
+        for si, position in zip(s, demo.positions):
             feats.append(np.concatenate(
-                [[si], demo.object_frame.to_object(pose.position)]))
+                [[si], demo.object_frame.to_object(position)]))
     feats = np.array(feats)
     assert np.isclose(gmm.priors[0], 1.0)
     assert np.allclose(gmm.means[0], feats.mean(axis=0), atol=1e-8)
@@ -53,16 +94,16 @@ def test_gmm_priors_and_time_ordering():
 
 def test_gmm_recovers_separated_time_clusters():
     # three well-separated segments of a synthetic trajectory
-    from geoilqr.charts import CartesianPose, Frame2D
+    from geoilqr.charts import Frame2D
     T = 90
     centers = [np.array([0.0, 0.0]), np.array([3.0, 0.0]),
                np.array([0.0, 3.0])]
-    poses = []
+    positions = []
     for k in range(3):
         for _ in range(30):
-            p = centers[k] + 0.01 * RNG.standard_normal(2)
-            poses.append(CartesianPose.from_angle(p[0], p[1], 0.0))
-    demo = Demonstration("clusters", 0.01, np.arange(T), poses,
+            positions.append(centers[k] + 0.01 * RNG.standard_normal(2))
+    demo = Demonstration("clusters", 0.01, np.arange(T), positions,
+                         np.tile([1.0, 0.0], (T, 1)),
                          Frame2D(np.zeros(2), 0.0))
     gmm = fit_time_gmm([demo], 3)
     # component time-means near segment centers 1/6, 1/2, 5/6 (within
@@ -174,13 +215,11 @@ def test_phase_model_json_round_trip():
 def test_quaternion_sign_flips_leave_model_unchanged(symmetry):
     # q and -q are the same rotation, so negating half of the demonstrated
     # quaternions must not move any statistic of the phase model
-    from geoilqr.charts import CartesianPose
     demos = generate_demos(default_spec("grasppose3d", seed=0,
                                         symmetry=symmetry))
-    flipped = [Demonstration(d.id, d.dt, d.times,
-                             [CartesianPose(p.position, -p.orientation)
-                              if i % 2 else p for i, p in enumerate(d.poses)],
-                             d.object_frame)
+    sign = np.where(np.arange(100) % 2, -1.0, 1.0)[:, None]
+    flipped = [Demonstration(d.id, d.dt, d.times, d.positions,
+                             sign * d.orientations, d.object_frame)
                for d in demos]
     a, b = [build_phase_model(ds, fit_time_gmm(ds, 3), charts_for("3d"),
                               horizon=100) for ds in (demos, flipped)]
@@ -193,3 +232,63 @@ def test_quaternion_sign_flips_leave_model_unchanged(symmetry):
         for k in range(3):
             np.testing.assert_allclose(b.phases[k][c].covariance,
                                        a.phases[k][c].covariance, rtol=1e-9)
+
+
+def _task_demos(case):
+    kind, _, symmetry = case.partition("-")
+    extra = {"symmetry": symmetry} if symmetry else {}
+    return generate_demos(default_spec(kind, seed=0, **extra))
+
+
+def _model(demos):
+    space = "2d" if demos[0].positions.shape[1] == 2 else "3d"
+    return build_phase_model(demos, fit_time_gmm(demos, 3), charts_for(space),
+                             horizon=100)
+
+
+def _assert_same_model(a, b, rtol):
+    """Same winners, and phase dets and reference covariances within rtol
+    of the largest entry."""
+    assert b.winners == a.winners
+    for c in a.charts:
+        for x, y in ((a.phase_dets()[c], b.phase_dets()[c]),
+                     (a.references[c].covariances,
+                      b.references[c].covariances)):
+            np.testing.assert_allclose(y, x, rtol=0,
+                                       atol=rtol * np.abs(x).max())
+
+
+CASES = ["grasp2d", "grasppose3d-cylindrical", "grasppose3d-spherical"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rigid_motion_leaves_model_unchanged(case):
+    # moving the object and the demonstrations together changes no
+    # object-frame coordinate, so no statistic of the model may move
+    from geoilqr.charts import Frame2D, Frame3D, quat_mul, rot2
+    demos = _task_demos(case)
+    f = demos[0].object_frame
+    if isinstance(f, Frame2D):
+        motion = Frame2D(np.array([0.3, -1.2]), 0.8)
+        frame = Frame2D(motion.to_world(f.translation), f.angle + motion.angle)
+        turned = [d.orientations @ rot2(motion.angle).T for d in demos]
+    else:
+        motion = Frame3D(np.array([0.3, -1.2, 0.5]),
+                         np.array([0.6, -0.2, 0.7, 0.3]))
+        frame = Frame3D(motion.to_world(f.translation),
+                        quat_mul(motion.quaternion, f.quaternion))
+        turned = [quat_mul(motion.quaternion, d.orientations) for d in demos]
+    moved = [Demonstration(d.id, d.dt, d.times, motion.to_world(d.positions),
+                           O, frame) for d, O in zip(demos, turned)]
+    _assert_same_model(_model(demos), _model(moved), 1e-9)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_demo_order_leaves_model_unchanged(case):
+    # EM stops at a log-likelihood change of GMM_TOL, and the time-quantile
+    # initialization splits tied timestamps by demo order, so the statistics
+    # agree to the EM tolerance rather than to rounding
+    demos = _task_demos(case)
+    shuffled = [demos[i] for i in np.random.default_rng(3).permutation(
+        len(demos))]
+    _assert_same_model(_model(demos), _model(shuffled), 1e-6)

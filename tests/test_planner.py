@@ -64,6 +64,15 @@ def test_problem_validation():
         PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, [None] * 10)
 
 
+@pytest.mark.parametrize("q0", [[1.0, 2.0], [0.0, np.nan, 0.0],
+                                [np.inf, 0.0, 0.0], np.zeros((1, 3))],
+                         ids=["short", "nan", "inf", "row"])
+def test_problem_rejects_bad_initial_state(q0):
+    refs = [_reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)] * 3
+    with pytest.raises(ValueError, match="q0 must be 3 finite joint angles"):
+        PlanProblem(ARM, q0, 3, 0.1, FRAME, refs)
+
+
 @pytest.mark.parametrize("horizon, dt, control_weight",
                          [(0, 0.1, 1e-2), (3, 0.0, 1e-2), (3, -0.1, 1e-2),
                           (3, 0.1, 0.0), (3, 0.1, -1e-2), (3, 0.1, np.nan)])

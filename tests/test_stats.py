@@ -147,6 +147,12 @@ def test_select_winner_paper_style_and_ties():
     assert select_winner({POLAR_2D: 1.0}) == POLAR_2D
 
 
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_points_off_the_sphere_raise(bad):
+    with pytest.raises(ValueError, match="sphere block norm"):
+        fit_gaussian(Sphere(1), np.array([[1.0, 0.0], [bad, 0.0]]), np.ones(2))
+
+
 def test_empty_inputs_raise():
     with pytest.raises(EmptySample):
         geometric_mean(Euclidean(2), np.zeros((0, 2)), np.zeros(0))

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from geoilqr.charts import CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D, SPHERICAL_3D
+from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
+                            SPHERICAL_3D, CartesianPose)
 from geoilqr.kinematics import JointTrajectory, planar_ik_3link, rollout
 from geoilqr.planner import PlanProblem, PlanResult, solve
 from geoilqr.tasks import (DEFAULT_ARM, build_references, default_spec,
@@ -23,26 +24,25 @@ def test_generator_determinism():
     a = generate_demos(default_spec("grasp2d", seed=3))
     b = generate_demos(default_spec("grasp2d", seed=3))
     for da, db in zip(a, b):
-        for pa, pb in zip(da.poses, db.poses):
-            assert np.array_equal(pa.position, pb.position)
-            assert np.array_equal(pa.orientation, pb.orientation)
+        assert np.array_equal(da.positions, db.positions)
+        assert np.array_equal(da.orientations, db.orientations)
 
 
 def test_zero_noise_grasp_heading_exact():
     spec = default_spec("grasp2d", radial_sigma=0.0, orientation_sigma=0.0)
     for demo in generate_demos(spec):
-        for pose in demo.poses:
-            p_obj = spec.object_frame.to_object(pose.position)
-            aim = np.arctan2(-p_obj[1], -p_obj[0]) + spec.object_frame.angle
-            err = np.angle(np.exp(1j * (pose.heading_angle - aim)))
-            assert abs(err) < 1e-12
+        p_obj = spec.object_frame.to_object(demo.positions)
+        aim = np.arctan2(-p_obj[:, 1], -p_obj[:, 0]) + spec.object_frame.angle
+        heading = np.arctan2(demo.orientations[:, 1], demo.orientations[:, 0])
+        err = np.angle(np.exp(1j * (heading - aim)))
+        assert np.abs(err).max() < 1e-12
 
 
 def test_zero_noise_box_radius_constant():
     spec = default_spec("boxopen2d", radial_sigma=0.0, orientation_sigma=0.0)
     for demo in generate_demos(spec):
-        radii = [np.linalg.norm(spec.object_frame.to_object(p.position))
-                 for p in demo.poses]
+        radii = np.linalg.norm(spec.object_frame.to_object(demo.positions),
+                               axis=1)
         assert np.ptp(radii) < 1e-12
         assert np.allclose(radii, spec.arc_radius, atol=1e-12)
 
@@ -58,7 +58,7 @@ def test_grasp_radial_noise_scale():
         samples = []
         for demo in demos:
             for t in range(k * third + 2, (k + 1) * third - third // 4):
-                p_obj = spec.object_frame.to_object(demo.poses[t].position)
+                p_obj = spec.object_frame.to_object(demo.positions[t])
                 samples.append(np.linalg.norm(p_obj))
         samples = np.array(samples)
         resid = samples - np.median(samples)
@@ -71,17 +71,21 @@ def test_grasppose3d_generators():
         demos = generate_demos(spec)
         assert len(demos) == spec.demo_count
         for demo in demos:
-            assert demo.poses[0].dim == 3
-            for pose in demo.poses:
-                assert np.isclose(np.linalg.norm(pose.orientation), 1.0,
-                                  atol=1e-9)
+            assert demo.positions.shape == (spec.horizon, 3)
+            assert np.allclose(np.linalg.norm(demo.orientations, axis=1), 1.0,
+                               atol=1e-9)
+
+
+def _poses(demo):
+    return [CartesianPose(p, o)
+            for p, o in zip(demo.positions, demo.orientations)]
 
 
 def test_replayed_demo_succeeds():
     spec = default_spec("grasp2d", radial_sigma=0.0, orientation_sigma=0.0)
     demo = generate_demos(spec)[0]
     states = []
-    for pose in demo.poses:
+    for pose in _poses(demo):
         q, ok = planar_ik_3link(DEFAULT_ARM, pose)
         assert ok
         states.append(q)
@@ -95,13 +99,12 @@ def test_replayed_demo_succeeds():
 def test_bad_final_heading_fails_with_heading_reason():
     spec = default_spec("grasp2d", radial_sigma=0.0, orientation_sigma=0.0)
     demo = generate_demos(spec)[0]
-    from geoilqr.charts import CartesianPose
     states = []
-    for pose in demo.poses:
+    for pose in _poses(demo):
         q, ok = planar_ik_3link(DEFAULT_ARM, pose)
         states.append(q)
     # same final position, heading rotated 45 degrees off the target
-    final = demo.poses[-1]
+    final = _poses(demo)[-1]
     twisted = CartesianPose.from_angle(final.position[0], final.position[1],
                                        final.heading_angle + np.deg2rad(45.0))
     q, ok = planar_ik_3link(DEFAULT_ARM, twisted)
@@ -143,7 +146,7 @@ def test_sampled_initial_states_vary():
 def test_box_polar_succeeds_cartesian_fails():
     spec = default_spec("boxopen2d", seed=0)
     demos, _, model = fit_task_model(spec)
-    q0, ok = planar_ik_3link(DEFAULT_ARM, demos[0].poses[0])
+    q0, ok = planar_ik_3link(DEFAULT_ARM, _poses(demos[0])[0])
     assert ok
     outcomes = {}
     for chart in (POLAR_2D, CARTESIAN_2D):
