@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import (Euclidean, ManifoldPoint, Product, Sphere, sphere_bases,
+from .manifolds import (Euclidean, ManifoldPoint, Product, Sphere, _s1_signs,
                         sphere_basis)
 
 TWO_D = "2d"
@@ -324,11 +324,6 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ChartPose:
     k = _POS_SPECS[chart].ambient_dim
     return ChartPose(chart, ManifoldPoint(_POS_SPECS[chart], x[:k]),
                      ManifoldPoint(orientation_spec(chart), x[k:]))
-
-
-def _s1_signs(points: np.ndarray) -> np.ndarray:
-    """Rate of the intrinsic S1 coordinate per unit angle rate at each row."""
-    return np.einsum("ni,ni->n", sphere_bases(points)[:, :, 0], perp2(points))
 
 
 def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,

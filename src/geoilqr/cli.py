@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -103,12 +104,16 @@ def build_task(config: dict, seed: int) -> TaskSpec:
             task[key] = tuple(task[key])
     try:
         spec = default_spec(kind, seed=seed, **task)
+        if pos is not None:
+            frame = spec.object_frame
+            pos = np.asarray(pos, dtype=float)
+            d = len(frame.translation)
+            if pos.shape != (d,) or not np.all(np.isfinite(pos)):
+                raise ValueError(f"object_position must be {d} finite "
+                                 f"numbers for {kind}, got {pos.tolist()}")
+            spec = replace(spec, object_frame=type(frame)(pos))
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
-    if pos is not None:
-        from dataclasses import replace
-        frame = type(spec.object_frame)(np.asarray(pos, dtype=float))
-        spec = replace(spec, object_frame=frame)
     return spec
 
 

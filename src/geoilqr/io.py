@@ -62,8 +62,13 @@ def demos_to_dict(demos: list) -> dict:
 def _demo(demo_id: str, dt: float, rows, frame):
     """Demonstration from (t, position, orientation) rows."""
     from .phases import Demonstration
-    arr = np.asarray(rows, dtype=float)
     dim = len(frame.translation)
+    width = 1 + dim + (4 if dim == 3 else 2)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"demo {demo_id}: frame {i} has {len(row)} "
+                             f"values, not {width} (t, position, orientation)")
+    arr = np.asarray(rows, dtype=float).reshape(len(rows), width)
     return Demonstration(demo_id, dt, arr[:, 0], arr[:, 1:1 + dim],
                          arr[:, 1 + dim:], frame)
 

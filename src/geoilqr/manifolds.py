@@ -134,6 +134,13 @@ def _reflect(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Y - (c * np.vecdot(H, Y))[..., None] * H
 
 
+def _s1_signs(P: np.ndarray) -> np.ndarray:
+    """Orientation (±1) of the S1 tangent basis at each unit row p of P
+    against the counter-clockwise direction (-p_2, p_1): the rate of the
+    intrinsic coordinate per unit angle rate."""
+    return _reflect(P, np.column_stack([-P[:, 1], P[:, 0]]))[:, 1]
+
+
 def sphere_bases(P: np.ndarray) -> np.ndarray:
     """Orthonormal tangent bases (N x n x n-1) at the unit-vector rows of P."""
     return np.swapaxes(_reflect(P[:, None], np.eye(P.shape[1])[1:]), 1, 2)
@@ -207,6 +214,9 @@ def log_jacobian_rows(spec, P: np.ndarray, X: np.ndarray) -> np.ndarray:
         p, q = np.broadcast_arrays(P[:, asl], X[:, asl])
         dots = np.vecdot(p, q)
         _check_antipodal(dots, "log differential")
+        if leaf.dim == 1:  # an isometry: the two basis orientations' product
+            J[:, tsl, tsl] = (_s1_signs(p) * _s1_signs(q))[:, None, None]
+            continue
         dots = np.minimum(dots, 1.0)
         theta = np.arccos(dots)
         w = q - dots[:, None] * p  # geodesic direction at p (0 at q = p) ...

@@ -5,6 +5,10 @@ velocity commands, the state cost is a precision-weighted squared geodesic
 residual in the selected chart at each active timestep, and each iteration
 solves the regularized normal equations for the full horizon as a band in
 the moves of the states q_2..q_T. u_T moves no state; its step is -u_T.
+
+Each line-search candidate costs one forward pass (cost, residuals and the
+joint states of the active timesteps). The candidate that is accepted keeps
+its pass, and the Jacobian pass linearizes it once, on those states.
 """
 from __future__ import annotations
 
@@ -88,60 +92,71 @@ class PlanResult:
     residual_norms: dict = field(default_factory=dict)  # timestep -> norm
 
 
-def _residuals(problem: PlanProblem, u: np.ndarray, jacobian: bool):
-    """Residuals (n x 3) of the n active timesteps and None or, with
-    jacobian=True, their Jacobians (n x 3 x D) w.r.t. the joint states.
-    A chart singularity raises naming the first offending timestep."""
+def _forward(problem: PlanProblem, u: np.ndarray):
+    """Cost at the controls u, and the residuals F (n x 3) and joint states
+    Q (n x D) of the n active timesteps. A chart singularity raises naming
+    the first offending timestep."""
     ts = problem._active_ts
-    states = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)
-    P, H, Jk = kinematics_rows(problem.arm, states[ts], jacobian)
+    Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
+    P, H, _ = kinematics_rows(problem.arm, Q)
     F = np.empty((len(ts), 3))
-    J = np.empty((len(ts), 3, problem.arm.dof)) if jacobian else None
     failures = []
     for chart, rows, means in problem._chart_rows:
-        spec = chart_spec(chart)
         try:
-            X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows],
-                                  jacobian)
+            X, _ = chart_rows_2d(chart, problem.frame, P[rows], H[rows])
         except OriginSingularity as exc:
             failures.append((rows[exc.row], exc))
             # the log map may still fail on a row before the singular one
             rows, means = rows[:exc.row], means[:exc.row]
-            X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows],
-                                  jacobian)
+            X, _ = chart_rows_2d(chart, problem.frame, P[rows], H[rows])
         try:
-            F[rows] = log_rows(spec, means, X)
-            if jacobian:
-                J[rows] = log_jacobian_rows(spec, means, X) @ Jc @ Jk[rows]
+            F[rows] = log_rows(chart_spec(chart), means, X)
         except AntipodalPoint as exc:
             failures.append((rows[exc.row], exc))
     if failures:
         row, exc = min(failures, key=lambda f: f[0])
         raise type(exc)(f"timestep {ts[row]}: {exc}") from exc
-    return F, J
+    c = (problem.control_weight * float(u @ u)
+         + float(np.einsum("ni,nij,nj->", F, problem._precisions, F)))
+    return c, F, Q
+
+
+def _candidate(problem: PlanProblem, u: np.ndarray):
+    """_forward, except that poses in a chart singularity make the candidate
+    infeasible (infinite cost), so the line search rejects such steps."""
+    try:
+        return _forward(problem, u)
+    except (OriginSingularity, AntipodalPoint):
+        return np.inf, None, None
+
+
+def _jacobian(problem: PlanProblem, Q: np.ndarray) -> np.ndarray:
+    """Jacobian rows (3n x D) of the active residuals w.r.t. their joint
+    states Q (n x D), which a forward pass has found free of singularities."""
+    P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
+    J = np.empty((len(Q), 3, problem.arm.dof))
+    for chart, rows, means in problem._chart_rows:
+        X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows], True)
+        J[rows] = log_jacobian_rows(chart_spec(chart), means, X) @ Jc @ Jk[rows]
+    return J.reshape(-1, problem.arm.dof)
+
+
+def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
+    return dict(zip(problem._active_ts.tolist(),
+                    np.linalg.norm(F, axis=1).tolist()))
 
 
 def residuals_and_jacobian(problem: PlanProblem, u: np.ndarray):
     """Stacked residual f (3n) of the n active timesteps, its Jacobian rows
     (3n x D) w.r.t. the state at each row's own timestep, and the norms."""
-    F, J = _residuals(problem, u, jacobian=True)
-    norms = dict(zip(problem._active_ts.tolist(),
-                     np.linalg.norm(F, axis=1).tolist()))
-    return F.ravel(), J.reshape(-1, problem.arm.dof), norms
+    _, F, Q = _forward(problem, u)
+    return F.ravel(), _jacobian(problem, Q), _norms(problem, F)
 
 
 def cost(problem: PlanProblem, u: np.ndarray) -> float:
-    """True cost: precision-weighted squared residuals plus control effort.
-
-    Poses that fall into a chart singularity make the candidate infeasible
-    (infinite cost), so the line search rejects such steps.
-    """
-    try:
-        F, _ = _residuals(problem, u, jacobian=False)
-    except (OriginSingularity, AntipodalPoint):
-        return np.inf
-    return (problem.control_weight * float(u @ u)
-            + float(np.einsum("ni,nij,nj->", F, problem._precisions, F)))
+    """True cost: precision-weighted squared residuals plus control effort,
+    infinite where a pose falls into a chart singularity."""
+    return _candidate(problem, u)[0]
 
 
 def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
@@ -172,21 +187,22 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
 
 
 def solve(problem: PlanProblem) -> PlanResult:
+    """Gauss-Newton iterations from zero controls: each accepted iterate is
+    linearized once, on the states of the forward pass that accepted it."""
     D, T = problem.arm.dof, problem.horizon
     u = np.zeros(D * T)
-    c = cost(problem, u)
+    c, F, Q = _forward(problem, u)
     history = [c]
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        f, J, _ = residuals_and_jacobian(problem, u)
-        du = gauss_newton_step(problem, u, f, J)
+        du = gauss_newton_step(problem, u, F.ravel(), _jacobian(problem, Q))
         if np.linalg.norm(du) < STEP_TOL:
             converged = True
             break
         alpha = 1.0
         while alpha >= LINE_SEARCH_MIN_STEP:
-            c_new = cost(problem, u + alpha * du)
+            c_new, F_new, Q_new = _candidate(problem, u + alpha * du)
             if c_new < c:
                 break
             alpha *= 0.5
@@ -201,60 +217,17 @@ def solve(problem: PlanProblem) -> PlanResult:
             break
         u = u + alpha * du
         improvement = c - c_new
-        c = c_new
+        c, F, Q = c_new, F_new, Q_new
         history.append(c)
         if improvement < COST_TOL * max(abs(c), 1.0):
             converged = True
             break
-    _, _, norms = residuals_and_jacobian(problem, u)
     traj = JointTrajectory(problem.dt, rollout(problem.q0, u.reshape(T, D),
                                                problem.dt), u.reshape(T, D))
-    return PlanResult(traj, history, converged, it, norms)
+    return PlanResult(traj, history, converged, it, _norms(problem, F))
 
 
 # --- JSON round trip --------------------------------------------------------
-
-def problem_to_dict(problem: PlanProblem) -> dict:
-    from .io import frame_to_dict
-    refs = []
-    for t, r in enumerate(problem.references):
-        if r is None:
-            continue
-        refs.append({
-            "t": t,
-            "chart": {"space": r.chart.space, "index": r.chart.index},
-            "mean": r.mean.coords.tolist(),
-            "precision": r.precision.tolist(),
-        })
-    return {
-        "schema_version": 1,
-        "arm": {"link_lengths": problem.arm.link_lengths.tolist(),
-                "base_position": problem.arm.base_position.tolist(),
-                "base_angle": problem.arm.base_angle},
-        "q0": problem.q0.tolist(),
-        "horizon": problem.horizon,
-        "dt": problem.dt,
-        "frame": frame_to_dict(problem.frame),
-        "references": refs,
-        "control_weight": problem.control_weight,
-        "activation_start": problem.activation_start,
-    }
-
-
-def problem_from_dict(d: dict) -> PlanProblem:
-    from .io import frame_from_dict
-    arm = ArmModel(np.array(d["arm"]["link_lengths"]),
-                   np.array(d["arm"]["base_position"]),
-                   float(d["arm"]["base_angle"]))
-    refs = [None] * int(d["horizon"])
-    for r in d["references"]:
-        chart = ChartId(r["chart"]["space"], int(r["chart"]["index"]))
-        mean = ManifoldPoint(chart_spec(chart), np.array(r["mean"]))
-        refs[int(r["t"])] = Reference(chart, mean, np.array(r["precision"]))
-    return PlanProblem(arm, np.array(d["q0"]), int(d["horizon"]),
-                       float(d["dt"]), frame_from_dict(d["frame"]), refs,
-                       float(d["control_weight"]), int(d["activation_start"]))
-
 
 def result_to_dict(result: PlanResult) -> dict:
     return {

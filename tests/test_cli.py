@@ -218,7 +218,8 @@ def test_plan_and_evaluate_reject_bad_planning_numbers(
 
 @pytest.mark.parametrize("key, value", [
     ("phase_radii", []), ("phase_heights", []), ("symmetry", "conical"),
-    ("dt", 0), ("dt", -1), ("phase_count", 0), ("horizon", 1)])
+    ("dt", 0), ("dt", -1), ("phase_count", 0), ("horizon", 1),
+    ("object_position", [0.7, 0.0, 0.1])])
 @pytest.mark.parametrize("command", ["demo-gen", "fit", "plan", "evaluate"])
 def test_every_command_rejects_bad_task_numbers(command, key, value,
                                                 grasp_model, tmp_path,
@@ -232,10 +233,12 @@ def test_every_command_rejects_bad_task_numbers(command, key, value,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-def test_fit_rejects_a_nan_frame(grasp_model, tmp_path, capsys):
+def _fit_edited_demos(grasp_model, tmp_path, capsys, edit) -> str:
+    """stderr of a fit, which must exit 3 without warnings or a model, on
+    the grasp2d demos changed by edit."""
     with open(os.path.join(os.path.dirname(grasp_model), "demos.json")) as fh:
         demos = json.load(fh)
-    demos["demos"][2][17][1] = float("nan")
+    edit(demos["demos"])
     (tmp_path / "demos.json").write_text(json.dumps(demos))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"task": {"kind": "grasp2d"},
@@ -244,8 +247,27 @@ def test_fit_rejects_a_nan_frame(grasp_model, tmp_path, capsys):
         warnings.simplefilter("always")
         assert _run("fit", "--config", str(path)) == 3
     assert caught == []
-    assert "demo grasp2d-2: position at frame 17" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+    return capsys.readouterr().err
+
+
+def test_fit_rejects_a_nan_frame(grasp_model, tmp_path, capsys):
+    def edit(demos):
+        demos[2][17][1] = float("nan")
+    err = _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
+    assert "demo grasp2d-2: position at frame 17" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda demos: demos[1].clear(), "demo grasp2d-1: times must be"),
+    (lambda demos: demos[1][5].pop(), "demo grasp2d-1: frame 5 has 4 values, "
+                                      "not 5"),
+    (lambda demos: demos[1][5].append(0.0), "demo grasp2d-1: frame 5 has 6 "
+                                            "values, not 5")],
+    ids=["empty", "short-frame", "long-frame"])
+def test_fit_rejects_malformed_demo_rows(edit, message, grasp_model, tmp_path,
+                                         capsys):
+    assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

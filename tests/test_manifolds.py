@@ -1,7 +1,9 @@
 """Manifold primitives: log/exp maps, transport, distances, Jacobians."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from geoilqr.charts import CARTESIAN_2D, POLAR_2D, chart_spec
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, ManifoldPoint,
                                Product, Sphere, SpecMismatch, TangentVector,
                                exp_map, exp_rows, geodesic_distance, leaves,
@@ -209,3 +211,49 @@ def test_log_map_jacobian_finite_differences(spec):
             num[:, j] = (log_map(mu, xp).coords
                          - log_map(mu, xm).coords) / (2 * h)
         assert np.allclose(J, num, atol=1e-5), (spec, np.abs(J - num).max())
+
+
+S1_SPECS = {"sphere": Sphere(1), "cartesian": chart_spec(CARTESIAN_2D),
+            "polar": chart_spec(POLAR_2D)}
+
+
+@st.composite
+def _s1_cases(draw):
+    """Spec name, an angle for each S1 factor of p, the angle from it to the
+    factor of x (at least 1e-4 short of the antipode) and Euclidean parts."""
+    angle = st.floats(-np.pi, np.pi)
+    offset = st.floats(-np.pi + 1e-4, np.pi - 1e-4)
+    euclid = st.floats(-2.0, 2.0)
+    return (draw(st.sampled_from(sorted(S1_SPECS))),
+            draw(st.tuples(angle, angle)), draw(st.tuples(offset, offset)),
+            draw(st.tuples(euclid, euclid, euclid)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_s1_cases())
+@example(("sphere", (0.0, 0.0), (1.0, 0.0), (0.0, 0.0, 0.0)))    # p = e1
+@example(("polar", (np.pi, 0.0), (-1.0, np.pi - 1e-4), (0.5, 0.0, 0.0)))
+@example(("cartesian", (0.0, 0.0), (np.pi - 1e-4, 0.0), (1.0, -1.0, 0.0)))
+@example(("polar", (np.pi / 2, 0.3), (-np.pi / 2, -0.3), (1.0, 0.0, 0.0)))
+def test_s1_log_differential_matches_central_differences(case):
+    # x = e1 (the last example, both factors) and p = e1 are where the
+    # Householder basis changes orientation; x sits 1e-4 from the antipode
+    name, p_angles, offsets, euclid = case
+    spec = S1_SPECS[name]
+    p, x, k, e = [], [], 0, 0
+    for leaf, _, _ in leaves(spec):
+        if isinstance(leaf, Sphere):
+            a, b = p_angles[k], p_angles[k] + offsets[k]
+            p += [np.cos(a), np.sin(a)]
+            x += [np.cos(b), np.sin(b)]
+            k += 1
+        else:
+            p += list(euclid[e:e + leaf.dim])
+            x += [v + 0.3 for v in euclid[e:e + leaf.dim]]
+            e += leaf.dim
+    P, X = np.array([p]), np.array([x])
+    h, d = 1e-6, spec.tangent_dim
+    steps = h * np.eye(d)
+    num = (log_rows(spec, P, exp_rows(spec, X, steps))
+           - log_rows(spec, P, exp_rows(spec, X, -steps))).T / (2 * h)
+    assert np.abs(log_jacobian_rows(spec, P, X)[0] - num).max() < 1e-8

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
+from geoilqr import planner
 from geoilqr.charts import (CARTESIAN_2D, POLAR_2D, CartesianPose, Frame2D,
                             OriginSingularity, chart_spec, to_chart)
 from geoilqr.kinematics import ArmModel, batch_dynamics, forward_kinematics, rollout
 from geoilqr.manifolds import AntipodalPoint, ManifoldPoint
 from geoilqr.planner import (PlanProblem, Reference, cost, gauss_newton_step,
-                             problem_from_dict, problem_to_dict,
                              residuals_and_jacobian, result_from_dict,
                              result_to_dict, solve)
 
@@ -171,6 +171,9 @@ def test_chart_singularity_names_first_timestep():
         with pytest.raises(exc, match=f"timestep {t_bad}:"):
             residuals_and_jacobian(p, u)
         assert cost(p, u) == np.inf
+    # from zero controls every state is the one with the tip on the origin
+    with pytest.raises(OriginSingularity, match="timestep 2:"):
+        solve(PlanProblem(ARM, states[6], T, 0.1, frame, list(refs)))
 
 
 def test_step_zero_at_stationary_point():
@@ -269,6 +272,29 @@ def test_quadratic_problem_one_step_optimum():
     assert np.linalg.norm(du) < 1e-6
 
 
+def test_solve_linearizes_each_iterate_as_residuals_and_jacobian(monkeypatch):
+    # solve linearizes an accepted iterate from the line search's forward
+    # pass; that must equal a fresh evaluation at the same controls
+    steps = []
+
+    def spy(problem, u, f, J):
+        steps.append((u, f, J))
+        return gauss_newton_step(problem, u, f, J)
+
+    monkeypatch.setattr(planner, "gauss_newton_step", spy)
+    for p in (_viapoint_problem(POLAR_2D, seed=3), _mixed_chart_problem(2)):
+        steps.clear()
+        result = solve(p)
+        assert len(steps) == result.iterations > 2
+        for u, f, J in steps:
+            f_ref, J_ref, _ = residuals_and_jacobian(p, u)
+            assert np.abs(f - f_ref).max() <= 1e-12
+            assert np.abs(J - J_ref).max() <= 1e-12
+        _, _, norms = residuals_and_jacobian(
+            p, result.trajectory.controls.ravel())
+        assert result.residual_norms == pytest.approx(norms, rel=1e-12)
+
+
 def test_solution_reaches_viapoints():
     p = _viapoint_problem(POLAR_2D, seed=3)
     result = solve(p)
@@ -280,19 +306,6 @@ def test_rollout_matches_trajectory():
     result = solve(p)
     states = rollout(p.q0, result.trajectory.controls, p.dt)
     assert np.allclose(states, result.trajectory.states, atol=1e-12)
-
-
-def test_problem_json_round_trip():
-    p = _viapoint_problem(POLAR_2D, seed=5)
-    d = problem_to_dict(p)
-    back = problem_from_dict(d)
-    assert back.horizon == p.horizon
-    assert np.allclose(back.q0, p.q0)
-    for (t1, r1), (t2, r2) in zip(p.active_references(),
-                                  back.active_references()):
-        assert t1 == t2 and r1.chart == r2.chart
-        assert np.allclose(r1.mean.coords, r2.mean.coords)
-        assert np.allclose(r1.precision, r2.precision)
 
 
 def test_result_json_round_trip():
