@@ -9,7 +9,7 @@ from .charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D, POLAR_2D,
                      Frame3D, OriginSingularity, chart_jacobian, chart_spec,
                      charts_for, from_chart, to_chart)
 from .stats import (ManifoldGaussian, fit_gaussian, geometric_mean,
-                    log_density, select_winner)
+                    select_winner)
 from .kinematics import (ArmModel, JointTrajectory, batch_dynamics,
                          forward_kinematics, kinematic_jacobian, rollout)
 from .phases import (Demonstration, PhaseModel, TimeGmm, build_phase_model,

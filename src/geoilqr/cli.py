@@ -286,7 +286,13 @@ def cmd_plan(args) -> int:
     if not os.path.exists(model_path):
         raise ConfigError(f"model file not found: {model_path}")
     with open(model_path) as fh:
-        model = phase_model_from_dict(json.load(fh))
+        try:
+            model = phase_model_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ConfigError(f"{model_path}: {exc}") from exc
+    if model.horizon != spec.horizon:
+        raise ConfigError(f"{model_path}: model horizon {model.horizon} "
+                          f"differs from the task horizon {spec.horizon}")
     activation = int(config.get("activation_start", 20))
     refs = build_references(model, strategy, spec.horizon, activation,
                             plan_mode(spec.kind))

@@ -1,7 +1,6 @@
-"""File formats: demonstration sets (JSON/CSV), frames, atomic writes."""
+"""File formats: demonstration sets (JSON, CSV out), frames, atomic writes."""
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
@@ -94,14 +93,3 @@ def demos_to_csv(demos: list) -> str:
             lines.append(",".join(str(v) for v in vals))
     return "\n".join(lines) + "\n"
 
-
-def demos_from_csv(text: str, dt: float, frame) -> list:
-    reader = csv.DictReader(text.splitlines())
-    cols = (["x", "y", "z", "qw", "qx", "qy", "qz"]
-            if "z" in (reader.fieldnames or []) else ["x", "y", "hx", "hy"])
-    buckets = {}
-    for row in reader:
-        buckets.setdefault(int(row["demo"]), []).append(
-            [int(row["t"])] + [float(row[k]) for k in cols])
-    return [_demo(f"demo-{i}", dt, sorted(buckets[i]), frame)
-            for i in sorted(buckets)]

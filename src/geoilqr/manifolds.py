@@ -231,6 +231,24 @@ def log_jacobian_rows(spec, P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return J
 
 
+def transport_rows(spec, P: np.ndarray, X: np.ndarray,
+                   V: np.ndarray) -> np.ndarray:
+    """Parallel transports (N x tangent) of the tangents V at the rows of P
+    along the geodesics to the rows of X; all three share rows as above."""
+    out = np.empty((max(len(P), len(X), len(V)), spec.tangent_dim))
+    for leaf, asl, tsl in leaves(spec):
+        if isinstance(leaf, Euclidean):
+            out[:, tsl] = V[:, tsl]
+            continue
+        p, q = P[:, asl], X[:, asl]
+        dots = np.vecdot(p, q)
+        _check_antipodal(dots, "transport")
+        w = _reflect(p, np.pad(V[:, tsl], ((0, 0), (1, 0))))  # B_p v
+        k = np.vecdot(q, w) / (1.0 + np.minimum(dots, 1.0))
+        out[:, tsl] = _reflect(q, w - k[:, None] * (p + q))[:, 1:]  # B_q^T t
+    return out
+
+
 def log_map(mu: ManifoldPoint, x: ManifoldPoint) -> TangentVector:
     """Tangent-space residual of x at base point mu."""
     _check_same(mu, x)
@@ -256,19 +274,8 @@ def parallel_transport(src: ManifoldPoint, dst: ManifoldPoint,
     _check_same(src, dst)
     if v.base.spec != src.spec or not np.array_equal(v.base.coords, src.coords):
         raise SpecMismatch("tangent vector is not based at the source point")
-    out = np.empty(src.spec.tangent_dim)
-    for leaf, asl, tsl in leaves(src.spec):
-        if isinstance(leaf, Euclidean):
-            out[tsl] = v.coords[tsl]
-        else:
-            p, q = src.coords[asl], dst.coords[asl]
-            dot = float(np.clip(p @ q, -1.0, 1.0))
-            if dot <= -1.0 + ANTIPODAL_TOL:
-                raise AntipodalPoint("transport undefined between antipodal points")
-            w = sphere_basis(p) @ v.coords[tsl]
-            t = w - (q @ w) / (1.0 + dot) * (p + q)
-            out[tsl] = sphere_basis(q).T @ t
-    return TangentVector(dst, out)
+    return TangentVector(dst, transport_rows(src.spec, src.coords[None],
+                                             dst.coords[None], v.coords[None])[0])
 
 
 def geodesic_distance(a: ManifoldPoint, b: ManifoldPoint) -> float:

@@ -2,9 +2,9 @@
 
 Demonstrations are clustered into temporal phases with a GMM over
 (normalized time, object-frame position). The time marginal of each
-component provides per-timestep weights, which drive weighted Gaussian fits
-in every candidate chart and a tangent-space blend of the phase means into a
-smooth per-timestep reference with blended covariance.
+component provides per-frame weights, which drive one fit of all phase
+Gaussians per candidate chart and a tangent-space blend of the phase means
+into a smooth per-timestep reference with blended covariance.
 """
 from __future__ import annotations
 
@@ -12,14 +12,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .charts import (THREE_D, ChartId, DimensionMismatch, chart_rows_2d,
                      chart_rows_3d, chart_spec)
-from .manifolds import (ManifoldPoint, TangentVector, exp_rows, log_map_batch,
-                        log_rows, parallel_transport)
-from .stats import (EIGVAL_FLOOR, ManifoldGaussian, fit_gaussian,
-                    quat_sign_align, select_winner)
+from .manifolds import ManifoldPoint, exp_rows, log_rows, transport_rows
+from .stats import EIGVAL_FLOOR, ManifoldGaussian, fit_phases
 
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-8
@@ -96,6 +93,12 @@ def _pooled_features(demos: list[Demonstration]) -> np.ndarray:
         for d in demos])
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over axis 0, shifted by its largest entry."""
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
+
+
 def _log_gauss(X: np.ndarray, means: np.ndarray,
                covs: np.ndarray) -> np.ndarray:
     """Log densities (K x n) of the rows of X (n x F) under the K Gaussians
@@ -129,7 +132,7 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
     ll_prev = -np.inf
     for _ in range(GMM_MAX_ITER):
         logp = np.log(priors)[:, None] + _log_gauss(X, means, covs)
-        norm = logsumexp(logp, axis=0)
+        norm = _logsumexp(logp)
         ll = float(norm.sum())
         resp = np.exp(logp - norm)
         nk = resp.sum(axis=1)
@@ -155,7 +158,7 @@ def phase_weights_at(gmm: TimeGmm, s: np.ndarray) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     logp = np.log(gmm.priors)[:, None] + _log_gauss(
         s[:, None], gmm.means[:, :1], gmm.covariances[:, :1, :1])
-    return np.exp(logp - logsumexp(logp, axis=0)).T
+    return np.exp(logp - _logsumexp(logp)).T
 
 
 def phase_weights(gmm: TimeGmm, T: int) -> np.ndarray:
@@ -205,65 +208,56 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
                       horizon: int | None = None) -> PhaseModel:
     """Fit per-phase per-chart Gaussians and blend them into per-timestep
     references; each timestep's winner is the chart whose blended covariance
-    has the smallest determinant."""
+    has the smallest determinant, ties going to the lowest chart index."""
     K = gmm.n_components
     T = horizon if horizon is not None else max(len(d) for d in demos)
     H = phase_weights(gmm, T)
-
-    frame_s = np.concatenate([d.phase_variable() for d in demos])
-    frame_h = phase_weights_at(gmm, frame_s)     # (n_frames, K)
-
-    phases = [dict() for _ in range(K)]
-    trends = [dict() for _ in range(K)]   # (k, chart) -> time regression
-    for chart in charts:
-        spec = chart_spec(chart)
-        X = np.vstack([_chart_rows(chart, demo) for demo in demos])
-        for k in range(K):
-            w = frame_h[:, k]
-            try:
-                g = fit_gaussian(spec, X, w)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"fit failed for phase {k}, chart {chart}") from exc
-            phases[k][chart] = g
-            # Linear regression of the tangent residual on normalized time,
-            # so per-timestep references track motion within a phase instead
-            # of collapsing to the phase mean.
-            W = w.sum()
-            V = log_map_batch(g.mean, quat_sign_align(spec, X, g.mean.coords))
-            m_s = float(w @ frame_s) / W
-            c_ss = float(w @ (frame_s - m_s) ** 2) / W + 1e-12
-            c_vs = (w * (frame_s - m_s)) @ V / W
-            trends[k][chart] = (m_s, c_ss, c_vs)
-
+    h = np.where(H > 1e-12, H, 0.0)
     s_grid = np.arange(T) / max(T - 1, 1)
     anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
-    references, dets = {}, {}
-    for chart in charts:
+
+    s = np.concatenate([d.phase_variable() for d in demos])
+    W = phase_weights_at(gmm, s).T                  # (K, n_frames)
+    W = W / W.sum(axis=1, keepdims=True)
+    # Linear regression of the tangent residuals on normalized time, so
+    # per-timestep references track motion within a phase instead of
+    # collapsing to the phase mean.
+    m_s = W @ s
+    ds = s - m_s[:, None]
+    c_ss = np.vecdot(W, ds * ds) + 1e-12
+
+    fits, references, dets = {}, {}, []
+    by_index = sorted(charts, key=lambda c: c.index)
+    for chart in by_index:
         spec = chart_spec(chart)
-        gs = [phases[k][chart] for k in range(K)]
-        A = np.array([g.mean.coords for g in gs])[anchor]
-        blend, cov = 0.0, 0.0
-        for k, g in enumerate(gs):
-            h = np.where(H[:, k] > 1e-12, H[:, k], 0.0)
-            m_s, c_ss, c_vs = trends[k][chart]
-            # Conditional mean/covariance of the phase Gaussian given time;
-            # the trend reaches each anchor by parallel transport.
-            trend = np.array([parallel_transport(
-                g.mean, a.mean, TangentVector(g.mean, c_vs / c_ss)).coords
-                for a in gs])[anchor]
-            blend = blend + h[:, None] * (log_rows(spec, A, g.mean.coords[None])
-                                          + trend * (s_grid - m_s)[:, None])
-            cov = cov + h[:, None, None] * (g.covariance
-                                            - np.outer(c_vs, c_vs) / c_ss)
+        X = np.vstack([_chart_rows(chart, demo) for demo in demos])
+        try:
+            M, U, S = fit_phases(spec, X, W)
+            gs = fits[chart] = [ManifoldGaussian.from_moments(
+                ManifoldPoint(spec, m), c) for m, c in zip(M, S)]
+        except Exception as exc:
+            raise RuntimeError(f"fit failed for chart {chart}") from exc
+        c_vs = ((W * ds)[:, None] @ U)[:, 0]        # (K, tangent)
+        slope = c_vs / c_ss[:, None]
+        # Conditional mean/covariance of each phase Gaussian given time; the
+        # slope of phase k reaches the mean of phase a by parallel transport.
+        trend = transport_rows(spec, np.repeat(M, K, axis=0), np.tile(M, (K, 1)),
+                               np.repeat(slope, K, axis=0))
+        trend = trend.reshape(K, K, -1)[:, anchor]  # (K, T, tangent)
+        A = M[anchor]
+        blend = sum(h[:, k, None] * (log_rows(spec, A, M[k:k + 1])
+                                     + trend[k] * (s_grid - m_s[k])[:, None])
+                    for k in range(K))
+        C = [g.covariance for g in gs] - c_vs[:, :, None] * slope[:, None]
+        cov = np.tensordot(h, C, 1)
         vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
         vals = np.maximum(vals, EIGVAL_FLOOR)
         covs = (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2)
         references[chart] = ChartReferences(exp_rows(spec, A, blend), covs)
-        dets[chart] = np.prod(vals, axis=1)
+        dets.append(np.prod(vals, axis=1))
 
-    winners = [select_winner({c: dets[c][t] for c in charts})
-               for t in range(T)]
+    phases = [{c: fits[c][k] for c in charts} for k in range(K)]
+    winners = [by_index[i] for i in np.argmin(dets, axis=0)]
     return PhaseModel(list(charts), phases, H, references, winners)
 
 
@@ -292,10 +286,25 @@ def phase_model_to_dict(model: PhaseModel) -> dict:
     }
 
 
+def _field(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape, else ValueError naming the
+    model field."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"model {name} is not an array of numbers") from None
+    if a.shape != shape:
+        raise ValueError(f"model {name} has shape {a.shape}, not {shape}")
+    return a
+
+
 def phase_model_from_dict(d: dict) -> PhaseModel:
+    """The PhaseModel of a model.json dict; ValueError names the first field
+    whose rows do not match the rows of weights or the chart's widths."""
     charts = [ChartId(c["space"], c["index"]) for c in d["charts"]]
     by_name = {str(c): c for c in charts}
-    weights = np.array(d["weights"])
+    T = len(d["weights"])
+    weights = _field("weights", d["weights"], (T, len(d["phases"])))
     phases = []
     for phase in d["phases"]:
         entry = {}
@@ -305,8 +314,16 @@ def phase_model_from_dict(d: dict) -> PhaseModel:
             entry[chart] = ManifoldGaussian.from_moments(
                 mean, np.array(g["covariance"]))
         phases.append(entry)
-    references = {by_name[name]: ChartReferences(np.array(r["means"]),
-                                                 np.array(r["covariances"]))
-                  for name, r in d["references"].items()}
+    references = {}
+    for name, r in d["references"].items():
+        spec = chart_spec(by_name[name])
+        n, k = spec.ambient_dim, spec.tangent_dim
+        references[by_name[name]] = ChartReferences(
+            _field(f"references {name} means", r["means"], (T, n)),
+            _field(f"references {name} covariances", r["covariances"],
+                   (T, k, k)))
     winners = [ChartId(c["space"], c["index"]) for c in d["winners"]]
+    if len(winners) != T or not set(winners) <= set(references):
+        raise ValueError(f"model winners must name a chart with references "
+                         f"at each of the {T} rows of weights")
     return PhaseModel(charts, phases, weights, references, winners)

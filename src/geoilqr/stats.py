@@ -2,8 +2,9 @@
 
 The mean is a Fréchet (geometric) mean computed by Gauss-Newton iteration of
 the tangent-space average; the covariance is the weighted second moment of
-the log-mapped residuals in the tangent space at the mean. Winner-takes-all
-selection between coordinate systems compares covariance determinants.
+the log-mapped residuals in the tangent space at the mean. fit_phases fits
+K weightings (the phases of a chart) of the same rows at once. Winner-takes-
+all selection between coordinate systems compares covariance determinants.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import (ManifoldPoint, SpecMismatch, Sphere, exp_rows, leaves,
-                        log_map_batch, log_rows)
+                        log_rows)
 
 EIGVAL_FLOOR = 1e-8
 MEAN_TOL = 1e-10
@@ -60,17 +61,19 @@ def quat_sign_align(spec, X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Flip S3 blocks so their dot with the reference block is non-negative.
 
     Unit quaternions double-cover rotations; statistics must be done on one
-    sheet. Only Sphere(3) factors are touched.
+    sheet. Only Sphere(3) factors are touched. ref is one row, or one row per
+    row of X.
     """
     X = X.copy()
     for leaf, asl, _ in leaves(spec):
         if isinstance(leaf, Sphere) and leaf.dim == 3:
-            X[:, asl] *= np.where(X[:, asl] @ ref[asl] < 0.0, -1.0, 1.0)[:, None]
+            X[:, asl] *= np.where(np.vecdot(X[:, asl], ref[..., asl]) < 0.0,
+                                  -1.0, 1.0)[:, None]
     return X
 
 
 def _validated(spec, X, w) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of X with positive weight and their normalized weights."""
+    """X as N x ambient points and w as N weights summing to 1."""
     X, w = np.asarray(X, dtype=float), np.asarray(w, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.ambient_dim or w.shape != X.shape[:1]:
         raise SpecMismatch(f"samples {X.shape} and weights {w.shape} do not "
@@ -81,49 +84,58 @@ def _validated(spec, X, w) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("sphere block norm is not 1 within 1e-9")
     if np.any(w < 0.0):
         raise ValueError("negative sample weight")
-    keep = w > 0.0
-    if not keep.any():
+    if not np.any(w > 0.0):
         raise EmptySample("no sample with positive weight")
-    return X[keep], w[keep] / w[keep].sum()
+    return X, w / w.sum()
 
 
-def _mean(spec, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Fréchet mean of validated rows by Gauss-Newton iteration."""
-    # start from the first sample on its w >= 0 sheet, so that neither the
-    # mean nor its covariance basis depends on the samples' quaternion signs
+def _residuals(spec, X: np.ndarray, M: np.ndarray,
+               live: np.ndarray) -> np.ndarray:
+    """Log maps (K x N x tangent) of the rows of X at the mean rows of M, on
+    each mean's quaternion sheet, where live (K x N) holds and 0 elsewhere."""
+    k, n = np.nonzero(live)
+    U = np.zeros(live.shape + (spec.tangent_dim,))
+    U[k, n] = log_rows(spec, M[k], quat_sign_align(spec, X[n], M[k]))
+    return U
+
+
+def fit_phases(spec, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weighted Gaussians of the rows of X (N x ambient), one per row of W
+    (K x N, rows summing to 1): the Fréchet means (K x ambient), the
+    residuals at them (K x N x tangent) and the covariances (K x tangent x
+    tangent). Each mean stops at its own MEAN_TOL step; a row of zero weight
+    takes no part in that fit."""
+    live = W > 0.0
+    # start from the first live sample on its w >= 0 sheet, so that neither
+    # the mean nor its covariance basis depends on the samples' quaternion signs
     w_axes = np.zeros(spec.ambient_dim)
     w_axes[[asl.start for _, asl, _ in leaves(spec)]] = 1.0
-    mu = quat_sign_align(spec, X[:1], w_axes)
+    M = quat_sign_align(spec, X[np.argmax(live, axis=1)], w_axes)
+    todo = np.arange(len(W))
     for _ in range(MEAN_MAX_ITER):
-        u = w @ log_rows(spec, mu, quat_sign_align(spec, X, mu[0]))
-        mu = exp_rows(spec, mu, u[None])
-        if np.linalg.norm(u) < MEAN_TOL:
-            return mu[0]
-    warnings.warn("geometric mean did not converge", NoConvergence)
-    return mu[0]
+        u = (W[todo, None] @ _residuals(spec, X, M[todo], live[todo]))[:, 0]
+        M[todo] = exp_rows(spec, M[todo], u)
+        todo = todo[~(np.linalg.norm(u, axis=1) < MEAN_TOL)]  # NaN goes on
+        if not todo.size:
+            break
+    else:
+        warnings.warn("geometric mean did not converge", NoConvergence)
+    U = _residuals(spec, X, M, live)
+    return M, U, np.swapaxes(U * W[..., None], 1, 2) @ U
 
 
 def geometric_mean(spec, X: np.ndarray, w: np.ndarray) -> ManifoldPoint:
     """Weighted Fréchet mean of the points in the rows of X (N x ambient)
-    with weights w (N,); zero weights drop their rows."""
-    return ManifoldPoint(spec, _mean(spec, *_validated(spec, X, w)))
+    with weights w (N,)."""
+    return fit_gaussian(spec, X, w).mean
 
 
 def fit_gaussian(spec, X: np.ndarray, w: np.ndarray) -> ManifoldGaussian:
     """Weighted Gaussian of the points in the rows of X (N x ambient) with
     weights w (N,): Fréchet mean + tangent covariance at the mean."""
     X, w = _validated(spec, X, w)
-    mu = ManifoldPoint(spec, _mean(spec, X, w))
-    U = log_map_batch(mu, quat_sign_align(spec, X, mu.coords))
-    cov = (U * w[:, None]).T @ U
-    return ManifoldGaussian.from_moments(mu, cov)
-
-
-def log_density(g: ManifoldGaussian, x: ManifoldPoint) -> float:
-    u = log_map_batch(g.mean, x.coords[None, :])[0]
-    d = g.dim
-    return float(-0.5 * (d * np.log(2.0 * np.pi) + np.log(g.det)
-                         + u @ g.precision @ u))
+    M, _, S = fit_phases(spec, X, w[None])
+    return ManifoldGaussian.from_moments(ManifoldPoint(spec, M[0]), S[0])
 
 
 def select_winner(gaussians_per_chart: dict) -> object:

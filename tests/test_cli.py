@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, outputs, determinism."""
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import geoilqr
 from geoilqr.cli import main
 from geoilqr.kinematics import rollout
 from geoilqr.planner import result_from_dict
@@ -187,17 +190,89 @@ def test_reference_contour_is_continuous_at_isotropic_covariance():
     assert np.abs(a - b).max() <= 1e-9
 
 
+def _fitted_model(tmp_path_factory, kind: str) -> str:
+    """model.json of a fit of kind at the default horizon of 100."""
+    out = tmp_path_factory.mktemp("model")
+    path = out / "cfg.json"
+    path.write_text(json.dumps({"task": {"kind": kind}, "out_dir": str(out)}))
+    assert _run("demo-gen", "--config", str(path)) == 0
+    assert _run("fit", "--config", str(path)) == 0
+    return str(out / "model.json")
+
+
 @pytest.fixture(scope="module")
 def grasp_model(tmp_path_factory):
     """model.json of a grasp2d fit, for plan runs that must get past the
     model lookup."""
-    out = tmp_path_factory.mktemp("model")
-    path = out / "cfg.json"
-    path.write_text(json.dumps({"task": {"kind": "grasp2d"},
-                                "out_dir": str(out)}))
-    assert _run("demo-gen", "--config", str(path)) == 0
-    assert _run("fit", "--config", str(path)) == 0
-    return str(out / "model.json")
+    return _fitted_model(tmp_path_factory, "grasp2d")
+
+
+@pytest.fixture(scope="module")
+def box_model(tmp_path_factory):
+    return _fitted_model(tmp_path_factory, "boxopen2d")
+
+
+def _plan_with_model(model: str, task: dict, tmp_path) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": task, "out_dir": str(tmp_path)}))
+    return _run("plan", "--config", str(path), "--model", model)
+
+
+@pytest.mark.parametrize("fixture, kind, horizon", [
+    ("box_model", "boxopen2d", 120), ("box_model", "boxopen2d", 60),
+    ("grasp_model", "grasp2d", 60)])
+def test_plan_rejects_a_model_of_another_horizon(fixture, kind, horizon,
+                                                 request, tmp_path, capsys):
+    model = request.getfixturevalue(fixture)
+    assert _plan_with_model(model, {"kind": kind, "horizon": horizon},
+                            tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "model horizon 100" in err and f"task horizon {horizon}" in err
+    assert not (tmp_path / "trajectory.json").exists()
+
+
+def _cut_rows(model):
+    model["references"]["polar-2d"]["means"] = (
+        model["references"]["polar-2d"]["means"][:50])
+
+
+def _narrow_means(model):
+    for row in model["references"]["cartesian-2d"]["means"]:
+        row.pop()
+
+
+def _short_row(model):
+    model["references"]["polar-2d"]["covariances"][7].pop()
+
+
+def _cut_winners(model):
+    model["winners"].pop()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_cut_rows, "references polar-2d means has shape (50, 5), not (100, 5)"),
+    (_narrow_means, "references cartesian-2d means has shape (100, 3), not "
+                    "(100, 4)"),
+    (_short_row, "references polar-2d covariances is not an array"),
+    (_cut_winners, "winners")], ids=["cut-rows", "narrow-means", "short-row",
+                                     "cut-winners"])
+def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
+                                                   tmp_path, capsys):
+    with open(box_model) as fh:
+        model = json.load(fh)
+    edit(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert _plan_with_model(str(path), {"kind": "boxopen2d"}, tmp_path) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # the GMM's log-sum-exp is numpy, so the CLI imports no scipy.special
+    src = os.path.dirname(os.path.dirname(geoilqr.__file__))
+    code = "import sys, geoilqr.cli; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,13 +1,13 @@
-"""Serialization: atomic writes, demo JSON/CSV round trips, frames."""
+"""Serialization: atomic writes, demo JSON round trips and CSV, frames."""
 import json
 import os
 
 import numpy as np
 
 from geoilqr.charts import Frame2D, Frame3D
-from geoilqr.io import (atomic_write_text, demos_from_csv, demos_from_dict,
-                        demos_to_csv, demos_to_dict, frame_from_dict,
-                        frame_to_dict, write_json)
+from geoilqr.io import (atomic_write_text, demos_from_dict, demos_to_csv,
+                        demos_to_dict, frame_from_dict, frame_to_dict,
+                        write_json)
 from geoilqr.tasks import default_spec, generate_demos
 
 
@@ -58,11 +58,17 @@ def test_demo_json_round_trip_2d_and_3d():
             _poses_equal(da, db)
 
 
-def test_demo_csv_round_trip():
-    spec = default_spec("grasp2d", seed=1)
-    demos = generate_demos(spec)
-    text = demos_to_csv(demos)
-    back = demos_from_csv(text, spec.dt, spec.object_frame)
-    assert len(back) == len(demos)
-    for da, db in zip(demos, back):
-        _poses_equal(da, db, atol=1e-9)
+def test_demos_csv_matches_demo_arrays():
+    # one line per frame: demo index, time, position, orientation, each
+    # number written exactly
+    for kind, header in (("grasp2d", "demo,t,x,y,hx,hy"),
+                         ("grasppose3d", "demo,t,x,y,z,qw,qx,qy,qz")):
+        demos = generate_demos(default_spec(kind, seed=1))
+        lines = demos_to_csv(demos).splitlines()
+        assert lines[0] == header
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in lines[1:]])
+        expect = np.vstack([np.column_stack([np.full(len(d), i), d.times,
+                                             d.positions, d.orientations])
+                            for i, d in enumerate(demos)])
+        assert np.array_equal(rows, expect)

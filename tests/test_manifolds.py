@@ -1,15 +1,16 @@
 """Manifold primitives: log/exp maps, transport, distances, Jacobians."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from geoilqr.charts import CARTESIAN_2D, POLAR_2D, chart_spec
+from geoilqr.charts import CARTESIAN_2D, POLAR_2D, chart_spec, charts_for
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, ManifoldPoint,
                                Product, Sphere, SpecMismatch, TangentVector,
                                exp_map, exp_rows, geodesic_distance, leaves,
                                log_jacobian_rows, log_map, log_map_batch,
                                log_map_jacobian, log_rows, parallel_transport,
-                               random_point, random_tangent, sphere_basis)
+                               random_point, random_tangent, sphere_basis,
+                               transport_rows)
 
 RNG = np.random.default_rng(0)
 
@@ -257,3 +258,64 @@ def test_s1_log_differential_matches_central_differences(case):
     num = (log_rows(spec, P, exp_rows(spec, X, steps))
            - log_rows(spec, P, exp_rows(spec, X, -steps))).T / (2 * h)
     assert np.abs(log_jacobian_rows(spec, P, X)[0] - num).max() < 1e-8
+
+
+CHART_SPECS = {str(c): chart_spec(c) for c in charts_for("2d") + charts_for("3d")}
+
+
+def _unit_blocks(spec, values) -> np.ndarray:
+    """The first ambient_dim values, each sphere block scaled to unit norm;
+    None if a block is too short to scale."""
+    x = np.array(values[:spec.ambient_dim], dtype=float)
+    for leaf, asl, _ in leaves(spec):
+        n = np.linalg.norm(x[asl])
+        if isinstance(leaf, Sphere):
+            if n < 1e-3:
+                return None
+            x[asl] /= n
+    return x
+
+
+@st.composite
+def _transport_cases(draw):
+    """Chart spec name, the raw coordinates of p and x (8 each, enough for
+    every chart) and two tangents (7 each)."""
+    coord = st.floats(-2.0, 2.0)
+    return (draw(st.sampled_from(sorted(CHART_SPECS))),
+            draw(st.tuples(*[coord] * 8)), draw(st.tuples(*[coord] * 8)),
+            draw(st.tuples(*[coord] * 7)), draw(st.tuples(*[coord] * 7)))
+
+
+E1 = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+V1 = (0.3, -1.0, 0.5, 2.0, 0.0, -0.7, 1.1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_transport_cases())
+@example(("polar-2d", E1, E1, V1, V1[::-1]))                      # p = x = e1
+@example(("spherical-3d", E1, (0, 1, 0, 0.5, 1, 0, 0, 0), V1, V1[::-1]))
+@example(("cylindrical-3d", (0, 1, 0, 0, 0, 0, 1, 0), E1, V1, V1[::-1]))
+@example(("spherical-3d", (1, 0, 0, 0, 1, 0, 0, 0),
+          (-1, 0.1, 0, 0, -1, 0.1, 0, 0), V1, V1[::-1]))  # near antipodes
+def test_transport_rows_is_an_isometry_with_an_inverse(case):
+    name, p, x, v, w = case
+    spec = CHART_SPECS[name]
+    P, X = _unit_blocks(spec, p), _unit_blocks(spec, x)
+    assume(P is not None and X is not None)
+    for leaf, asl, _ in leaves(spec):
+        assume(isinstance(leaf, Euclidean) or P[asl] @ X[asl] > -1.0 + 1e-3)
+    V = np.array([v[:spec.tangent_dim], w[:spec.tangent_dim]])
+    T = transport_rows(spec, P[None], X[None], V)
+    # inner products are kept, and transporting back returns the tangents
+    np.testing.assert_allclose(T @ T.T, V @ V.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(transport_rows(spec, X[None], P[None], T), V,
+                               rtol=0, atol=1e-9)
+    # the geodesic's velocity at p arrives as its velocity at x
+    np.testing.assert_allclose(
+        transport_rows(spec, P[None], X[None], log_rows(spec, P[None], X[None])),
+        -log_rows(spec, X[None], P[None]), rtol=0, atol=1e-9)
+    a, b = ManifoldPoint(spec, P), ManifoldPoint(spec, X)
+    for i in range(2):
+        np.testing.assert_allclose(
+            parallel_transport(a, b, TangentVector(a, V[i])).coords, T[i],
+            rtol=0, atol=1e-12)

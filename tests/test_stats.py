@@ -1,13 +1,17 @@
-"""Gaussians on manifolds: geometric mean, covariance, density, selection."""
+"""Gaussians on manifolds: geometric mean, covariance, K-phase fits,
+selection."""
 import numpy as np
 import pytest
 
-from geoilqr.charts import CARTESIAN_2D, POLAR_2D, CartesianPose, Frame2D, to_chart
+from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
+                            SPHERICAL_3D, CartesianPose, Frame2D, chart_spec,
+                            to_chart)
 from geoilqr.manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
-                               geodesic_distance, random_point)
+                               exp_rows, geodesic_distance, leaves,
+                               log_map_batch, random_point)
 from geoilqr.stats import (EIGVAL_FLOOR, EmptyInput, EmptySample,
-                           ManifoldGaussian, fit_gaussian, geometric_mean,
-                           log_density, select_winner)
+                           ManifoldGaussian, fit_gaussian, fit_phases,
+                           geometric_mean, quat_sign_align, select_winner)
 
 RNG = np.random.default_rng(2)
 
@@ -115,25 +119,6 @@ def test_polar_samples_on_circle_have_small_radial_variance():
     assert var_rad / var_ang < 1e-2
 
 
-def test_log_density_values():
-    spec = Euclidean(1)
-    g = ManifoldGaussian.from_moments(ManifoldPoint(spec, np.zeros(1)),
-                                      np.eye(1))
-    at_mean = log_density(g, ManifoldPoint(spec, np.zeros(1)))
-    assert np.isclose(at_mean, -0.5 * (np.log(2 * np.pi) + np.log(g.det)))
-    one_off = log_density(g, ManifoldPoint(spec, np.ones(1)))
-    assert np.isclose(one_off, at_mean - 0.5)
-
-
-def test_log_density_circle_one_sigma():
-    spec = Sphere(1)
-    mu = ManifoldPoint(spec, np.array([1.0, 0.0]))
-    g = ManifoldGaussian.from_moments(mu, np.array([[0.01]]))
-    x = _circle(0.1)
-    assert np.isclose(geodesic_distance(mu, x), 0.1)
-    assert np.isclose(log_density(g, x), log_density(g, mu) - 0.5)
-
-
 def test_select_winner_paper_style_and_ties():
     g1 = ManifoldGaussian.from_moments(
         ManifoldPoint(Euclidean(1), np.zeros(1)), np.array([[2.0]]))
@@ -177,3 +162,40 @@ def test_quaternion_sign_alignment():
     pts = [ManifoldPoint(spec, x) for x in X]
     g = fit_gaussian(spec, *_samples(pts))
     assert np.trace(g.covariance) < 0.01
+
+
+@pytest.mark.parametrize("chart", [POLAR_2D, CYLINDRICAL_3D, SPHERICAL_3D],
+                         ids=str)
+def test_phase_kernel_matches_separate_fits(chart):
+    # three weightings of 60 rows spread about a base point, some weights 0
+    # and half of the quaternion signs flipped, fitted at once and one by one
+    spec = chart_spec(chart)
+    base = random_point(spec, RNG).coords[None]
+    X = exp_rows(spec, base, 0.3 * RNG.standard_normal((60, spec.tangent_dim)))
+    for leaf, asl, _ in leaves(spec):
+        if isinstance(leaf, Sphere) and leaf.dim == 3:
+            X[::2, asl] *= -1.0
+    W = RNG.uniform(0.0, 1.0, size=(3, 60)) * (RNG.uniform(size=(3, 60)) > 0.2)
+    W /= W.sum(axis=1, keepdims=True)
+    M, U, S = fit_phases(spec, X, W)
+    for k in range(3):
+        g = fit_gaussian(spec, X, W[k])
+        np.testing.assert_allclose(M[k], g.mean.coords, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(S[k], g.covariance, rtol=0,
+                                   atol=1e-12 * np.abs(S[k]).max())
+        live = W[k] > 0
+        V = log_map_batch(g.mean, quat_sign_align(spec, X, g.mean.coords))
+        np.testing.assert_allclose(U[k, live], V[live], rtol=0, atol=1e-12)
+        assert np.all(U[k, ~live] == 0.0)
+
+
+def test_zero_weight_antipodal_row_is_ignored():
+    # the third row is antipodal to the first phase's mean but has no
+    # weight there, so it can neither move that mean nor fail its log map
+    X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    W = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    M, U, S = fit_phases(Sphere(1), X, W)
+    assert np.array_equal(M, X[1:])
+    assert np.all(U == 0.0) and np.all(S == 0.0)
+    g = fit_gaussian(Sphere(1), X, W[0])
+    assert np.array_equal(g.mean.coords, X[0])
