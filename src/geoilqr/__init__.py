@@ -14,8 +14,8 @@ from .kinematics import (ArmModel, JointTrajectory, batch_dynamics,
                          forward_kinematics, kinematic_jacobian, rollout)
 from .phases import (Demonstration, PhaseModel, TimeGmm, build_phase_model,
                      fit_time_gmm, phase_weights)
-from .planner import (PlanProblem, PlanResult, Reference, residuals_and_jacobian,
-                      gauss_newton_step, solve)
+from .planner import (PlanProblem, PlanResult, References,
+                      residuals_and_jacobian, gauss_newton_step, solve)
 from .tasks import (DEFAULT_ARM, TaskSpec, TrialReport, build_references,
                     default_spec, evaluate_trial, fit_task_model,
                     generate_demos, run_experiment)

@@ -15,12 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .charts import (ChartPose, charts_for, from_chart, orientation_spec,
-                     position_spec)
+from .charts import CARTESIAN_2D, chart_spec, charts_for
 from .io import (atomic_write_text, demos_from_dict, demos_to_csv,
                  demos_to_dict, write_json)
 from .kinematics import ArmModel, forward_kinematics, kinematics_rows
-from .manifolds import ManifoldPoint, exp_rows
+from .manifolds import exp_rows
 from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
                      phase_model_to_dict)
 from .planner import PlanProblem, result_to_dict, solve
@@ -209,20 +208,19 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _reference_contour(ref, frame) -> np.ndarray:
-    """World-frame 1-standard-deviation contour of a reference's position
-    marginal, mapped through the chart. The circle is scaled by the Cholesky
-    factor, which, unlike eigenvectors, moves continuously with the
+def _reference_contour(chart, mean, precision, frame) -> np.ndarray:
+    """World-frame 1-standard-deviation contour of the position marginal of
+    a reference row, mapped through the chart. The circle is scaled by the
+    Cholesky factor, which, unlike eigenvectors, moves continuously with the
     covariance, also where its eigenvalues are equal."""
-    L = np.linalg.cholesky(np.linalg.inv(ref.precision)[:2, :2])
+    L = np.linalg.cholesky(np.linalg.inv(precision)[:2, :2])
     a = np.linspace(0.0, 2.0 * np.pi, 60)
-    V = np.zeros((len(a), ref.mean.spec.tangent_dim))
+    V = np.zeros((len(a), 3))
     V[:, :2] = np.stack([np.cos(a), np.sin(a)], axis=1) @ L.T
-    pos, k = position_spec(ref.chart), position_spec(ref.chart).ambient_dim
-    return np.array([from_chart(ChartPose(
-        ref.chart, ManifoldPoint(pos, x[:k]),
-        ManifoldPoint(orientation_spec(ref.chart), x[k:])), frame).position
-        for x in exp_rows(ref.mean.spec, ref.mean.coords[None], V)])
+    X = exp_rows(chart_spec(chart), mean[None], V)
+    # object-frame positions: (x, y), or the radius times the azimuth
+    return frame.to_world(X[:, :2] if chart == CARTESIAN_2D
+                          else X[:, 2:3] * X[:, :2])
 
 
 def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
@@ -237,14 +235,10 @@ def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
         snaps.append((link_positions(arm, result.trajectory.states[t]),
                       0.8 - 0.6 * i / 5))
         pts.append(snaps[-1][0])
-    contours = []
-    for ref in problem.references:
-        if ref is None:
-            continue
-        try:
-            contours.append(_reference_contour(ref, frame))
-        except Exception:
-            continue
+    refs = problem.references
+    means = {c: iter(M) for c, M in refs.means.items()}  # rows in row order
+    contours = [_reference_contour(c, next(means[c]), P, frame)
+                for c, P in zip(refs.charts, refs.precisions)]
     pts.extend(contours)
     allp = np.vstack(pts)
     lo, hi = allp.min(axis=0) - 0.3, allp.max(axis=0) + 0.3
@@ -314,9 +308,10 @@ def cmd_plan(args) -> int:
     write_json(os.path.join(out, "trajectory.json"), payload)
 
     rows = ["t,q,x,y,heading,chart,residual_norm"]
+    names = dict(zip(refs.ts.tolist(), (c.name for c in refs.charts)))
     for t, q in enumerate(result.trajectory.states):
         pose = forward_kinematics(arm, q)
-        chart = refs[t].chart.name if refs[t] is not None else ""
+        chart = names.get(t, "")
         res = result.residual_norms.get(t, "")
         qs = " ".join(f"{v:.6f}" for v in q)
         rows.append(f"{t},{qs},{pose.position[0]:.6f},{pose.position[1]:.6f},"

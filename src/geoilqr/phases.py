@@ -300,28 +300,41 @@ def _field(name: str, value, shape: tuple) -> np.ndarray:
 
 def phase_model_from_dict(d: dict) -> PhaseModel:
     """The PhaseModel of a model.json dict; ValueError names the first field
-    whose rows do not match the rows of weights or the chart's widths."""
+    that is missing, or whose rows do not match the rows of weights, the
+    model's charts or the chart's widths."""
+    try:
+        return _phase_model(d)
+    except KeyError as exc:
+        raise ValueError(f"model field {exc.args[0]!r} is missing") from None
+
+
+def _phase_model(d: dict) -> PhaseModel:
     charts = [ChartId(c["space"], c["index"]) for c in d["charts"]]
     by_name = {str(c): c for c in charts}
     T = len(d["weights"])
     weights = _field("weights", d["weights"], (T, len(d["phases"])))
+
+    def per_chart(where: str, entry: dict, mean: str, cov: str, rows=()):
+        """chart -> (means, covariances) of an entry naming every chart."""
+        if set(entry) != set(by_name):
+            raise ValueError(f"model {where} names charts {sorted(entry)}, "
+                             f"not the model charts {sorted(by_name)}")
+        out = {}
+        for name, g in entry.items():
+            spec = chart_spec(by_name[name])
+            n, k = spec.ambient_dim, spec.tangent_dim
+            out[by_name[name]] = (
+                _field(f"{where} {name} {mean}", g[mean], (*rows, n)),
+                _field(f"{where} {name} {cov}", g[cov], (*rows, k, k)))
+        return out
+
     phases = []
-    for phase in d["phases"]:
-        entry = {}
-        for name, g in phase.items():
-            chart = by_name[name]
-            mean = ManifoldPoint(chart_spec(chart), np.array(g["mean"]))
-            entry[chart] = ManifoldGaussian.from_moments(
-                mean, np.array(g["covariance"]))
-        phases.append(entry)
-    references = {}
-    for name, r in d["references"].items():
-        spec = chart_spec(by_name[name])
-        n, k = spec.ambient_dim, spec.tangent_dim
-        references[by_name[name]] = ChartReferences(
-            _field(f"references {name} means", r["means"], (T, n)),
-            _field(f"references {name} covariances", r["covariances"],
-                   (T, k, k)))
+    for i, phase in enumerate(d["phases"]):
+        fits = per_chart(f"phase {i}", phase, "mean", "covariance")
+        phases.append({c: ManifoldGaussian.from_moments(
+            ManifoldPoint(chart_spec(c), m), S) for c, (m, S) in fits.items()})
+    references = {c: ChartReferences(*arrays) for c, arrays in per_chart(
+        "references", d["references"], "means", "covariances", (T,)).items()}
     winners = [ChartId(c["space"], c["index"]) for c in d["winners"]]
     if len(winners) != T or not set(winners) <= set(references):
         raise ValueError(f"model winners must name a chart with references "

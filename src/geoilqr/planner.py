@@ -13,35 +13,73 @@ its pass, and the Jacobian pass linearizes it once, on those states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .charts import ChartId, OriginSingularity, chart_rows_2d, chart_spec
+from .charts import (TWO_D, OriginSingularity, chart_rows_2d, chart_spec,
+                     charts_for)
 from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
-from .manifolds import (AntipodalPoint, ManifoldPoint, log_jacobian_rows,
+from .manifolds import (AntipodalPoint, Sphere, leaves, log_jacobian_rows,
                         log_rows)
 
 LINE_SEARCH_MIN_STEP = 1e-4
 STEP_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITER = 100
+PLANAR_CHARTS = frozenset(charts_for(TWO_D))
 
 
 class LineSearchFailed(RuntimeWarning):
     pass
 
 
-@dataclass(frozen=True)
-class Reference:
-    """Active viapoint distribution for one timestep in one chart."""
-    chart: ChartId
-    mean: ManifoldPoint          # point on the chart's product manifold
-    precision: np.ndarray        # tangent-space precision at the mean
+class References(NamedTuple):
+    """The active references of a plan as rows: the n active timesteps ts
+    (increasing), the chart of each row, each chart's means (n_c x ambient,
+    in row order) and the tangent precisions at the means (n x 3 x 3)."""
+    ts: np.ndarray
+    charts: list
+    means: dict
+    precisions: np.ndarray
 
-    def __post_init__(self):
-        if self.mean.spec != chart_spec(self.chart):
-            raise ValueError("reference mean is not on the chart manifold")
+
+def _checked(refs: References, T: int, start: int):
+    """The rows of refs at or after start, and each chart's row indices among
+    them; ValueError on rows that are not the references of a T-step plan."""
+    def need(ok, what: str):
+        if not ok:
+            raise ValueError(f"references need {what}")
+
+    ts, charts, means, precisions = refs
+    ts, precisions = np.asarray(ts), np.asarray(precisions, dtype=float)
+    need(ts.ndim == 1 and ts.dtype.kind in "iu" and (ts[1:] > ts[:-1]).all()
+         and (not ts.size or 0 <= ts[0] and ts[-1] < T),
+         f"ts increasing integers in [0, {T})")
+    need(len(charts) == len(ts) and set(charts) <= PLANAR_CHARTS,
+         "one 2D chart per row")
+    need(precisions.shape == (len(ts), 3, 3) and np.isfinite(precisions).all(),
+         f"{len(ts)} finite 3 x 3 precisions")
+    need(set(means) == set(charts), "one means block per chart")
+    keep = ts >= start
+    need(keep.any(), f"a row at or after activation_start {start}")
+    blocks, rows = {}, {}
+    for chart, M in means.items():
+        mask = np.array([c == chart for c in charts])
+        spec, M = chart_spec(chart), np.asarray(M, dtype=float)
+        n, width = mask.sum(), spec.ambient_dim
+        # finite rows of the chart's width that pass the ManifoldPoint test
+        need(M.shape == (n, width) and np.isfinite(M).all() and all(
+            (abs(np.sqrt(np.vecdot(M[:, a], M[:, a])) - 1) <= 1e-9).all()
+            for leaf, a, _ in leaves(spec) if isinstance(leaf, Sphere)),
+            f"{n} means of {chart}, finite rows of {width} with unit sphere "
+            "blocks")
+        if keep[mask].any():
+            blocks[chart] = M[keep[mask]]
+            rows[chart] = np.flatnonzero(mask[keep])
+    return (References(ts[keep], [c for c, k in zip(charts, keep) if k],
+                       blocks, precisions[keep]), rows)
 
 
 @dataclass
@@ -51,7 +89,7 @@ class PlanProblem:
     horizon: int
     dt: float
     frame: object                           # object frame the charts live in
-    references: list                        # length T, Reference or None
+    references: References                  # kept: rows >= activation_start
     control_weight: float = 1e-2
     activation_start: int = 0
 
@@ -62,25 +100,8 @@ class PlanProblem:
         if (self.q0.shape != (self.arm.dof,)
                 or not np.all(np.isfinite(self.q0))):
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
-        if len(self.references) != self.horizon:
-            raise ValueError("references list must match the horizon")
-        active = self.active_references()
-        if not active:
-            raise ValueError("at least one active reference required")
-        # row arrays of the active references, built once for the solver
-        self._active_ts = np.array([t for t, _ in active])
-        self._precisions = np.array([r.precision for _, r in active])
-        charts = [r.chart for _, r in active]
-        self._chart_rows = []
-        for chart in dict.fromkeys(charts):
-            rows = np.flatnonzero([c == chart for c in charts])
-            means = np.array([active[i][1].mean.coords for i in rows])
-            self._chart_rows.append((chart, rows, means))
-
-    def active_references(self):
-        """(t, Reference) pairs honoring the activation window."""
-        return [(t, r) for t, r in enumerate(self.references)
-                if r is not None and t >= self.activation_start]
+        self.references, self._rows = _checked(
+            References(*self.references), self.horizon, self.activation_start)
 
 
 @dataclass
@@ -96,12 +117,13 @@ def _forward(problem: PlanProblem, u: np.ndarray):
     """Cost at the controls u, and the residuals F (n x 3) and joint states
     Q (n x D) of the n active timesteps. A chart singularity raises naming
     the first offending timestep."""
-    ts = problem._active_ts
+    refs, ts = problem.references, problem.references.ts
     Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
     P, H, _ = kinematics_rows(problem.arm, Q)
     F = np.empty((len(ts), 3))
     failures = []
-    for chart, rows, means in problem._chart_rows:
+    for chart, rows in problem._rows.items():
+        means = refs.means[chart]
         try:
             X, _ = chart_rows_2d(chart, problem.frame, P[rows], H[rows])
         except OriginSingularity as exc:
@@ -117,7 +139,7 @@ def _forward(problem: PlanProblem, u: np.ndarray):
         row, exc = min(failures, key=lambda f: f[0])
         raise type(exc)(f"timestep {ts[row]}: {exc}") from exc
     c = (problem.control_weight * float(u @ u)
-         + float(np.einsum("ni,nij,nj->", F, problem._precisions, F)))
+         + float(np.einsum("ni,nij,nj->", F, refs.precisions, F)))
     return c, F, Q
 
 
@@ -135,14 +157,15 @@ def _jacobian(problem: PlanProblem, Q: np.ndarray) -> np.ndarray:
     states Q (n x D), which a forward pass has found free of singularities."""
     P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
     J = np.empty((len(Q), 3, problem.arm.dof))
-    for chart, rows, means in problem._chart_rows:
+    for chart, rows in problem._rows.items():
         X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows], True)
-        J[rows] = log_jacobian_rows(chart_spec(chart), means, X) @ Jc @ Jk[rows]
+        M = problem.references.means[chart]
+        J[rows] = log_jacobian_rows(chart_spec(chart), M, X) @ Jc @ Jk[rows]
     return J.reshape(-1, problem.arm.dof)
 
 
 def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
-    return dict(zip(problem._active_ts.tolist(),
+    return dict(zip(problem.references.ts.tolist(),
                     np.linalg.norm(F, axis=1).tolist()))
 
 
@@ -166,10 +189,10 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
     matrix (r/dt²)·(K ⊗ I_D) + blockdiag(JₜᵀQₜJₜ) has half-bandwidth D, with
     K = tridiag(-1, 2, -1) but 1 in the last entry. u_T moves no state, so
     its step is -u_T."""
-    D, T, ts = problem.arm.dof, problem.horizon, problem._active_ts
-    r, dt, U = problem.control_weight, problem.dt, u.reshape(T, D)
+    D, T, refs = problem.arm.dof, problem.horizon, problem.references
+    r, dt, U, ts = problem.control_weight, problem.dt, u.reshape(T, D), refs.ts
     Jr = J.reshape(-1, 3, D)
-    JtQ = Jr.transpose(0, 2, 1) @ problem._precisions
+    JtQ = Jr.transpose(0, 2, 1) @ refs.precisions
     # control term r/dt (u_t - u_{t-1}) at state t, u_T left out; row 0 unused
     g = (r / dt) * np.diff(U[:-1], axis=0, prepend=0.0, append=0.0)
     g[ts] -= np.einsum("nai,ni->na", JtQ, f.reshape(-1, 3))

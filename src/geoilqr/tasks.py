@@ -12,15 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import (CartesianPose, Frame2D, Frame3D, azimuth_quat, chart_spec,
+from .charts import (CartesianPose, Frame2D, Frame3D, azimuth_quat,
                      charts_for, pole_quat, quat_from_axis_angle, quat_mul,
                      quat_normalize)
 from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
                          kinematics_rows, planar_ik_3link)
-from .manifolds import ManifoldPoint
 from .phases import (Demonstration, PhaseModel, build_phase_model,
                      fit_time_gmm)
-from .planner import PlanProblem, PlanResult, Reference, solve
+from .planner import PlanProblem, PlanResult, References, solve
 from .stats import select_winner
 
 GRASP2D = "grasp2d"
@@ -196,40 +195,39 @@ DEFAULT_ARM = ArmModel(np.array([1.5, 1.5, 1.0]))
 PRECISION_CAP = 1e4
 
 
-def _capped_precision(covariance: np.ndarray) -> np.ndarray:
-    """Precision of a covariance whose eigenvalues are floored at
-    1 / PRECISION_CAP, so near-noiseless demonstrations do not produce an
-    ill-conditioned tracking cost."""
-    vals, vecs = np.linalg.eigh(covariance)
-    return (vecs / np.maximum(vals, 1.0 / PRECISION_CAP)) @ vecs.T
-
-
 def build_references(model: PhaseModel, selector, T: int,
-                     activation_start: int, mode: str) -> list:
+                     activation_start: int, mode: str) -> References:
     """References for a plan: 'stepwise' places one viapoint per phase at the
     end of its dominance window; 'dense' activates the blended reference at
-    every timestep after the warm-up. selector is a ChartId or 'optimal'."""
-    refs = [None] * T
+    every timestep after the warm-up. selector is a ChartId or 'optimal'.
+    The covariance eigenvalues are floored at 1 / PRECISION_CAP, so
+    near-noiseless demonstrations do not give an ill-conditioned cost."""
     if mode == "dense":
-        for t in range(activation_start, T):
-            chart = model.winners[t] if selector == "optimal" else selector
-            r = model.references[chart]
-            refs[t] = Reference(chart, ManifoldPoint(chart_spec(chart),
-                                                     r.means[t]),
-                                _capped_precision(r.covariances[t]))
-        return refs
-    K = model.weights.shape[1]
-    dominant = np.argmax(model.weights, axis=1)
-    for k in range(K):
-        ts = [t for t in range(activation_start, T) if dominant[t] == k]
-        if not ts:
-            continue
-        t_k = ts[-1]
-        chart = (select_winner(model.phases[k]) if selector == "optimal"
-                 else selector)
-        g = model.phases[k][chart]
-        refs[t_k] = Reference(chart, g.mean, _capped_precision(g.covariance))
-    return refs
+        ts = idx = np.arange(activation_start, T)   # rows of the blend
+        charts = (model.winners[activation_start:T] if selector == "optimal"
+                  else [selector] * len(ts))
+        source = {c: (r.means, r.covariances)
+                  for c, r in model.references.items()}
+    else:
+        dominant = np.argmax(model.weights[activation_start:T], axis=1)
+        # the last timestep of each phase's dominance window, in time order
+        ts, idx = np.array(sorted(
+            (activation_start + np.flatnonzero(dominant == k)[-1], k)
+            for k in set(dominant.tolist())), dtype=int).reshape(-1, 2).T
+        charts = [select_winner(model.phases[k]) if selector == "optimal"
+                  else selector for k in idx]
+        source = {c: (np.array([p[c].mean.coords for p in model.phases]),
+                      np.array([p[c].covariance for p in model.phases]))
+                  for c in model.charts}
+    means, covs = {}, np.empty((len(ts), 3, 3))
+    for chart in dict.fromkeys(charts):
+        rows = np.array([c == chart for c in charts])
+        means[chart] = source[chart][0][idx[rows]]
+        covs[rows] = source[chart][1][idx[rows]]
+    vals, vecs = np.linalg.eigh(covs)
+    vals = np.maximum(vals, 1.0 / PRECISION_CAP)[:, None]
+    return References(ts, charts, means,
+                      (vecs / vals) @ np.swapaxes(vecs, 1, 2))
 
 
 # trial success thresholds
@@ -368,8 +366,8 @@ def _run_trial(args):
     entry = {"index": i, "q0": q0.tolist()}
     try:
         problem = PlanProblem(arm, q0, spec.horizon, spec.dt,
-                              spec.object_frame, list(refs),
-                              control_weight, activation_start)
+                              spec.object_frame, refs, control_weight,
+                              activation_start)
         result = solve(problem)
         ok, reason = evaluate_trial(result, spec, arm, activation_start)
         entry.update(success=bool(ok), reason=reason,

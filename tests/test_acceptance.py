@@ -13,7 +13,8 @@ from geoilqr.kinematics import batch_dynamics
 from geoilqr.manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
                                exp_map, exp_rows, geodesic_distance, log_map,
                                random_point, random_tangent)
-from geoilqr.planner import PlanProblem, residuals_and_jacobian, solve
+from geoilqr.planner import (PlanProblem, References, residuals_and_jacobian,
+                             solve)
 from geoilqr.stats import geometric_mean, select_winner
 from geoilqr.tasks import (DEFAULT_ARM, build_references, default_spec,
                            evaluate_trial, fit_task_model, plan_mode,
@@ -25,7 +26,7 @@ RNG = np.random.default_rng(42)
 def _dense_jacobian(p, J):
     """Scatter the per-timestep Jacobian rows (3n x D) into the Jacobian
     w.r.t. all stacked states (3n x T·D)."""
-    ts = [t for t, _ in p.active_references()]
+    ts = p.references.ts
     D = J.shape[1]
     dense = np.zeros((len(ts), 3, p.horizon, D))
     dense[np.arange(len(ts)), :, ts, :] = J.reshape(-1, 3, D)
@@ -162,12 +163,18 @@ def test_criterion_03_jacobian_chain(capsys, grasp):
         rng = np.random.default_rng(trial)
         chart = (CARTESIAN_2D, POLAR_2D)[trial % 2]
         T = int(rng.integers(10, 25))
+        # the stepwise rows at T picked timesteps, moved to their positions
+        # among the picked ones; the last dense row at T - 1 if none is picked
         refs = build_references(model, chart, spec.horizon, 20, "stepwise")
-        refs = [refs[t] for t in
-                sorted(rng.choice(spec.horizon, size=T, replace=False))]
-        if not any(r is not None for r in refs):
-            refs[-1] = build_references(model, chart, spec.horizon, 20,
-                                        "dense")[-1]
+        picked = sorted(rng.choice(spec.horizon, size=T, replace=False))
+        rows = np.flatnonzero(np.isin(refs.ts, picked))
+        ts = np.searchsorted(picked, refs.ts[rows])
+        if not len(rows):
+            refs = build_references(model, chart, spec.horizon, 20, "dense")
+            rows, ts = [-1], [T - 1]
+        refs = References(np.asarray(ts), [chart] * len(rows),
+                          {chart: refs.means[chart][rows]},
+                          refs.precisions[rows])
         q0 = sample_initial_states(demos, DEFAULT_ARM, 1, rng)[0]
         p = PlanProblem(DEFAULT_ARM, q0, T, spec.dt, spec.object_frame,
                         refs, 1e-2)

@@ -178,15 +178,14 @@ def test_reference_contour_is_continuous_at_isotropic_covariance():
     # not turn with last-bit changes of the covariance
     from geoilqr.charts import POLAR_2D, CartesianPose, Frame2D, to_chart
     from geoilqr.cli import _reference_contour
-    from geoilqr.planner import Reference
     frame = Frame2D(np.array([0.7, 0.0]))
     mean = to_chart(CartesianPose.from_angle(0.4, 0.3, 2.0), POLAR_2D,
-                    frame).point()
+                    frame).point().coords
     cov = 1e-4 * np.eye(3)
     bump = np.zeros((3, 3))
     bump[:2, :2] = [[1.0, 0.5], [0.5, -1.0]]
-    a, b = [_reference_contour(Reference(POLAR_2D, mean, np.linalg.inv(c)),
-                               frame) for c in (cov, cov + 1e-15 * bump)]
+    a, b = [_reference_contour(POLAR_2D, mean, np.linalg.inv(c), frame)
+            for c in (cov, cov + 1e-15 * bump)]
     assert np.abs(a - b).max() <= 1e-9
 
 
@@ -249,13 +248,31 @@ def _cut_winners(model):
     model["winners"].pop()
 
 
+def _drop_winners(model):
+    del model["winners"]
+
+
+def _drop_phase_chart(model):
+    del model["phases"][1]["polar-2d"]
+
+
+def _narrow_phase_covariance(model):
+    model["phases"][0]["polar-2d"]["covariance"] = [[1e-4, 0.0], [0.0, 1e-4]]
+
+
 @pytest.mark.parametrize("edit, field", [
     (_cut_rows, "references polar-2d means has shape (50, 5), not (100, 5)"),
     (_narrow_means, "references cartesian-2d means has shape (100, 3), not "
                     "(100, 4)"),
     (_short_row, "references polar-2d covariances is not an array"),
-    (_cut_winners, "winners")], ids=["cut-rows", "narrow-means", "short-row",
-                                     "cut-winners"])
+    (_cut_winners, "winners"),
+    (_drop_winners, "model field 'winners' is missing"),
+    (_drop_phase_chart, "model phase 1 names charts ['cartesian-2d'], not "
+                        "the model charts ['cartesian-2d', 'polar-2d']"),
+    (_narrow_phase_covariance, "phase 0 polar-2d covariance has shape (2, 2),"
+                               " not (3, 3)")],
+    ids=["cut-rows", "narrow-means", "short-row", "cut-winners",
+         "no-winners", "phase-without-chart", "phase-covariance-2x2"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:

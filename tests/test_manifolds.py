@@ -319,3 +319,56 @@ def test_transport_rows_is_an_isometry_with_an_inverse(case):
         np.testing.assert_allclose(
             parallel_transport(a, b, TangentVector(a, V[i])).coords, T[i],
             rtol=0, atol=1e-12)
+
+
+SPHERE_SPECS = {"sphere-2": Sphere(2), "sphere-3": Sphere(3),
+                "cylindrical-3d": CHART_SPECS["cylindrical-3d"],
+                "spherical-3d": CHART_SPECS["spherical-3d"]}
+SHORT_OF_ANTIPODE = np.pi - 1e-3
+
+
+@st.composite
+def _sphere_log_cases(draw):
+    """Spec name, the raw coordinates of p (8), a raw tangent at p (7) and,
+    for each sphere factor, the geodesic angle from p to x (at most 1e-3
+    short of the antipode) along that factor's block of the tangent."""
+    coord = st.floats(-2.0, 2.0)
+    angle = st.floats(0.0, SHORT_OF_ANTIPODE)
+    return (draw(st.sampled_from(sorted(SPHERE_SPECS))),
+            draw(st.tuples(*[coord] * 8)), draw(st.tuples(*[coord] * 7)),
+            draw(st.tuples(angle, angle)))
+
+
+P_CYL = (1.0, 0.0, 0.3, -0.2, 1.0, 0.0, 0.0, 0.0)       # e1 in each sphere
+P_SPH = (1.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_sphere_log_cases())
+@example(("spherical-3d", P_SPH, (0.0,) * 7, (0.0, 0.0)))          # x = p
+@example(("sphere-3", V1 + (0.0,), V1, (0.0, 0.0)))                # x = p
+@example(("sphere-2", E1, V1, (1.0, 0.0)))                         # p = e1
+@example(("cylindrical-3d", P_CYL, V1, (2.0, 1.0)))                # p = e1
+@example(("sphere-3", V1 + (0.0,), V1[::-1], (SHORT_OF_ANTIPODE, 0.0)))
+@example(("spherical-3d", P_SPH, V1, (SHORT_OF_ANTIPODE,) * 2))
+@example(("cylindrical-3d", V1 + (1.0,), V1, (SHORT_OF_ANTIPODE,) * 2))
+def test_sphere_log_differential_matches_central_differences(case):
+    name, p, v, angles = case
+    spec = SPHERE_SPECS[name]
+    P = _unit_blocks(spec, p)
+    assume(P is not None)
+    V, k = np.array(v[:spec.tangent_dim]), 0
+    for leaf, _, tsl in leaves(spec):
+        if isinstance(leaf, Sphere):
+            n = np.linalg.norm(V[tsl])
+            assume(angles[k] == 0.0 or n >= 1e-3)
+            V[tsl] *= angles[k] / max(n, 1e-3)
+            k += 1
+    P = P[None]
+    X = exp_rows(spec, P, V[None])
+    h, d = 1e-6, spec.tangent_dim
+    steps = h * np.eye(d)
+    num = (log_rows(spec, P, exp_rows(spec, X, steps))
+           - log_rows(spec, P, exp_rows(spec, X, -steps))).T / (2 * h)
+    err = np.abs(log_jacobian_rows(spec, P, X)[0] - num).max()
+    assert err <= 1e-5 * np.abs(num).max()

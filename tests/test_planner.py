@@ -5,11 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from geoilqr import planner
-from geoilqr.charts import (CARTESIAN_2D, POLAR_2D, CartesianPose, Frame2D,
-                            OriginSingularity, chart_spec, to_chart)
+from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D,
+                            CartesianPose, Frame2D, OriginSingularity,
+                            chart_spec, to_chart)
 from geoilqr.kinematics import ArmModel, batch_dynamics, forward_kinematics, rollout
-from geoilqr.manifolds import AntipodalPoint, ManifoldPoint
-from geoilqr.planner import (PlanProblem, Reference, cost, gauss_newton_step,
+from geoilqr.manifolds import AntipodalPoint
+from geoilqr.planner import (PlanProblem, References, cost, gauss_newton_step,
                              residuals_and_jacobian, result_from_dict,
                              result_to_dict, solve)
 
@@ -19,27 +20,37 @@ FRAME = Frame2D(np.zeros(2), 0.0)
 
 
 def _reference_at(q, chart, precision_scale=100.0):
-    """Reference whose mean is the chart image of the arm pose at q."""
+    """Reference row (chart, mean, precision) whose mean is the chart image
+    of the arm pose at q."""
     pose = forward_kinematics(ARM, q)
-    mean = to_chart(pose, chart, FRAME).point()
+    mean = to_chart(pose, chart, FRAME).point().coords
     d = chart_spec(chart).tangent_dim
-    return Reference(chart, mean, precision_scale * np.eye(d))
+    return chart, mean, precision_scale * np.eye(d)
+
+
+def _references(rows):
+    """References of a dict timestep -> (chart, mean, precision)."""
+    ts = sorted(rows)
+    charts = [rows[t][0] for t in ts]
+    means = {c: np.array([rows[t][1] for t in ts if rows[t][0] == c])
+             for c in dict.fromkeys(charts)}
+    return References(np.array(ts, dtype=int), charts, means,
+                      np.array([rows[t][2] for t in ts]).reshape(-1, 3, 3))
 
 
 def _viapoint_problem(chart, T=30, seed=0, q0=None):
     rng = np.random.default_rng(seed)
     q0 = rng.uniform(0.2, 0.8, size=3) if q0 is None else q0
     q_goal = q0 + rng.uniform(-0.5, 0.5, size=3)
-    refs = [None] * T
-    refs[T // 2] = _reference_at(q_goal + 0.1, chart)
-    refs[T - 1] = _reference_at(q_goal, chart)
+    refs = _references({T // 2: _reference_at(q_goal + 0.1, chart),
+                        T - 1: _reference_at(q_goal, chart)})
     return PlanProblem(ARM, q0, T, 0.1, FRAME, refs, 1e-3)
 
 
 def _dense_jacobian(p, J):
     """Scatter the per-timestep Jacobian rows (3n x D) into the Jacobian
     w.r.t. all stacked states (3n x T·D)."""
-    ts = [t for t, _ in p.active_references()]
+    ts = p.references.ts
     D = J.shape[1]
     dense = np.zeros((len(ts), 3, p.horizon, D))
     dense[np.arange(len(ts)), :, ts, :] = J.reshape(-1, 3, D)
@@ -51,24 +62,79 @@ def _dense_step(p, u, f, J):
     dense transfer matrix S_u and a dense (T·D)² Cholesky factorization."""
     _, S_u = batch_dynamics(p.arm.dof, p.horizon, p.dt)
     JS = _dense_jacobian(p, J) @ S_u
-    Q = block_diag(*[r.precision for _, r in p.active_references()])
+    Q = block_diag(*p.references.precisions)
     H = JS.T @ Q @ JS
     H[np.diag_indices_from(H)] += p.control_weight
     return cho_solve(cho_factor(H), -JS.T @ (Q @ f) - p.control_weight * u)
 
 
+def _two_rows():
+    """References at timesteps 2 (Cartesian) and 8 (polar)."""
+    return _references({2: _reference_at(np.array([0.3, 0.4, 0.5]),
+                                         CARTESIAN_2D),
+                        8: _reference_at(np.array([0.5, 0.4, 0.3]),
+                                         POLAR_2D)})
+
+
+def _bad_means(chart, edit):
+    """An edit of references that applies edit to a copy of chart's means."""
+    def apply(refs):
+        means = dict(refs.means)
+        means[chart] = edit(means[chart].copy())
+        return refs._replace(means=means)
+    return apply
+
+
+def _unit_s1_off(M):
+    M[:, -2:] *= 1.0 + 1e-8     # the heading block, 1e-8 off the unit circle
+    return M
+
+
+NO_ACTIVE_ROW = "a row at or after activation_start"
+
+
+# (edit of _two_rows(), expected message): unsorted, repeated, past the
+# horizon, negative and float timesteps; precisions 2 x 2 and NaN; means too
+# narrow, with extra rows, off the unit circle and NaN; a 3D chart, a chart
+# count short, a means block missing; no rows at all
+BAD_REFERENCES = [
+    (lambda r: r._replace(ts=np.array([8, 2])), "ts increasing integers"),
+    (lambda r: r._replace(ts=np.array([2, 2])), "ts increasing integers"),
+    (lambda r: r._replace(ts=np.array([2, 10])), r"in \[0, 10\)"),
+    (lambda r: r._replace(ts=np.array([-1, 8])), r"in \[0, 10\)"),
+    (lambda r: r._replace(ts=np.array([2.0, 8.0])), "integers"),
+    (lambda r: r._replace(precisions=r.precisions[:, :2, :2]), "3 x 3"),
+    (lambda r: r._replace(precisions=np.where(np.eye(3), np.nan, 0.0)
+                          * np.ones((2, 1, 1))), "finite 3 x 3 precisions"),
+    (_bad_means(POLAR_2D, lambda M: M[:, :4]), "finite rows of 5"),
+    (_bad_means(CARTESIAN_2D, lambda M: np.vstack([M, M])),
+     "1 means of cartesian-2d"),
+    (_bad_means(POLAR_2D, _unit_s1_off), "unit sphere blocks"),
+    (_bad_means(CARTESIAN_2D, lambda M: M * np.nan), "finite rows"),
+    (lambda r: r._replace(charts=[CARTESIAN_3D, POLAR_2D],
+                          means={CARTESIAN_3D: np.zeros((1, 7)),
+                                 POLAR_2D: r.means[POLAR_2D]}), "2D chart"),
+    (lambda r: r._replace(charts=[POLAR_2D]), "one 2D chart per row"),
+    (lambda r: r._replace(means={POLAR_2D: r.means[POLAR_2D]}),
+     "one means block per chart"),
+    (lambda r: References(np.zeros(0, int), [], {}, np.zeros((0, 3, 3))),
+     NO_ACTIVE_ROW),
+]
+
+
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, [None] * 9)
-    with pytest.raises(ValueError):
-        PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, [None] * 10)
+    PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, _two_rows())
+    for edit, match in BAD_REFERENCES:
+        with pytest.raises(ValueError, match=match):
+            PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, edit(_two_rows()))
 
 
 @pytest.mark.parametrize("q0", [[1.0, 2.0], [0.0, np.nan, 0.0],
                                 [np.inf, 0.0, 0.0], np.zeros((1, 3))],
                          ids=["short", "nan", "inf", "row"])
 def test_problem_rejects_bad_initial_state(q0):
-    refs = [_reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)] * 3
+    row = _reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)
+    refs = _references(dict.fromkeys(range(3), row))
     with pytest.raises(ValueError, match="q0 must be 3 finite joint angles"):
         PlanProblem(ARM, q0, 3, 0.1, FRAME, refs)
 
@@ -77,25 +143,35 @@ def test_problem_rejects_bad_initial_state(q0):
                          [(0, 0.1, 1e-2), (3, 0.0, 1e-2), (3, -0.1, 1e-2),
                           (3, 0.1, 0.0), (3, 0.1, -1e-2), (3, 0.1, np.nan)])
 def test_problem_rejects_bad_planning_numbers(horizon, dt, control_weight):
-    refs = [_reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)] * horizon
+    row = _reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)
+    refs = _references(dict.fromkeys(range(horizon), row))
     with pytest.raises(ValueError, match="dt > 0"):
         PlanProblem(ARM, np.zeros(3), horizon, dt, FRAME, refs,
                     control_weight)
 
 
 def test_activation_window():
-    refs = [None] * 10
-    refs[2] = _reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)
-    refs[8] = _reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)
-    p = PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs,
-                    activation_start=5)
-    assert [t for t, _ in p.active_references()] == [8]
+    refs = _two_rows()
+    for start, active in ((0, [2, 8]), (5, [8]), (8, [8])):
+        p = PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, list(refs),
+                        activation_start=start)
+        kept = [t in active for t in refs.ts]
+        assert p.references.ts.tolist() == active
+        assert p.references.charts == [c for c, k in zip(refs.charts, kept)
+                                       if k]
+        np.testing.assert_array_equal(p.references.precisions,
+                                      refs.precisions[kept])
+        for chart, M in p.references.means.items():
+            rows = [k for c, k in zip(refs.charts, kept) if c == chart]
+            np.testing.assert_array_equal(M, refs.means[chart][rows])
+    with pytest.raises(ValueError, match=NO_ACTIVE_ROW):
+        PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs,
+                    activation_start=9)
 
 
 def test_residual_zero_at_reference():
     q0 = np.array([0.3, 0.5, 0.2])
-    refs = [None] * 5
-    refs[0] = _reference_at(q0, CARTESIAN_2D)
+    refs = _references({0: _reference_at(q0, CARTESIAN_2D)})
     p = PlanProblem(ARM, q0, 5, 0.01, FRAME, refs)
     f, J, norms = residuals_and_jacobian(p, np.zeros(15))
     assert np.allclose(f[:3], 0.0, atol=1e-9)
@@ -105,8 +181,7 @@ def test_residual_zero_at_reference():
 def test_cartesian_residual_is_position_difference():
     q0 = np.array([0.3, 0.5, 0.2])
     target = np.array([0.4, 0.6, 0.1])
-    refs = [None] * 3
-    refs[2] = _reference_at(target, CARTESIAN_2D)
+    refs = _references({2: _reference_at(target, CARTESIAN_2D)})
     p = PlanProblem(ARM, q0, 3, 0.01, FRAME, refs)
     f, _, _ = residuals_and_jacobian(p, np.zeros(9))
     pose0 = forward_kinematics(ARM, q0)
@@ -120,10 +195,9 @@ def _mixed_chart_problem(seed, T=30):
     rng = np.random.default_rng(seed)
     q0 = rng.uniform(0.2, 0.8, size=3)
     q_goal = q0 + rng.uniform(-0.5, 0.5, size=3)
-    refs = [None] * T
-    for k, t in enumerate(range(T // 3, T, 3)):
-        refs[t] = _reference_at(q_goal + 0.02 * k,
-                                (CARTESIAN_2D, POLAR_2D)[k % 2])
+    refs = _references({t: _reference_at(q_goal + 0.02 * k,
+                                         (CARTESIAN_2D, POLAR_2D)[k % 2])
+                        for k, t in enumerate(range(T // 3, T, 3))})
     return PlanProblem(ARM, q0, T, 0.1, FRAME, refs, 1e-3)
 
 
@@ -156,30 +230,28 @@ def test_chart_singularity_names_first_timestep():
     T, u = 10, 0.5 * np.random.default_rng(3).standard_normal(30)
     states = rollout(np.array([0.3, 0.4, 0.5]), u.reshape(T, 3), 0.1)
     frame = Frame2D(forward_kinematics(ARM, states[6]).position, 0.3)
-    refs = [None] * T
+    rows = {}
     for t in range(2, T):
         pose = forward_kinematics(ARM, states[t] + 0.05)
-        refs[t] = Reference(POLAR_2D, to_chart(pose, POLAR_2D, frame).point(),
-                            np.eye(3))
+        rows[t] = (POLAR_2D, to_chart(pose, POLAR_2D, frame).point().coords,
+                   np.eye(3))
     x3 = to_chart(forward_kinematics(ARM, states[3]), POLAR_2D, frame)
-    opposite = np.concatenate([-x3.position.coords[:2], refs[3].mean.coords[2:]])
-    for t_bad, exc, mean3 in ((6, OriginSingularity, refs[3].mean.coords),
+    opposite = np.concatenate([-x3.position.coords[:2], rows[3][1][2:]])
+    for t_bad, exc, mean3 in ((6, OriginSingularity, rows[3][1]),
                               (3, AntipodalPoint, opposite)):
-        refs[3] = Reference(POLAR_2D, ManifoldPoint(chart_spec(POLAR_2D), mean3),
-                            np.eye(3))
-        p = PlanProblem(ARM, states[0], T, 0.1, frame, list(refs))
+        rows[3] = (POLAR_2D, mean3, np.eye(3))
+        p = PlanProblem(ARM, states[0], T, 0.1, frame, _references(rows))
         with pytest.raises(exc, match=f"timestep {t_bad}:"):
             residuals_and_jacobian(p, u)
         assert cost(p, u) == np.inf
     # from zero controls every state is the one with the tip on the origin
     with pytest.raises(OriginSingularity, match="timestep 2:"):
-        solve(PlanProblem(ARM, states[6], T, 0.1, frame, list(refs)))
+        solve(PlanProblem(ARM, states[6], T, 0.1, frame, _references(rows)))
 
 
 def test_step_zero_at_stationary_point():
     q0 = np.array([0.3, 0.5, 0.2])
-    refs = [None] * 5
-    refs[0] = _reference_at(q0, CARTESIAN_2D)
+    refs = _references({0: _reference_at(q0, CARTESIAN_2D)})
     p = PlanProblem(ARM, q0, 5, 0.01, FRAME, refs, control_weight=1e-2)
     u = np.zeros(15)
     f, J, _ = residuals_and_jacobian(p, u)
@@ -193,8 +265,7 @@ def test_step_scale_invariance():
     u = 0.05 * RNG.standard_normal(3 * p.horizon)
     f, J, _ = residuals_and_jacobian(p, u)
     du1 = gauss_newton_step(p, u, f, J)
-    refs = [None if r is None else Reference(r.chart, r.mean, 7.0 * r.precision)
-            for r in p.references]
+    refs = p.references._replace(precisions=7.0 * p.references.precisions)
     scaled = PlanProblem(ARM, p.q0, p.horizon, p.dt, FRAME, refs,
                          7.0 * p.control_weight)
     du2 = gauss_newton_step(scaled, u, f, J)
@@ -227,14 +298,14 @@ def test_banded_step_matches_dense_oracle(case):
     q0 = rng.uniform(0.2, 0.8, size=3)
     u = 0.3 * rng.standard_normal(3 * T)
     states = rollout(q0, u.reshape(T, 3), dt)
-    refs = [None] * T
+    rows = {}
     for t in np.flatnonzero(active):
         pose = forward_kinematics(ARM, states[t] + 0.1 * rng.standard_normal(3))
         A = rng.standard_normal((3, 3))
-        refs[t] = Reference(charts[t],
-                            to_chart(pose, charts[t], FAR_FRAME).point(),
-                            10.0 * (A @ A.T + 0.1 * np.eye(3)))
-    p = PlanProblem(ARM, q0, T, dt, FAR_FRAME, refs, 10.0 ** log_r, start)
+        mean = to_chart(pose, charts[t], FAR_FRAME).point().coords
+        rows[t] = (charts[t], mean, 10.0 * (A @ A.T + 0.1 * np.eye(3)))
+    p = PlanProblem(ARM, q0, T, dt, FAR_FRAME, _references(rows),
+                    10.0 ** log_r, start)
     f, J, _ = residuals_and_jacobian(p, u)
     du, oracle = gauss_newton_step(p, u, f, J), _dense_step(p, u, f, J)
     assert np.abs(du - oracle).max() <= 1e-9 * np.abs(oracle).max()
@@ -252,8 +323,7 @@ def test_solver_converges_and_descends():
 
 def test_solver_immediate_convergence_at_solution():
     q0 = np.array([0.3, 0.5, 0.2])
-    refs = [None] * 5
-    refs[0] = _reference_at(q0, CARTESIAN_2D)
+    refs = _references({0: _reference_at(q0, CARTESIAN_2D)})
     p = PlanProblem(ARM, q0, 5, 0.01, FRAME, refs, control_weight=1e-2)
     result = solve(p)
     assert result.converged and result.iterations <= 1

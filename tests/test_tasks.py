@@ -126,12 +126,12 @@ def test_build_references_shapes():
     spec = default_spec("grasp2d", seed=0)
     demos, gmm, model = fit_task_model(spec)
     step = build_references(model, "optimal", spec.horizon, 20, "stepwise")
-    active = [r for r in step if r is not None]
-    assert len(active) == spec.phase_count
+    assert len(step.ts) == len(step.charts) == spec.phase_count
+    assert step.precisions.shape == (spec.phase_count, 3, 3)
     dense = build_references(model, POLAR_2D, spec.horizon, 20, "dense")
-    assert all(r is not None for r in dense[20:])
-    assert all(r is None for r in dense[:20])
-    assert all(r.chart == POLAR_2D for r in dense[20:])
+    assert dense.ts.tolist() == list(range(20, spec.horizon))
+    assert dense.charts == [POLAR_2D] * (spec.horizon - 20)
+    assert dense.means[POLAR_2D].shape == (spec.horizon - 20, 5)
 
 
 def test_sampled_initial_states_vary():
