@@ -297,15 +297,13 @@ class ChartPose:
 
 
 def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and radii along the last axis; OriginSingularity.row is
-    the first row with a radius below RADIUS_EPS."""
+    """Directions and radii along the last axis; OriginSingularity naming
+    the first radius below RADIUS_EPS."""
     r = np.sqrt(np.sum(v * v, axis=-1))
     bad = np.flatnonzero(r < RADIUS_EPS)
     if bad.size:
-        exc = OriginSingularity(f"{what} radius {r.flat[bad[0]]} below "
+        raise OriginSingularity(f"{what} radius {r.flat[bad[0]]} below "
                                 f"{RADIUS_EPS}")
-        exc.row = int(bad[0])
-        raise exc
     return v / r[..., None], r
 
 

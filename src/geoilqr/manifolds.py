@@ -137,8 +137,10 @@ def _reflect(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _s1_signs(P: np.ndarray) -> np.ndarray:
     """Orientation (±1) of the S1 tangent basis at each unit row p of P
     against the counter-clockwise direction (-p_2, p_1): the rate of the
-    intrinsic coordinate per unit angle rate."""
-    return _reflect(P, np.column_stack([-P[:, 1], P[:, 0]]))[:, 1]
+    intrinsic coordinate per unit angle rate; exactly ±1 in closed form: -1
+    except where the reflection is the identity (p = e1)."""
+    H = P - (1.0, 0.0)
+    return np.where(np.vecdot(H, H) >= 1e-30, -1.0, 1.0)
 
 
 def sphere_bases(P: np.ndarray) -> np.ndarray:
@@ -157,12 +159,9 @@ def _check_same(a: ManifoldPoint, b: ManifoldPoint):
 
 
 def _check_antipodal(dots: np.ndarray, what: str):
-    """Raise AntipodalPoint, row being the first row whose dot product is -1."""
-    bad = dots <= -1.0 + ANTIPODAL_TOL
-    if bad.any():
-        exc = AntipodalPoint(f"{what} undefined for antipodal sphere points")
-        exc.row = int(np.argmax(bad))
-        raise exc
+    """Raise AntipodalPoint where a dot product is -1."""
+    if (dots <= -1.0 + ANTIPODAL_TOL).any():
+        raise AntipodalPoint(f"{what} undefined for antipodal sphere points")
 
 
 # --- row kernels ------------------------------------------------------------

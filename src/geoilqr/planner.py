@@ -6,9 +6,10 @@ residual in the selected chart at each active timestep, and each iteration
 solves the regularized normal equations for the full horizon as a band in
 the moves of the states q_2..q_T. u_T moves no state; its step is -u_T.
 
-Each line-search candidate costs one forward pass (cost, residuals and the
-joint states of the active timesteps). The candidate that is accepted keeps
-its pass, and the Jacobian pass linearizes it once, on those states.
+Both planar charts are products of R and S¹ factors: one closed-form pass
+evaluates all active rows, with the S¹ residual s_m·atan2(m × x, m · x) at
+a mean m. Each line-search candidate costs one pass; the Jacobian pass
+linearizes the accepted one once, from its intermediates.
 """
 from __future__ import annotations
 
@@ -16,19 +17,20 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbsv
 
-from .charts import (TWO_D, OriginSingularity, chart_rows_2d, chart_spec,
-                     charts_for)
-from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
-from .manifolds import (AntipodalPoint, Sphere, leaves, log_jacobian_rows,
-                        log_rows)
+from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
+                     perp2, rot2)
+from .kinematics import (ArmModel, JointTrajectory, kinematics_rows,
+                         link_jacobians, rollout)
+from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
 
 LINE_SEARCH_MIN_STEP = 1e-4
 STEP_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITER = 100
-PLANAR_CHARTS = frozenset(charts_for(TWO_D))
+PLANAR_CHARTS = {CARTESIAN_2D: False, POLAR_2D: True}   # chart -> is polar
 
 
 class LineSearchFailed(RuntimeWarning):
@@ -46,8 +48,9 @@ class References(NamedTuple):
 
 
 def _checked(refs: References, T: int, start: int):
-    """The rows of refs at or after start, and each chart's row indices among
-    them; ValueError on rows that are not the references of a T-step plan."""
+    """The rows of refs at or after start, their polar mask, S¹ means (the
+    azimuth, 0 on a Cartesian row, and the heading) and x, y or radius means;
+    ValueError on rows that are not the references of a T-step plan."""
     def need(ok, what: str):
         if not ok:
             raise ValueError(f"references need {what}")
@@ -57,29 +60,45 @@ def _checked(refs: References, T: int, start: int):
     need(ts.ndim == 1 and ts.dtype.kind in "iu" and (ts[1:] > ts[:-1]).all()
          and (not ts.size or 0 <= ts[0] and ts[-1] < T),
          f"ts increasing integers in [0, {T})")
-    need(len(charts) == len(ts) and set(charts) <= PLANAR_CHARTS,
+    # one lookup per distinct chart object: a ChartId hashes slowly
+    flag = {i: PLANAR_CHARTS.get(c)
+            for i, c in {id(c): c for c in charts}.items()}
+    is_polar = [flag[id(c)] for c in charts]
+    need(len(charts) == len(ts) and None not in is_polar,
          "one 2D chart per row")
     need(precisions.shape == (len(ts), 3, 3) and np.isfinite(precisions).all(),
          f"{len(ts)} finite 3 x 3 precisions")
-    need(set(means) == set(charts), "one means block per chart")
-    keep = ts >= start
-    need(keep.any(), f"a row at or after activation_start {start}")
-    blocks, rows = {}, {}
+    tol = 1e-9 * np.abs(precisions).max(initial=np.finfo(float).tiny)
+    try:  # P + tol·I has a Cholesky factor iff no eigenvalue is below -tol
+        np.linalg.cholesky(precisions + tol * np.eye(3))
+        psd = abs(precisions - precisions.swapaxes(1, 2)).max(initial=0) <= tol
+    except LinAlgError:
+        psd = False
+    need(psd, "symmetric positive semidefinite precisions, within 1e-9 of "
+         "their largest entry")
+    need(set(means) == {(CARTESIAN_2D, POLAR_2D)[f] for f in set(is_polar)},
+         "one means block per chart")
+    kept = int(np.searchsorted(ts, start))   # the rows kept are a suffix
+    need(kept < len(ts), f"a row at or after activation_start {start}")
+    polar = np.array(is_polar, dtype=bool)
+    blocks, S, offset = {}, np.zeros((len(ts), 2, 2)), np.zeros((len(ts), 3))
     for chart, M in means.items():
-        mask = np.array([c == chart for c in charts])
-        spec, M = chart_spec(chart), np.asarray(M, dtype=float)
-        n, width = mask.sum(), spec.ambient_dim
-        # finite rows of the chart's width that pass the ManifoldPoint test
-        need(M.shape == (n, width) and np.isfinite(M).all() and all(
-            (abs(np.sqrt(np.vecdot(M[:, a], M[:, a])) - 1) <= 1e-9).all()
-            for leaf, a, _ in leaves(spec) if isinstance(leaf, Sphere)),
-            f"{n} means of {chart}, finite rows of {width} with unit sphere "
-            "blocks")
-        if keep[mask].any():
-            blocks[chart] = M[keep[mask]]
-            rows[chart] = np.flatnonzero(mask[keep])
-    return (References(ts[keep], [c for c, k in zip(charts, keep) if k],
-                       blocks, precisions[keep]), rows)
+        mask = polar if chart == POLAR_2D else ~polar
+        n, width, M = mask.sum(), 4 + (chart == POLAR_2D), np.asarray(M, float)
+        need(M.shape == (n, width) and np.isfinite(M).all(),
+             f"{n} means of {chart}, finite rows of {width}")
+        S[mask, 0], S[mask, 1] = (chart == POLAR_2D) * M[:, :2], M[:, -2:]
+        offset[mask, :2] = (M[:, :2] if chart == CARTESIAN_2D
+                            else (0.0, 1.0) * M[:, 2:3])   # (x, y) or radius
+        if (dropped := mask[:kept].sum()) < n:
+            blocks[chart] = M[dropped:]
+    # the S¹ blocks (polar azimuth, heading) pass the ManifoldPoint test
+    off = np.abs(np.sqrt(np.vecdot(S, S)) - 1.0) > 1e-9
+    need(not (off[:, 1] | polar & off[:, 0]).any(),
+         "means with unit sphere blocks")
+    return (References(ts[kept:], list(charts[kept:]), blocks,
+                       precisions[kept:]),
+            polar[kept:], S[kept:], offset[kept:])
 
 
 @dataclass
@@ -100,8 +119,16 @@ class PlanProblem:
         if (self.q0.shape != (self.arm.dof,)
                 or not np.all(np.isfinite(self.q0))):
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
-        self.references, self._rows = _checked(
+        self.references, polar, S, offset = _checked(
             References(*self.references), self.horizon, self.activation_start)
+        # the Jacobian's chart rows are C0 + k (daz; a G; daz) in x and y,
+        # with k = (s_azimuth, 1, -s_heading) on a polar row, 0 otherwise
+        s = _s1_signs(S)                    # the S¹ means' basis signs
+        G = rot2(-self.frame.angle)         # d(object position)/d(world)
+        C0 = np.zeros((len(S), 3, 3))
+        C0[:, :2, :2], C0[:, 2, 2] = ~polar[:, None, None] * G, s[:, 1]
+        k = polar[:, None] * (s[:, [0, 1, 1]] * (1.0, 0.0, -1.0) + (0, 1, 0))
+        self._planar = polar, S, s, offset, G, C0, k[..., None]
 
 
 @dataclass
@@ -114,33 +141,39 @@ class PlanResult:
 
 
 def _forward(problem: PlanProblem, u: np.ndarray):
-    """Cost at the controls u, and the residuals F (n x 3) and joint states
-    Q (n x D) of the n active timesteps. A chart singularity raises naming
-    the first offending timestep."""
-    refs, ts = problem.references, problem.references.ts
+    """Cost at the controls u, the residuals F (n x 3) of the n active
+    timesteps, and their linearization's inputs: the link vectors, the unit
+    azimuths and the radii (p and 1 on a Cartesian row). A chart or log map
+    singularity raises naming the first offending timestep."""
+    polar, S, s, offset = problem._planar[:4]
+    ts, frame = problem.references.ts, problem.frame
     Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
-    P, H, _ = kinematics_rows(problem.arm, Q)
-    F = np.empty((len(ts), 3))
-    failures = []
-    for chart, rows in problem._rows.items():
-        means = refs.means[chart]
-        try:
-            X, _ = chart_rows_2d(chart, problem.frame, P[rows], H[rows])
-        except OriginSingularity as exc:
-            failures.append((rows[exc.row], exc))
-            # the log map may still fail on a row before the singular one
-            rows, means = rows[:exc.row], means[:exc.row]
-            X, _ = chart_rows_2d(chart, problem.frame, P[rows], H[rows])
-        try:
-            F[rows] = log_rows(chart_spec(chart), means, X)
-        except AntipodalPoint as exc:
-            failures.append((rows[exc.row], exc))
-    if failures:
-        row, exc = min(failures, key=lambda f: f[0])
-        raise type(exc)(f"timestep {ts[row]}: {exc}") from exc
-    c = (problem.control_weight * float(u @ u)
-         + float(np.einsum("ni,nij,nj->", F, refs.precisions, F)))
-    return c, F, Q
+    P, H, links = kinematics_rows(problem.arm, Q)
+    p = frame.to_object(P)
+    r = np.where(polar, np.sqrt((p * p).sum(axis=-1)), 1.0)
+    a = p / np.maximum(r, RADIUS_EPS)[:, None]
+    X = np.empty((len(p), 2, 2))            # the unit azimuth and heading
+    X[:, 0] = a
+    loc = H - frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
+    X[:, 1, 0], X[:, 1, 1] = np.cos(loc), np.sin(loc)
+    dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
+    # the first row whose chart or S¹ log map is undefined, the chart first
+    singular = r < RADIUS_EPS
+    bad = singular | (dots <= -1.0 + ANTIPODAL_TOL).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if singular[row]:
+            raise OriginSingularity(f"timestep {ts[row]}: polar radius "
+                                    f"{r[row]} below {RADIUS_EPS}")
+        raise AntipodalPoint(f"timestep {ts[row]}: log map undefined for "
+                             "antipodal sphere points")
+    cross = S[..., 0] * X[..., 1] - S[..., 1] * X[..., 0]
+    angle = s * np.arctan2(cross, dots)       # (azimuth, heading) residuals
+    F = np.column_stack([np.where(polar, angle[:, 0], p[:, 0]),
+                         np.where(polar, r, p[:, 1]), angle[:, 1]]) - offset
+    c = (problem.control_weight * float(u @ u) + float(np.einsum(
+        "ni,nij,nj->", F, problem.references.precisions, F)))
+    return c, F, (links, a, r)
 
 
 def _candidate(problem: PlanProblem, u: np.ndarray):
@@ -152,16 +185,15 @@ def _candidate(problem: PlanProblem, u: np.ndarray):
         return np.inf, None, None
 
 
-def _jacobian(problem: PlanProblem, Q: np.ndarray) -> np.ndarray:
+def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
     """Jacobian rows (3n x D) of the active residuals w.r.t. their joint
-    states Q (n x D), which a forward pass has found free of singularities."""
-    P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
-    J = np.empty((len(Q), 3, problem.arm.dof))
-    for chart, rows in problem._rows.items():
-        X, Jc = chart_rows_2d(chart, problem.frame, P[rows], H[rows], True)
-        M = problem.references.means[chart]
-        J[rows] = log_jacobian_rows(chart_spec(chart), M, X) @ Jc @ Jk[rows]
-    return J.reshape(-1, problem.arm.dof)
+    states, from a forward pass free of singularities: an S¹ log
+    differential s_m·s(x) times a chart row s(x)·c is s_m·c."""
+    (G, C0, k), (links, a, r) = problem._planar[4:], lin
+    daz = (perp2(a) / r[:, None]) @ G      # d(azimuth)/d(world position)
+    C = C0.copy()
+    C[:, :, :2] += k * np.array([daz, a @ G, daz]).transpose(1, 0, 2)
+    return (C @ link_jacobians(*links)).reshape(-1, problem.arm.dof)
 
 
 def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
@@ -172,8 +204,8 @@ def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
 def residuals_and_jacobian(problem: PlanProblem, u: np.ndarray):
     """Stacked residual f (3n) of the n active timesteps, its Jacobian rows
     (3n x D) w.r.t. the state at each row's own timestep, and the norms."""
-    _, F, Q = _forward(problem, u)
-    return F.ravel(), _jacobian(problem, Q), _norms(problem, F)
+    _, F, lin = _forward(problem, u)
+    return F.ravel(), _jacobian(problem, lin), _norms(problem, F)
 
 
 def cost(problem: PlanProblem, u: np.ndarray) -> float:
@@ -194,19 +226,29 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
     Jr = J.reshape(-1, 3, D)
     JtQ = Jr.transpose(0, 2, 1) @ refs.precisions
     # control term r/dt (u_t - u_{t-1}) at state t, u_T left out; row 0 unused
-    g = (r / dt) * np.diff(U[:-1], axis=0, prepend=0.0, append=0.0)
+    U0 = np.zeros((T + 1, D))
+    U0[1:-1] = U[:-1]
+    g = (r / dt) * np.diff(U0, axis=0)
     g[ts] -= np.einsum("nai,ni->na", JtQ, f.reshape(-1, 3))
-    # lower band storage, a column per state: band[d, t, a] = A[tD+a+d, tD+a]
-    band = np.zeros((D + 1, T, D))
-    a, b = np.tril_indices(D)
-    band[a - b, ts[:, None], b] = (JtQ @ Jr)[:, a, b]
-    band[0, 1:] += 2.0 * r / dt ** 2
-    band[0, -1] -= r / dt ** 2
-    band[D, 1:-1] = -r / dt ** 2
-    x = solveh_banded(band[:, 1:].reshape(D + 1, -1), g[1:].ravel(),
-                      lower=True)
-    dX = np.diff(x.reshape(T - 1, D), axis=0, prepend=0.0) / dt
-    return np.concatenate([dX.ravel(), -U[-1]])
+    # lower band storage, a column per state: band[t, a, d] = A[tD+a+d, tD+a]
+    # (the (D+1) x (T-1)D band of the moves in Fortran order)
+    band, JtQJ = np.zeros((T, D, D + 1)), JtQ @ Jr
+    for d in range(D + 1):
+        band[ts, :D - d, d] = np.diagonal(JtQJ, -d, 1, 2)
+    band[1:, :, 0] += 2.0 * r / dt ** 2
+    band[-1, :, 0] -= r / dt ** 2
+    band[1:-1, :, D] = -r / dt ** 2
+    band, g = band[1:].reshape(-1, D + 1).T, g[1:].ravel()
+    if not (np.isfinite(band).all() and np.isfinite(g).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, x, info = dpbsv(band, g, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of pbsv")
+    X = np.zeros((T, D))                    # the moves, x_1 = 0
+    X[1:] = x.reshape(T - 1, D)
+    return np.concatenate([np.diff(X, axis=0).ravel() / dt, -U[-1]])
 
 
 def solve(problem: PlanProblem) -> PlanResult:
@@ -214,18 +256,18 @@ def solve(problem: PlanProblem) -> PlanResult:
     linearized once, on the states of the forward pass that accepted it."""
     D, T = problem.arm.dof, problem.horizon
     u = np.zeros(D * T)
-    c, F, Q = _forward(problem, u)
+    c, F, lin = _forward(problem, u)
     history = [c]
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        du = gauss_newton_step(problem, u, F.ravel(), _jacobian(problem, Q))
+        du = gauss_newton_step(problem, u, F.ravel(), _jacobian(problem, lin))
         if np.linalg.norm(du) < STEP_TOL:
             converged = True
             break
         alpha = 1.0
         while alpha >= LINE_SEARCH_MIN_STEP:
-            c_new, F_new, Q_new = _candidate(problem, u + alpha * du)
+            c_new, F_new, lin_new = _candidate(problem, u + alpha * du)
             if c_new < c:
                 break
             alpha *= 0.5
@@ -240,7 +282,7 @@ def solve(problem: PlanProblem) -> PlanResult:
             break
         u = u + alpha * du
         improvement = c - c_new
-        c, F, Q = c_new, F_new, Q_new
+        c, F, lin = c_new, F_new, lin_new
         history.append(c)
         if improvement < COST_TOL * max(abs(c), 1.0):
             converged = True

@@ -1,6 +1,7 @@
 """Coordinate-system charts: mappings, inverses, Jacobians, singularities."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             POLAR_2D, SPHERICAL_3D, CartesianPose, ChartId,
@@ -9,7 +10,7 @@ from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             minimal_rotation, pole_quat, position_spec,
                             quat_from_axis_angle, quat_mul, quat_rotate,
                             rotmat_from_quat, to_chart)
-from geoilqr.manifolds import Euclidean, Product, Sphere
+from geoilqr.manifolds import Euclidean, Product, Sphere, log_rows
 
 RNG = np.random.default_rng(1)
 
@@ -210,6 +211,78 @@ def test_chart_jacobian_3d_finite_differences(chart):
                          - log_map(base, to_chart(moved(-1), chart,
                                                   frame).point()).coords) / (2 * h)
         assert np.allclose(J, num, atol=1e-5), np.abs(J - num).max()
+
+
+CHARTS = charts_for("2d") + charts_for("3d")
+SHORT = 1e-3   # how far from a singular point the pose sits
+
+
+def _chart_case_pose(chart, seed, where):
+    """Frame and world pose whose object-frame position is anywhere
+    ("random"), SHORT from the chart's origin ("origin"), or whose sphere
+    coordinates sit SHORT from the antipode of their reference point: the
+    azimuth and local heading near -e1, the spherical direction near -e_z,
+    where the minimal rotation is singular ("antipode")."""
+    rng = np.random.default_rng(seed)
+    r = SHORT if where == "origin" else rng.uniform(0.3, 2.0)
+    near = np.pi - SHORT if where == "antipode" else None
+    az = near or rng.uniform(-np.pi, np.pi)
+    if chart.space == "2d":
+        frame = _random_frame_2d(rng)
+        local = near or rng.uniform(-np.pi, np.pi)
+        heading = frame.angle + local + az * (chart == POLAR_2D)
+        p = frame.to_world(r * np.array([np.cos(az), np.sin(az)]))
+        return frame, CartesianPose.from_angle(*p, heading)
+    frame = _random_frame_3d(rng)
+    if chart == CYLINDRICAL_3D:
+        p = np.array([r * np.cos(az), r * np.sin(az), rng.uniform(-1, 1)])
+    else:
+        tilt = near or np.arccos(rng.uniform(-1, 1))
+        p = r * np.array([np.sin(tilt) * np.cos(az),
+                          np.sin(tilt) * np.sin(az), np.cos(tilt)])
+    return frame, CartesianPose(frame.to_world(p), _random_quat(rng))
+
+
+def _moved(pose, step):
+    """The pose moved by step: (dx, dy, dheading) in 2D; (dx, dy, dz) and a
+    world rotation vector in 3D."""
+    if pose.dim == 2:
+        return CartesianPose.from_angle(*(pose.position + step[:2]),
+                                        pose.heading_angle + step[2])
+    angle, q = np.linalg.norm(step[3:]), pose.orientation
+    if angle:
+        q = quat_mul(quat_from_axis_angle(step[3:], angle), q)
+    return CartesianPose(pose.position + step[:3], q / np.linalg.norm(q))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.sampled_from(CHARTS), st.integers(0, 2 ** 16),
+       st.sampled_from(["random", "origin", "antipode"]))
+@example(POLAR_2D, 1, "origin")
+@example(POLAR_2D, 2, "antipode")
+@example(CYLINDRICAL_3D, 3, "origin")
+@example(CYLINDRICAL_3D, 4, "antipode")
+@example(SPHERICAL_3D, 5, "origin")
+@example(SPHERICAL_3D, 6, "antipode")
+def test_chart_jacobian_matches_central_differences(chart, seed, where):
+    frame, pose = _chart_case_pose(chart, seed, where)
+    J = chart_jacobian(pose, chart, frame)
+    spec, base = chart_spec(chart), to_chart(pose, chart, frame).point()
+    # position steps well inside the distance to a singular point of the
+    # chart map (the origin, and -e_z of the spherical chart's minimal
+    # rotation), else large enough to move each coordinate past ZERO_TOL
+    singular = where == "origin" or (where, chart) == ("antipode",
+                                                      SPHERICAL_3D)
+    h = np.full(J.shape[1], 1e-6)
+    h[:pose.dim] *= SHORT if singular else 1.0
+    num = np.empty_like(J)
+    for j, step in enumerate(np.diag(h)):
+        ends = [to_chart(_moved(pose, sign * step), chart, frame).point()
+                for sign in (1, -1)]
+        logs = log_rows(spec, base.coords[None], np.array([e.coords
+                                                            for e in ends]))
+        num[:, j] = (logs[0] - logs[1]) / (2 * h[j])
+    assert np.abs(J - num).max() <= 1e-5 * max(np.abs(num).max(), 1.0)
 
 
 def test_jacobian_shapes():

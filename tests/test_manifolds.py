@@ -372,3 +372,44 @@ def test_sphere_log_differential_matches_central_differences(case):
            - log_rows(spec, P, exp_rows(spec, X, -steps))).T / (2 * h)
     err = np.abs(log_jacobian_rows(spec, P, X)[0] - num).max()
     assert err <= 1e-5 * np.abs(num).max()
+
+
+@st.composite
+def _round_trip_cases(draw):
+    """Chart spec name, then as in _sphere_log_cases: p (8), a tangent at p
+    (7) and the geodesic angle along each sphere factor's block of it."""
+    coord = st.floats(-2.0, 2.0)
+    angle = st.floats(0.0, SHORT_OF_ANTIPODE)
+    return (draw(st.sampled_from(sorted(CHART_SPECS))),
+            draw(st.tuples(*[coord] * 8)), draw(st.tuples(*[coord] * 7)),
+            draw(st.tuples(angle, angle)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_round_trip_cases())
+@example(("polar-2d", E1, V1, (0.0, 0.0)))                         # x = p = e1
+@example(("cartesian-2d", E1, V1, (1.0, 0.0)))                     # p = e1
+@example(("cartesian-3d", V1 + (1.0,), V1, (SHORT_OF_ANTIPODE, 0.0)))
+@example(("polar-2d", V1 + (1.0,), V1, (SHORT_OF_ANTIPODE,) * 2))
+@example(("cylindrical-3d", P_CYL, V1, (SHORT_OF_ANTIPODE,) * 2))
+@example(("spherical-3d", P_SPH, V1[::-1], (SHORT_OF_ANTIPODE,) * 2))
+@example(("cylindrical-3d", P_CYL, V1, (1e-4, 1e-7)))              # short
+def test_log_exp_round_trip_on_every_chart_spec(case):
+    # log inverts exp along tangents shorter than pi on each sphere factor
+    # (S3 included), and exp inverts log
+    name, p, v, angles = case
+    spec = CHART_SPECS[name]
+    P = _unit_blocks(spec, p)
+    assume(P is not None)
+    V, k = np.array(v[:spec.tangent_dim]), 0
+    for leaf, _, tsl in leaves(spec):
+        if isinstance(leaf, Sphere):
+            n = np.linalg.norm(V[tsl])
+            assume(angles[k] == 0.0 or n >= 1e-3)
+            V[tsl] *= angles[k] / max(n, 1e-3)
+            k += 1
+    P, V = P[None], V[None]
+    X = exp_rows(spec, P, V)
+    np.testing.assert_allclose(log_rows(spec, P, X), V, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(exp_rows(spec, P, log_rows(spec, P, X)), X,
+                               rtol=0, atol=1e-12)

@@ -1,4 +1,6 @@
 """Batch Gauss-Newton planner: residuals, steps, convergence, round trips."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,9 +9,10 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 from geoilqr import planner
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D,
                             CartesianPose, Frame2D, OriginSingularity,
-                            chart_spec, to_chart)
-from geoilqr.kinematics import ArmModel, batch_dynamics, forward_kinematics, rollout
-from geoilqr.manifolds import AntipodalPoint
+                            chart_rows_2d, chart_spec, rot2, to_chart)
+from geoilqr.kinematics import (ArmModel, batch_dynamics, forward_kinematics,
+                                kinematics_rows, link_jacobians, rollout)
+from geoilqr.manifolds import AntipodalPoint, log_jacobian_rows, log_rows
 from geoilqr.planner import (PlanProblem, References, cost, gauss_newton_step,
                              residuals_and_jacobian, result_from_dict,
                              result_to_dict, solve)
@@ -94,9 +97,10 @@ NO_ACTIVE_ROW = "a row at or after activation_start"
 
 
 # (edit of _two_rows(), expected message): unsorted, repeated, past the
-# horizon, negative and float timesteps; precisions 2 x 2 and NaN; means too
-# narrow, with extra rows, off the unit circle and NaN; a 3D chart, a chart
-# count short, a means block missing; no rows at all
+# horizon, negative and float timesteps; precisions 2 x 2, NaN, negative
+# definite and not symmetric; means too narrow, with extra rows, off the unit
+# circle and NaN; a 3D chart, a chart count short, a means block missing; no
+# rows at all
 BAD_REFERENCES = [
     (lambda r: r._replace(ts=np.array([8, 2])), "ts increasing integers"),
     (lambda r: r._replace(ts=np.array([2, 2])), "ts increasing integers"),
@@ -106,6 +110,10 @@ BAD_REFERENCES = [
     (lambda r: r._replace(precisions=r.precisions[:, :2, :2]), "3 x 3"),
     (lambda r: r._replace(precisions=np.where(np.eye(3), np.nan, 0.0)
                           * np.ones((2, 1, 1))), "finite 3 x 3 precisions"),
+    (lambda r: r._replace(precisions=-np.ones((2, 1, 1)) * np.eye(3)),
+     "symmetric positive semidefinite precisions"),
+    (lambda r: r._replace(precisions=r.precisions + np.triu(np.ones(3), 1)),
+     "symmetric positive semidefinite precisions"),
     (_bad_means(POLAR_2D, lambda M: M[:, :4]), "finite rows of 5"),
     (_bad_means(CARTESIAN_2D, lambda M: np.vstack([M, M])),
      "1 means of cartesian-2d"),
@@ -127,6 +135,35 @@ def test_problem_validation():
     for edit, match in BAD_REFERENCES:
         with pytest.raises(ValueError, match=match):
             PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, edit(_two_rows()))
+
+
+def test_problem_accepts_semidefinite_and_rounded_precisions():
+    # zero and rank-one precisions are semidefinite; an asymmetry or a
+    # negative eigenvalue at the level of rounding is not a fault
+    v = np.array([0.3, -1.0, 2.0])
+    A = RNG.standard_normal((3, 3))
+    rounded = A @ A.T + 1e-15 * np.abs(A @ A.T).max() * np.triu(np.ones(3), 1)
+    for precision in (np.zeros((3, 3)), np.outer(v, v), rounded,
+                      np.outer(v, v) - 1e-16 * np.eye(3)):
+        refs = _two_rows()._replace(precisions=np.stack([precision,
+                                                         np.eye(3)]))
+        PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs)
+
+
+def test_step_rejects_what_the_band_solver_cannot_take():
+    p = _viapoint_problem(POLAR_2D)
+    u = 0.05 * RNG.standard_normal(3 * p.horizon)
+    f, J, _ = residuals_and_jacobian(p, u)
+    for bad_f, bad_J in ((np.where(f == f[0], np.nan, f), J),
+                         (f, np.where(J == J[0, 0], np.nan, J))):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gauss_newton_step(p, u, bad_f, bad_J)
+    # a negative definite precision, past the problem's checks, leaves a
+    # normal matrix that is not positive definite
+    p.references = p.references._replace(
+        precisions=-1e9 * p.references.precisions)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        gauss_newton_step(p, u, f, J)
 
 
 @pytest.mark.parametrize("q0", [[1.0, 2.0], [0.0, np.nan, 0.0],
@@ -222,6 +259,117 @@ def test_jacobian_vs_finite_differences(chart):
             num[:, j] = (fp - fm) / (2 * h)
         rel = np.abs(Ju - num).max() / max(np.abs(num).max(), 1.0)
         assert rel < 1e-4
+
+
+def _generic_pass(p, u):
+    """Oracle: the residuals and Jacobian rows of p at u through the chart
+    map and the S¹/R log kernels of each chart, or the exception type and
+    timestep of the first row whose chart map or log map raises."""
+    refs, D = p.references, p.arm.dof
+    Q = rollout(p.q0, u.reshape(-1, D), p.dt)[refs.ts]
+    P, H, links = kinematics_rows(p.arm, Q)
+    seen = dict.fromkeys(refs.means, 0)
+    for i, (t, chart) in enumerate(zip(refs.ts, refs.charts)):
+        mean = refs.means[chart][seen[chart]][None]
+        seen[chart] += 1
+        try:
+            X, _ = chart_rows_2d(chart, p.frame, P[i:i + 1], H[i:i + 1])
+            log_rows(chart_spec(chart), mean, X)
+        except (OriginSingularity, AntipodalPoint) as exc:
+            return type(exc), t
+    F, J = np.empty((len(Q), 3)), np.empty((len(Q), 3, D))
+    Jk = link_jacobians(*links)
+    for chart, M in refs.means.items():
+        rows = np.array([c == chart for c in refs.charts])
+        spec = chart_spec(chart)
+        # the chart map of all rows at once, as the planar pass runs it
+        # (numpy's matmul rounds a single row differently), with the other
+        # chart's rows moved off the object origin
+        X, Jc = chart_rows_2d(chart, p.frame,
+                              np.where(rows[:, None], P, P + 1.0), H, True)
+        F[rows] = log_rows(spec, M, X[rows])
+        J[rows] = log_jacobian_rows(spec, M, X[rows]) @ Jc[rows] @ Jk[rows]
+    return F.ravel(), J.reshape(-1, D)
+
+
+# edits of one row of a planar case: none; a mean 1e-3 short of the antipode
+# of the pose; a polar row 1.5 RADIUS_EPS from the object origin; a Cartesian
+# row exactly at it; and the singular and antipodal candidates
+PLANAR_EDITS = ["none", "near-antipode", "near-origin", "cartesian-origin",
+                "origin", "antipode"]
+
+
+@st.composite
+def _planar_cases(draw):
+    """A seed for the arm, frame, states, means and precisions; the arm's
+    dof; the chart of each row; an edit and the row it applies to."""
+    charts = draw(st.sampled_from(["cartesian", "polar", "mixed"]))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.sampled_from([CARTESIAN_2D, POLAR_2D]),
+                         min_size=n, max_size=n))
+    rows = {"cartesian": [CARTESIAN_2D] * n, "polar": [POLAR_2D] * n,
+            "mixed": rows}[charts]
+    return (draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 4)), rows,
+            draw(st.sampled_from(PLANAR_EDITS)), draw(st.integers(0, 7)))
+
+
+def _planar_problem(seed, dof, charts, edit, at):
+    """PlanProblem and controls of a planar case: means near the poses the
+    controls reach, the edit applied to row at (mod the row count)."""
+    rng = np.random.default_rng(seed)
+    arm = ArmModel(rng.uniform(0.5, 1.5, dof), rng.uniform(-1, 1, 2),
+                   rng.uniform(-np.pi, np.pi))
+    n, i = len(charts), at % len(charts)
+    T = n + int(rng.integers(0, 4))
+    ts = np.sort(rng.choice(T, n, replace=False))
+    q0, u = rng.uniform(-np.pi, np.pi, dof), rng.standard_normal(T * dof)
+    P, H, _ = kinematics_rows(arm, rollout(q0, u.reshape(T, dof), 0.1)[ts])
+    translation, angle = rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi)
+    if edit in ("near-origin", "cartesian-origin", "origin"):
+        charts = list(charts)
+        charts[i] = CARTESIAN_2D if edit == "cartesian-origin" else POLAR_2D
+        away = 1.5e-6 * rot2(rng.uniform(-np.pi, np.pi))[0] * (
+            edit == "near-origin")
+        translation = P[i] + away
+    frame = Frame2D(translation, angle)
+    means = [chart_rows_2d(c, frame, P[j:j + 1] + rng.uniform(-.5, .5, 2),
+                           H[j:j + 1] + rng.uniform(-1, 1))[0][0]
+             for j, c in enumerate(charts)]
+    if edit in ("near-antipode", "antipode"):
+        # the azimuth of a polar row, the heading of a Cartesian one
+        x = chart_rows_2d(charts[i], frame, P[i:i + 1], H[i:i + 1])[0][0]
+        block = slice(0, 2) if charts[i] == POLAR_2D else slice(2, 4)
+        turn = np.pi - 1e-3 * (edit == "near-antipode")
+        means[i][block] = rot2(turn) @ x[block]
+    A = rng.standard_normal((n, 3, 3))
+    refs = _references({t: (c, m, A[j] @ A[j].T + 0.1 * np.eye(3))
+                        for j, (t, c, m) in enumerate(zip(ts, charts, means))})
+    return PlanProblem(arm, q0, T, 0.1, frame, refs), u
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_planar_cases())
+@example((5, 3, [CARTESIAN_2D, POLAR_2D, POLAR_2D], "near-antipode", 1))
+@example((6, 3, [POLAR_2D, CARTESIAN_2D], "near-antipode", 1))
+@example((7, 2, [CARTESIAN_2D, POLAR_2D], "near-origin", 0))
+@example((8, 3, [POLAR_2D, CARTESIAN_2D, POLAR_2D], "cartesian-origin", 1))
+@example((9, 3, [POLAR_2D, POLAR_2D, CARTESIAN_2D], "origin", 1))
+@example((10, 4, [CARTESIAN_2D, POLAR_2D, POLAR_2D], "antipode", 2))
+@example((11, 3, [CARTESIAN_2D, POLAR_2D], "antipode", 0))
+def test_planar_pass_matches_generic_kernels(case):
+    p, u = _planar_problem(*case)
+    expect = _generic_pass(p, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expect[0], type):
+            with pytest.raises(expect[0], match=f"timestep {expect[1]}:"):
+                residuals_and_jacobian(p, u)
+            assert cost(p, u) == np.inf
+            return
+        f, J, _ = residuals_and_jacobian(p, u)
+    assert case[3] not in ("origin", "antipode")
+    assert np.abs(f - expect[0]).max() <= 1e-12
+    assert np.array_equal(J, expect[1])
 
 
 def test_chart_singularity_names_first_timestep():
