@@ -61,10 +61,13 @@ POLAR_2D = ChartId(TWO_D, 2)
 CARTESIAN_3D = ChartId(THREE_D, 1)
 CYLINDRICAL_3D = ChartId(THREE_D, 2)
 SPHERICAL_3D = ChartId(THREE_D, 3)
+# one object per chart, so that lookups keyed by charts match by identity
+CHART_IDS = {c: c for c in (CARTESIAN_2D, POLAR_2D, CARTESIAN_3D,
+                            CYLINDRICAL_3D, SPHERICAL_3D)}
 
 
 def charts_for(space: str) -> list[ChartId]:
-    return [ChartId(space, n) for s, n in _CHART_NAMES if s == space]
+    return [c for c in CHART_IDS if c.space == space]
 
 
 _POS_SPECS = {

@@ -46,22 +46,20 @@ class JointTrajectory:
         return self.states.shape[0]
 
 
-def kinematics_rows(arm: ArmModel, Q: np.ndarray):
-    """End-effector positions (N x 2), headings (N,) and the x and y parts
-    (cos, sin), N x D each, of the link vectors of joint rows Q."""
+def kinematics_rows(arm: ArmModel, Q: np.ndarray, jacobian: bool = False):
+    """End-effector positions (N x 2), headings (N,) and None or, with
+    jacobian=True, (x, y, heading) Jacobians (N x 3 x D) of joint rows Q."""
     angles = arm.base_angle + np.cumsum(Q, axis=1)
     cos = arm.link_lengths * np.cos(angles)
     sin = arm.link_lengths * np.sin(angles)
     P = arm.base_position + np.stack([cos.sum(axis=1), sin.sum(axis=1)], axis=1)
-    return P, angles[:, -1], (cos, sin)
-
-
-def link_jacobians(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """(x, y, heading) Jacobians (N x 3 x D) from kinematics_rows' links."""
-    J = np.ones((len(cos), 3, cos.shape[1]))  # joint i moves links j >= i
+    if not jacobian:
+        return P, angles[:, -1], None
+    # joint i moves every link j >= i
+    J = np.ones((len(Q), 3, arm.dof))
     J[:, 0] = -np.cumsum(sin[:, ::-1], axis=1)[:, ::-1]
     J[:, 1] = np.cumsum(cos[:, ::-1], axis=1)[:, ::-1]
-    return J
+    return P, angles[:, -1], J
 
 
 def forward_kinematics(arm: ArmModel, q: np.ndarray) -> CartesianPose:
@@ -79,8 +77,7 @@ def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
 
 def kinematic_jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     """3 x D matrix of (dx, dy, dheading) per joint rate."""
-    _, _, links = kinematics_rows(arm, np.asarray(q, dtype=float)[None])
-    return link_jacobians(*links)[0]
+    return kinematics_rows(arm, np.asarray(q, dtype=float)[None], True)[2][0]
 
 
 def batch_dynamics(D: int, T: int, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (THREE_D, ChartId, DimensionMismatch, chart_rows_2d,
-                     chart_rows_3d, chart_spec)
+from .charts import (CHART_IDS, THREE_D, ChartId, DimensionMismatch,
+                     chart_rows_2d, chart_rows_3d, chart_spec)
 from .manifolds import ManifoldPoint, exp_rows, log_rows, transport_rows
 from .stats import EIGVAL_FLOOR, ManifoldGaussian, fit_phases
 
@@ -309,7 +309,7 @@ def phase_model_from_dict(d: dict) -> PhaseModel:
 
 
 def _phase_model(d: dict) -> PhaseModel:
-    charts = [ChartId(c["space"], c["index"]) for c in d["charts"]]
+    charts = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["charts"]]
     by_name = {str(c): c for c in charts}
     T = len(d["weights"])
     weights = _field("weights", d["weights"], (T, len(d["phases"])))
@@ -335,7 +335,7 @@ def _phase_model(d: dict) -> PhaseModel:
             ManifoldPoint(chart_spec(c), m), S) for c, (m, S) in fits.items()})
     references = {c: ChartReferences(*arrays) for c, arrays in per_chart(
         "references", d["references"], "means", "covariances", (T,)).items()}
-    winners = [ChartId(c["space"], c["index"]) for c in d["winners"]]
+    winners = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["winners"]]
     if len(winners) != T or not set(winners) <= set(references):
         raise ValueError(f"model winners must name a chart with references "
                          f"at each of the {T} rows of weights")

@@ -6,10 +6,9 @@ residual in the selected chart at each active timestep, and each iteration
 solves the regularized normal equations for the full horizon as a band in
 the moves of the states q_2..q_T. u_T moves no state; its step is -u_T.
 
-Both planar charts are products of R and S¹ factors: one closed-form pass
-evaluates all active rows, with the S¹ residual s_m·atan2(m × x, m · x) at
-a mean m. Each line-search candidate costs one pass; the Jacobian pass
-linearizes the accepted one once, from its intermediates.
+Both planar charts are products of R and S¹ factors, so one closed-form
+pass per line-search candidate evaluates all active rows; the Jacobian pass
+linearizes the accepted one once, from that pass's intermediates.
 """
 from __future__ import annotations
 
@@ -18,12 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpbsv
+from scipy.linalg import solveh_banded
 
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
                      perp2, rot2)
-from .kinematics import (ArmModel, JointTrajectory, kinematics_rows,
-                         link_jacobians, rollout)
+from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
 
 LINE_SEARCH_MIN_STEP = 1e-4
@@ -48,9 +46,8 @@ class References(NamedTuple):
 
 
 def _checked(refs: References, T: int, start: int):
-    """The rows of refs at or after start, their polar mask, S¹ means (the
-    azimuth, 0 on a Cartesian row, and the heading) and x, y or radius means;
-    ValueError on rows that are not the references of a T-step plan."""
+    """The rows of refs at or after start, their polar masks, S¹ means and
+    offsets; ValueError on rows that are not the references of a T-step plan."""
     def need(ok, what: str):
         if not ok:
             raise ValueError(f"references need {what}")
@@ -60,22 +57,20 @@ def _checked(refs: References, T: int, start: int):
     need(ts.ndim == 1 and ts.dtype.kind in "iu" and (ts[1:] > ts[:-1]).all()
          and (not ts.size or 0 <= ts[0] and ts[-1] < T),
          f"ts increasing integers in [0, {T})")
-    # one lookup per distinct chart object: a ChartId hashes slowly
-    flag = {i: PLANAR_CHARTS.get(c)
-            for i, c in {id(c): c for c in charts}.items()}
-    is_polar = [flag[id(c)] for c in charts]
+    is_polar = [PLANAR_CHARTS.get(c) for c in charts]
     need(len(charts) == len(ts) and None not in is_polar,
          "one 2D chart per row")
     need(precisions.shape == (len(ts), 3, 3) and np.isfinite(precisions).all(),
          f"{len(ts)} finite 3 x 3 precisions")
-    tol = 1e-9 * np.abs(precisions).max(initial=np.finfo(float).tiny)
+    tol = 1e-9 * np.abs(precisions).max(axis=(1, 2), keepdims=True,
+                                        initial=np.finfo(float).tiny)
     try:  # P + tol·I has a Cholesky factor iff no eigenvalue is below -tol
         np.linalg.cholesky(precisions + tol * np.eye(3))
-        psd = abs(precisions - precisions.swapaxes(1, 2)).max(initial=0) <= tol
+        psd = (abs(precisions - precisions.swapaxes(1, 2)) <= tol).all()
     except LinAlgError:
         psd = False
     need(psd, "symmetric positive semidefinite precisions, within 1e-9 of "
-         "their largest entry")
+         "each one's largest entry")
     need(set(means) == {(CARTESIAN_2D, POLAR_2D)[f] for f in set(is_polar)},
          "one means block per chart")
     kept = int(np.searchsorted(ts, start))   # the rows kept are a suffix
@@ -92,12 +87,9 @@ def _checked(refs: References, T: int, start: int):
                             else (0.0, 1.0) * M[:, 2:3])   # (x, y) or radius
         if (dropped := mask[:kept].sum()) < n:
             blocks[chart] = M[dropped:]
-    # the S¹ blocks (polar azimuth, heading) pass the ManifoldPoint test
-    off = np.abs(np.sqrt(np.vecdot(S, S)) - 1.0) > 1e-9
-    need(not (off[:, 1] | polar & off[:, 0]).any(),
-         "means with unit sphere blocks")
-    return (References(ts[kept:], list(charts[kept:]), blocks,
-                       precisions[kept:]),
+    off = np.abs(np.sqrt(np.vecdot(S, S)) - 1) > 1e-9  # the ManifoldPoint test
+    need(not (off[:, 1] | polar & off[:, 0]).any(), "means with unit sphere blocks")
+    return (References(ts[kept:], charts[kept:], blocks, precisions[kept:]),
             polar[kept:], S[kept:], offset[kept:])
 
 
@@ -121,14 +113,9 @@ class PlanProblem:
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
         self.references, polar, S, offset = _checked(
             References(*self.references), self.horizon, self.activation_start)
-        # the Jacobian's chart rows are C0 + k (daz; a G; daz) in x and y,
-        # with k = (s_azimuth, 1, -s_heading) on a polar row, 0 otherwise
-        s = _s1_signs(S)                    # the S¹ means' basis signs
-        G = rot2(-self.frame.angle)         # d(object position)/d(world)
-        C0 = np.zeros((len(S), 3, 3))
-        C0[:, :2, :2], C0[:, 2, 2] = ~polar[:, None, None] * G, s[:, 1]
-        k = polar[:, None] * (s[:, [0, 1, 1]] * (1.0, 0.0, -1.0) + (0, 1, 0))
-        self._planar = polar, S, s, offset, G, C0, k[..., None]
+        # the planar pass's per-row constants, with the S¹ means' basis signs
+        # and d(object position)/d(world position)
+        self._planar = polar, S, _s1_signs(S), offset, rot2(-self.frame.angle)
 
 
 @dataclass
@@ -142,20 +129,17 @@ class PlanResult:
 
 def _forward(problem: PlanProblem, u: np.ndarray):
     """Cost at the controls u, the residuals F (n x 3) of the n active
-    timesteps, and their linearization's inputs: the link vectors, the unit
-    azimuths and the radii (p and 1 on a Cartesian row). A chart or log map
+    timesteps, and their linearization's inputs: the kinematic Jacobians, unit
+    azimuths and radii (p and 1 on a Cartesian row). A chart or log map
     singularity raises naming the first offending timestep."""
-    polar, S, s, offset = problem._planar[:4]
-    ts, frame = problem.references.ts, problem.frame
+    (polar, S, s, offset, _), ts = problem._planar, problem.references.ts
     Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
-    P, H, links = kinematics_rows(problem.arm, Q)
-    p = frame.to_object(P)
+    P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
+    p = problem.frame.to_object(P)
     r = np.where(polar, np.sqrt((p * p).sum(axis=-1)), 1.0)
     a = p / np.maximum(r, RADIUS_EPS)[:, None]
-    X = np.empty((len(p), 2, 2))            # the unit azimuth and heading
-    X[:, 0] = a
-    loc = H - frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
-    X[:, 1, 0], X[:, 1, 1] = np.cos(loc), np.sin(loc)
+    loc = H - problem.frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
+    X = np.stack([a, np.stack([np.cos(loc), np.sin(loc)], 1)], 1)  # azimuth, heading
     dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
     # the first row whose chart or S¹ log map is undefined, the chart first
     singular = r < RADIUS_EPS
@@ -173,7 +157,7 @@ def _forward(problem: PlanProblem, u: np.ndarray):
                          np.where(polar, r, p[:, 1]), angle[:, 1]]) - offset
     c = (problem.control_weight * float(u @ u) + float(np.einsum(
         "ni,nij,nj->", F, problem.references.precisions, F)))
-    return c, F, (links, a, r)
+    return c, F, (Jk, a, r)
 
 
 def _candidate(problem: PlanProblem, u: np.ndarray):
@@ -189,11 +173,13 @@ def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
     """Jacobian rows (3n x D) of the active residuals w.r.t. their joint
     states, from a forward pass free of singularities: an S¹ log
     differential s_m·s(x) times a chart row s(x)·c is s_m·c."""
-    (G, C0, k), (links, a, r) = problem._planar[4:], lin
+    (polar, _, s, _, G), (Jk, a, r) = problem._planar, lin
     daz = (perp2(a) / r[:, None]) @ G      # d(azimuth)/d(world position)
-    C = C0.copy()
-    C[:, :, :2] += k * np.array([daz, a @ G, daz]).transpose(1, 0, 2)
-    return (C @ link_jacobians(*links)).reshape(-1, problem.arm.dof)
+    C = np.zeros((len(a), 3, 3))
+    C[:, 2, 2] = s[:, 1]
+    C[:, :, :2] = np.where(polar[:, None, None], np.stack(
+        [s[:, :1] * daz, a @ G, -s[:, 1:] * daz], 1), (*G, (0.0, 0.0)))
+    return (C @ Jk).reshape(-1, problem.arm.dof)
 
 
 def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
@@ -226,29 +212,19 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
     Jr = J.reshape(-1, 3, D)
     JtQ = Jr.transpose(0, 2, 1) @ refs.precisions
     # control term r/dt (u_t - u_{t-1}) at state t, u_T left out; row 0 unused
-    U0 = np.zeros((T + 1, D))
-    U0[1:-1] = U[:-1]
-    g = (r / dt) * np.diff(U0, axis=0)
+    g = (r / dt) * np.diff(U[:-1], axis=0, prepend=0.0, append=0.0)
     g[ts] -= np.einsum("nai,ni->na", JtQ, f.reshape(-1, 3))
-    # lower band storage, a column per state: band[t, a, d] = A[tD+a+d, tD+a]
-    # (the (D+1) x (T-1)D band of the moves in Fortran order)
+    # lower band storage, Fortran order: band[t, a, d] = A[tD+a+d, tD+a]
     band, JtQJ = np.zeros((T, D, D + 1)), JtQ @ Jr
     for d in range(D + 1):
         band[ts, :D - d, d] = np.diagonal(JtQJ, -d, 1, 2)
     band[1:, :, 0] += 2.0 * r / dt ** 2
     band[-1, :, 0] -= r / dt ** 2
     band[1:-1, :, D] = -r / dt ** 2
-    band, g = band[1:].reshape(-1, D + 1).T, g[1:].ravel()
-    if not (np.isfinite(band).all() and np.isfinite(g).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    _, x, info = dpbsv(band, g, lower=1, overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        raise LinAlgError(f"{info}th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of pbsv")
-    X = np.zeros((T, D))                    # the moves, x_1 = 0
-    X[1:] = x.reshape(T - 1, D)
-    return np.concatenate([np.diff(X, axis=0).ravel() / dt, -U[-1]])
+    x = solveh_banded(band[1:].reshape(-1, D + 1).T, g[1:].ravel(),
+                      overwrite_ab=True, overwrite_b=True, lower=True)
+    dX = np.diff(x.reshape(T - 1, D), axis=0, prepend=0.0) / dt
+    return np.concatenate([dX.ravel(), -U[-1]])
 
 
 def solve(problem: PlanProblem) -> PlanResult:

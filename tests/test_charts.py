@@ -40,6 +40,7 @@ def _random_frame_3d(rng):
 def test_chart_inventory():
     assert [c.index for c in charts_for("2d")] == [1, 2]
     assert [c.index for c in charts_for("3d")] == [1, 2, 3]
+    assert charts_for("2d")[1] is POLAR_2D
     with pytest.raises(ValueError):
         ChartId("2d", 3)
 

@@ -200,6 +200,10 @@ def test_phase_model_json_round_trip():
     assert back.charts == model.charts
     assert np.allclose(back.weights, model.weights)
     assert back.winners == model.winners
+    # one object per chart, as the fit gives, so that a per-row lookup keyed
+    # by charts matches by identity
+    assert all(c is POLAR_2D or c is CARTESIAN_2D
+               for c in back.charts + back.winners + model.winners)
     for c in model.charts:
         for k in range(3):
             assert np.allclose(back.phases[k][c].covariance,

@@ -11,7 +11,7 @@ from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D,
                             CartesianPose, Frame2D, OriginSingularity,
                             chart_rows_2d, chart_spec, rot2, to_chart)
 from geoilqr.kinematics import (ArmModel, batch_dynamics, forward_kinematics,
-                                kinematics_rows, link_jacobians, rollout)
+                                kinematics_rows, rollout)
 from geoilqr.manifolds import AntipodalPoint, log_jacobian_rows, log_rows
 from geoilqr.planner import (PlanProblem, References, cost, gauss_newton_step,
                              residuals_and_jacobian, result_from_dict,
@@ -98,7 +98,8 @@ NO_ACTIVE_ROW = "a row at or after activation_start"
 
 # (edit of _two_rows(), expected message): unsorted, repeated, past the
 # horizon, negative and float timesteps; precisions 2 x 2, NaN, negative
-# definite and not symmetric; means too narrow, with extra rows, off the unit
+# definite, not symmetric, and negative definite beside a far larger
+# precision; means too narrow, with extra rows, off the unit
 # circle and NaN; a 3D chart, a chart count short, a means block missing; no
 # rows at all
 BAD_REFERENCES = [
@@ -113,6 +114,9 @@ BAD_REFERENCES = [
     (lambda r: r._replace(precisions=-np.ones((2, 1, 1)) * np.eye(3)),
      "symmetric positive semidefinite precisions"),
     (lambda r: r._replace(precisions=r.precisions + np.triu(np.ones(3), 1)),
+     "symmetric positive semidefinite precisions"),
+    (lambda r: r._replace(precisions=np.array([1e6, -1e-4])[:, None, None]
+                          * np.eye(3)),
      "symmetric positive semidefinite precisions"),
     (_bad_means(POLAR_2D, lambda M: M[:, :4]), "finite rows of 5"),
     (_bad_means(CARTESIAN_2D, lambda M: np.vstack([M, M])),
@@ -267,7 +271,7 @@ def _generic_pass(p, u):
     timestep of the first row whose chart map or log map raises."""
     refs, D = p.references, p.arm.dof
     Q = rollout(p.q0, u.reshape(-1, D), p.dt)[refs.ts]
-    P, H, links = kinematics_rows(p.arm, Q)
+    P, H, Jk = kinematics_rows(p.arm, Q, jacobian=True)
     seen = dict.fromkeys(refs.means, 0)
     for i, (t, chart) in enumerate(zip(refs.ts, refs.charts)):
         mean = refs.means[chart][seen[chart]][None]
@@ -278,7 +282,6 @@ def _generic_pass(p, u):
         except (OriginSingularity, AntipodalPoint) as exc:
             return type(exc), t
     F, J = np.empty((len(Q), 3)), np.empty((len(Q), 3, D))
-    Jk = link_jacobians(*links)
     for chart, M in refs.means.items():
         rows = np.array([c == chart for c in refs.charts])
         spec = chart_spec(chart)
@@ -476,6 +479,19 @@ def test_solver_immediate_convergence_at_solution():
     result = solve(p)
     assert result.converged and result.iterations <= 1
     assert np.allclose(result.trajectory.controls, 0.0, atol=1e-9)
+
+
+def test_one_step_horizon_solves():
+    # a one-step plan has no state to move: its only step zeroes u_1
+    q0 = np.array([0.3, 0.5, 0.2])
+    for chart in (CARTESIAN_2D, POLAR_2D):
+        refs = _references({0: _reference_at(q0 + 0.1, chart)})
+        p = PlanProblem(ARM, q0, 1, 0.1, FRAME, refs)
+        assert np.array_equal(gauss_newton_step(p, np.ones(3), *(
+            residuals_and_jacobian(p, np.ones(3))[:2])), -np.ones(3))
+        result = solve(p)
+        assert result.converged and result.iterations == 1
+        assert np.array_equal(result.trajectory.controls, np.zeros((1, 3)))
 
 
 def test_quadratic_problem_one_step_optimum():
