@@ -5,9 +5,9 @@ from .manifolds import (AntipodalPoint, Euclidean, ManifoldPoint, Product,
                         SpecMismatch, Sphere, TangentVector, exp_map,
                         geodesic_distance, log_map, parallel_transport)
 from .charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D, POLAR_2D,
-                     SPHERICAL_3D, CartesianPose, ChartId, ChartPose, Frame2D,
-                     Frame3D, OriginSingularity, chart_jacobian, chart_spec,
-                     charts_for, from_chart, to_chart)
+                     SPHERICAL_3D, CartesianPose, ChartId, Frame2D, Frame3D,
+                     OriginSingularity, chart_jacobian, chart_spec, charts_for,
+                     from_chart, to_chart)
 from .stats import (ManifoldGaussian, fit_gaussian, geometric_mean,
                     select_winner)
 from .kinematics import (ArmModel, JointTrajectory, batch_dynamics,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import (Euclidean, ManifoldPoint, Product, Sphere, _s1_signs,
-                        sphere_basis)
+from .manifolds import (AntipodalPoint, Euclidean, ManifoldPoint, Product,
+                        SpecMismatch, Sphere, _s1_signs, sphere_basis)
 
 TWO_D = "2d"
 THREE_D = "3d"
@@ -29,6 +29,7 @@ _CHART_NAMES = {
 }
 
 RADIUS_EPS = 1e-6
+POLE_TOL = 1e-9  # u_z within this of -1: the spherical frame is a half-turn
 
 
 class OriginSingularity(ValueError):
@@ -148,17 +149,6 @@ def rotmat_from_quat(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
-def vee(M: np.ndarray) -> np.ndarray:
-    A = 0.5 * (M - M.T)
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
-
-
 def azimuth_quat(az) -> np.ndarray:
     """Rotation about the z axis by the angle az (a scalar or N angles), as
     quaternion rows: the local base frame of the cylindrical chart."""
@@ -174,30 +164,8 @@ def pole_quat(u: np.ndarray) -> np.ndarray:
     x, y, z = u.T
     d = np.clip(z, -1.0, 1.0)
     q = np.array([1.0 + d, -y, x, np.zeros_like(d)]).T
-    q = np.where((d <= -1.0 + 1e-9)[..., None], (0.0, 1.0, 0.0, 0.0), q)
+    q = np.where((d <= -1.0 + POLE_TOL)[..., None], (0.0, 1.0, 0.0, 0.0), q)
     return quat_normalize(q)
-
-
-def minimal_rotation(u: np.ndarray) -> np.ndarray:
-    """Rotation matrix of the minimal rotation taking e_z to u."""
-    e = np.array([0.0, 0.0, 1.0])
-    c = float(np.clip(e @ u, -1.0, 1.0))
-    if c <= -1.0 + 1e-9:
-        return rotmat_from_quat(pole_quat(u))
-    a = np.cross(e, u)
-    A = skew(a)
-    return np.eye(3) + A + (A @ A) / (1.0 + c)
-
-
-def _minimal_rotation_diff(u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Directional derivative of minimal_rotation(u) along du (du tangent to u)."""
-    e = np.array([0.0, 0.0, 1.0])
-    c = float(e @ u)
-    a = np.cross(e, u)
-    da = np.cross(e, du)
-    dc = float(e @ du)
-    A, dA = skew(a), skew(da)
-    return dA + (dA @ A + A @ dA) / (1.0 + c) - (A @ A) * (dc / (1.0 + c) ** 2)
 
 
 # --- frames and poses -------------------------------------------------------
@@ -286,19 +254,6 @@ class CartesianPose:
         return float(np.arctan2(self.orientation[1], self.orientation[0]))
 
 
-@dataclass(frozen=True)
-class ChartPose:
-    chart: ChartId
-    position: ManifoldPoint
-    orientation: ManifoldPoint
-
-    def point(self) -> ManifoldPoint:
-        """The pose as a single point on the chart's product manifold."""
-        return ManifoldPoint(chart_spec(self.chart),
-                             np.concatenate([self.position.coords,
-                                             self.orientation.coords]))
-
-
 def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Directions and radii along the last axis; OriginSingularity naming
     the first radius below RADIUS_EPS."""
@@ -312,8 +267,9 @@ def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 # --- chart maps -------------------------------------------------------------
 
-def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ChartPose:
-    """Express a world-frame pose in the given chart of the object frame."""
+def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ManifoldPoint:
+    """The world-frame pose as a point on the chart's product manifold, in
+    the object frame."""
     if pose.space != chart.space:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
     if chart.space == THREE_D:
@@ -322,9 +278,7 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ChartPose:
     else:
         x = chart_rows_2d(chart, frame, pose.position[None],
                           np.array([pose.heading_angle]))[0][0]
-    k = _POS_SPECS[chart].ambient_dim
-    return ChartPose(chart, ManifoldPoint(_POS_SPECS[chart], x[:k]),
-                     ManifoldPoint(orientation_spec(chart), x[k:]))
+    return ManifoldPoint(chart_spec(chart), x)
 
 
 def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
@@ -385,10 +339,12 @@ def chart_rows_3d(chart: ChartId, frame: Frame3D, positions: np.ndarray,
     return np.hstack([pos, quat_normalize(q)])
 
 
-def from_chart(cp: ChartPose, frame) -> CartesianPose:
+def from_chart(x: ManifoldPoint, chart: ChartId, frame) -> CartesianPose:
     """Inverse chart map back to a world-frame pose."""
-    chart = cp.chart
-    pc, oc = cp.position.coords, cp.orientation.coords
+    if x.spec != chart_spec(chart):
+        raise SpecMismatch(f"point on {x.spec} is not a point of chart {chart}")
+    k = _POS_SPECS[chart].ambient_dim
+    pc, oc = x.coords[:k], x.coords[k:]
     if chart.space == TWO_D:
         if chart == CARTESIAN_2D:
             p_obj, phi = pc, float(np.arctan2(oc[1], oc[0]))
@@ -440,22 +396,23 @@ def _jac_3d(pose, chart, frame) -> np.ndarray:
         J[0:3, 0:3] = Gp
     elif chart == CYLINDRICAL_3D:
         a, rho = x[:2], x[2]
-        b = sphere_basis(a)[:, 0]
         daz = (perp2(a) / rho) @ Gp[:2]
-        J[0, 0:3] = (b @ perp2(a)) * daz
+        J[0, 0:3] = _s1_signs(a) * daz
         J[1, 0:3] = a @ Gp[:2]
         J[2, 0:3] = Gp[2]
         RF = rotmat_from_quat(azimuth_quat(np.arctan2(a[1], a[0])))
         omega_F[2, 0:3] = daz
     else:
         u, r = x[:3], x[3]
-        Pu = (np.eye(3) - np.outer(u, u)) / r
-        J[0:2, 0:3] = sphere_basis(u).T @ Pu @ Gp
+        if u[2] <= -1.0 + POLE_TOL:
+            raise AntipodalPoint(f"{chart} local frame has no derivative at "
+                                 "the direction -e_z")
+        du = (np.eye(3) - np.outer(u, u)) / r @ Gp  # du per input column
+        J[0:2, 0:3] = sphere_basis(u).T @ du
         J[2, 0:3] = u @ Gp
-        RF = minimal_rotation(u)
-        for j in range(3):
-            dR = _minimal_rotation_diff(u, Pu @ Gp[:, j])
-            omega_F[:, j] = vee(dR @ RF.T)
+        RF = rotmat_from_quat(pole_quat(u))
+        # angular velocity of the minimal rotation from e_z to u
+        omega_F[:, 0:3] = np.cross(u + (0.0, 0.0, 1.0), du.T).T / (1.0 + u[2])
     # the local orientation turns with R_F^T (R_of^T w - omega_F), w the
     # world angular velocity
     q_loc = x[-4:]

@@ -18,15 +18,15 @@ import numpy as np
 from .charts import CARTESIAN_2D, chart_spec, charts_for
 from .io import (atomic_write_text, demos_from_dict, demos_to_csv,
                  demos_to_dict, write_json)
-from .kinematics import ArmModel, forward_kinematics, kinematics_rows
+from .kinematics import ArmModel, kinematics_rows, link_positions
 from .manifolds import exp_rows
 from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
                      phase_model_to_dict)
 from .planner import PlanProblem, result_to_dict, solve
 from .stats import select_winner
 from .tasks import (DEFAULT_ARM, TaskSpec, build_references, default_spec,
-                    evaluate_trial, plan_mode, run_experiment,
-                    sample_initial_states)
+                    evaluate_trial, fit_task_model, generate_demos, plan_mode,
+                    run_experiment, sample_initial_states)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +125,13 @@ def build_arm(config: dict) -> ArmModel:
                     float(arm.get("base_angle", 0.0)))
 
 
+def _plan_settings(config: dict) -> tuple[ArmModel, float, int]:
+    """The arm, control weight and activation start that plan and evaluate
+    share."""
+    return (build_arm(config), float(config.get("control_weight", 1e-2)),
+            int(config.get("activation_start", 20)))
+
+
 def _out_dir(args, config: dict) -> str:
     out = args.out or config.get("out_dir", ".")
     os.makedirs(out, exist_ok=True)
@@ -148,19 +155,11 @@ def _resolve_strategy(name: str, space: str):
     raise ConfigError(f"unknown strategy {name!r} for space {space}")
 
 
-def _task_space(spec: TaskSpec) -> str:
-    return "2d" if spec.object_frame.translation.shape[0] == 2 else "3d"
-
-
 # --- subcommands ------------------------------------------------------------
 
-def cmd_demo_gen(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    spec = build_task(config, seed)
-    from .tasks import generate_demos
+def cmd_demo_gen(args, config: dict, seed: int, spec: TaskSpec,
+                 out: str) -> int:
     demos = generate_demos(spec)
-    out = _out_dir(args, config)
     payload = demos_to_dict(demos)
     payload["config"] = _snapshot(config, seed)
     write_json(os.path.join(out, "demos.json"), payload)
@@ -172,17 +171,13 @@ def cmd_demo_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    spec = build_task(config, seed)
-    out = _out_dir(args, config)
+def cmd_fit(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
     demos_path = args.demos or os.path.join(out, "demos.json")
     if not os.path.exists(demos_path):
         raise ConfigError(f"demos file not found: {demos_path}")
     with open(demos_path) as fh:
         demos = demos_from_dict(json.load(fh))
-    charts = charts_for(_task_space(spec))
+    charts = charts_for(spec.space)
     gmm = fit_time_gmm(demos, spec.phase_count)
     model = build_phase_model(demos, gmm, charts, horizon=spec.horizon)
     payload = phase_model_to_dict(model)
@@ -226,7 +221,6 @@ def _reference_contour(chart, mean, precision, frame) -> np.ndarray:
 def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
     """Planar scene: arm snapshots in gray shades, end-effector path, and
     1-sigma reference contours."""
-    from .kinematics import link_positions
     T = problem.horizon
     world = kinematics_rows(arm, result.trajectory.states)[0]
     pts = [world]
@@ -269,13 +263,9 @@ def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
     return "\n".join(parts)
 
 
-def cmd_plan(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    spec = build_task(config, seed)
-    arm = build_arm(config)
-    out = _out_dir(args, config)
-    strategy = _resolve_strategy(args.strategy, _task_space(spec))
+def cmd_plan(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
+    arm, control_weight, activation = _plan_settings(config)
+    strategy = _resolve_strategy(args.strategy, spec.space)
     model_path = args.model or os.path.join(out, "model.json")
     if not os.path.exists(model_path):
         raise ConfigError(f"model file not found: {model_path}")
@@ -287,7 +277,6 @@ def cmd_plan(args) -> int:
     if model.horizon != spec.horizon:
         raise ConfigError(f"{model_path}: model horizon {model.horizon} "
                           f"differs from the task horizon {spec.horizon}")
-    activation = int(config.get("activation_start", 20))
     refs = build_references(model, strategy, spec.horizon, activation,
                             plan_mode(spec.kind))
     if args.initial:
@@ -296,12 +285,10 @@ def cmd_plan(args) -> int:
             raise ConfigError(f"initial state needs {arm.dof} finite "
                               "joint angles")
     else:
-        from .tasks import generate_demos
         rng = np.random.default_rng(seed + 1)
         q0 = sample_initial_states(generate_demos(spec), arm, 1, rng)[0]
     problem = PlanProblem(arm, q0, spec.horizon, spec.dt, spec.object_frame,
-                          refs, float(config.get("control_weight", 1e-2)),
-                          activation)
+                          refs, control_weight, activation)
     result = solve(problem)
     payload = result_to_dict(result)
     payload["config"] = _snapshot(config, seed)
@@ -309,13 +296,14 @@ def cmd_plan(args) -> int:
 
     rows = ["t,q,x,y,heading,chart,residual_norm"]
     names = dict(zip(refs.ts.tolist(), (c.name for c in refs.charts)))
-    for t, q in enumerate(result.trajectory.states):
-        pose = forward_kinematics(arm, q)
+    P, headings, _ = kinematics_rows(arm, result.trajectory.states)
+    headings = np.arctan2(np.sin(headings), np.cos(headings))
+    for t, (q, (x, y), h) in enumerate(zip(result.trajectory.states, P,
+                                          headings)):
         chart = names.get(t, "")
         res = result.residual_norms.get(t, "")
         qs = " ".join(f"{v:.6f}" for v in q)
-        rows.append(f"{t},{qs},{pose.position[0]:.6f},{pose.position[1]:.6f},"
-                    f"{pose.heading_angle:.6f},{chart},{res}")
+        rows.append(f"{t},{qs},{x:.6f},{y:.6f},{h:.6f},{chart},{res}")
     atomic_write_text(os.path.join(out, "path.csv"), "\n".join(rows) + "\n")
     if args.svg:
         atomic_write_text(os.path.join(out, "scene.svg"),
@@ -329,28 +317,20 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, config: dict, seed: int, spec: TaskSpec,
+                 out: str) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    spec = build_task(config, seed)
-    arm = build_arm(config)
-    out = _out_dir(args, config)
-    space = _task_space(spec)
+    arm, control_weight, activation = _plan_settings(config)
     names = config.get("strategies",
-                       [c.name for c in charts_for(space)] + ["optimal"])
-    strategies = [_resolve_strategy(n, space) for n in names]
+                       [c.name for c in charts_for(spec.space)] + ["optimal"])
+    strategies = [_resolve_strategy(n, spec.space) for n in names]
     trials = int(config.get("trials", 50))
-    from .tasks import fit_task_model
     demos, _, model = fit_task_model(spec)
-    reports = []
-    for strat in strategies:
-        reports.append(run_experiment(
-            spec, strat, trials, arm,
-            float(config.get("control_weight", 1e-2)),
-            int(config.get("activation_start", 20)),
-            model=model, demos=demos, jobs=args.jobs))
+    reports = [run_experiment(spec, strat, trials, arm, control_weight,
+                              activation, model=model, demos=demos,
+                              jobs=args.jobs)
+               for strat in strategies]
     payload = {"schema_version": SCHEMA_VERSION,
                "config": _snapshot(config, seed),
                "reports": [r.to_dict() for r in reports]}
@@ -411,7 +391,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = load_config(args.config)
+        seed = resolve_seed(config, args.seed)
+        return args.func(args, config, seed, build_task(config, seed),
+                         _out_dir(args, config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

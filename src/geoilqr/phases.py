@@ -204,16 +204,14 @@ def _chart_rows(chart: ChartId, demo: Demonstration) -> np.ndarray:
 
 
 def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
-                      charts: list[ChartId],
-                      horizon: int | None = None) -> PhaseModel:
+                      charts: list[ChartId], horizon: int) -> PhaseModel:
     """Fit per-phase per-chart Gaussians and blend them into per-timestep
     references; each timestep's winner is the chart whose blended covariance
     has the smallest determinant, ties going to the lowest chart index."""
     K = gmm.n_components
-    T = horizon if horizon is not None else max(len(d) for d in demos)
-    H = phase_weights(gmm, T)
+    H = phase_weights(gmm, horizon)
     h = np.where(H > 1e-12, H, 0.0)
-    s_grid = np.arange(T) / max(T - 1, 1)
+    s_grid = np.arange(horizon) / max(horizon - 1, 1)
     anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
 
     s = np.concatenate([d.phase_variable() for d in demos])

@@ -38,7 +38,6 @@ class ManifoldGaussian:
     mean: ManifoldPoint
     covariance: np.ndarray
     det: float
-    precision: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -47,14 +46,12 @@ class ManifoldGaussian:
     @classmethod
     def from_moments(cls, mean: ManifoldPoint,
                      covariance: np.ndarray) -> "ManifoldGaussian":
-        """Symmetrize, floor the eigenvalues at EIGVAL_FLOOR and cache det
-        and precision."""
+        """Symmetrize, floor the eigenvalues at EIGVAL_FLOOR and cache the
+        determinant."""
         cov = 0.5 * (covariance + covariance.T)
         w, V = np.linalg.eigh(cov)
         w = np.maximum(w, EIGVAL_FLOOR)
-        cov = (V * w) @ V.T
-        prec = (V / w) @ V.T
-        return cls(mean, cov, float(np.prod(w)), prec)
+        return cls(mean, (V * w) @ V.T, float(np.prod(w)))
 
 
 def quat_sign_align(spec, X: np.ndarray, ref: np.ndarray) -> np.ndarray:

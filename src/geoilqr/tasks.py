@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import (CartesianPose, Frame2D, Frame3D, azimuth_quat,
-                     charts_for, pole_quat, quat_from_axis_angle, quat_mul,
-                     quat_normalize)
+from .charts import (THREE_D, TWO_D, CartesianPose, Frame2D, Frame3D,
+                     azimuth_quat, charts_for, pole_quat, quat_from_axis_angle,
+                     quat_mul, quat_normalize)
 from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
                          kinematics_rows, planar_ik_3link)
 from .phases import (Demonstration, PhaseModel, build_phase_model,
@@ -71,6 +71,11 @@ class TaskSpec:
         for v in (self.radial_sigma, self.orientation_sigma):
             if v < 0.0:
                 raise ValueError("noise levels must be >= 0")
+
+    @property
+    def space(self) -> str:
+        """The chart space of the task: the planar kinds are 2D."""
+        return TWO_D if self.kind in (GRASP2D, BOXOPEN2D) else THREE_D
 
 
 def default_spec(kind: str, seed: int = 0, **overrides) -> TaskSpec:
@@ -320,9 +325,8 @@ def fit_task_model(spec: TaskSpec):
     """Demos, GMM and phase model for a task; shared across strategies."""
     demos = generate_demos(spec)
     gmm = fit_time_gmm(demos, spec.phase_count)
-    space = "2d" if spec.kind in (GRASP2D, BOXOPEN2D) else "3d"
-    model = build_phase_model(demos, gmm, charts_for(space),
-                              horizon=spec.horizon)
+    model = build_phase_model(demos, gmm, charts_for(spec.space),
+                              spec.horizon)
     return demos, gmm, model
 
 

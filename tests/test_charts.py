@@ -6,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             POLAR_2D, SPHERICAL_3D, CartesianPose, ChartId,
                             Frame2D, Frame3D, OriginSingularity, chart_jacobian,
-                            chart_spec, charts_for, from_chart,
-                            minimal_rotation, pole_quat, position_spec,
-                            quat_from_axis_angle, quat_mul, quat_rotate,
-                            rotmat_from_quat, to_chart)
-from geoilqr.manifolds import Euclidean, Product, Sphere, log_rows
+                            chart_spec, charts_for, from_chart, pole_quat,
+                            position_spec, quat_from_axis_angle, quat_mul,
+                            quat_rotate, rotmat_from_quat, to_chart)
+from geoilqr.manifolds import (AntipodalPoint, Euclidean, Product,
+                               SpecMismatch, Sphere, log_rows)
 
 RNG = np.random.default_rng(1)
 
@@ -67,10 +67,10 @@ def test_cartesian_2d_chart_is_object_frame_identity():
     pose = _random_pose_2d(RNG)
     cp = to_chart(pose, CARTESIAN_2D, frame)
     p_obj = frame.to_object(pose.position)
-    assert np.allclose(cp.position.coords, p_obj, atol=1e-12)
+    assert np.allclose(cp.coords[:2], p_obj, atol=1e-12)
     # orientation expressed relative to the frame heading
     rel = pose.heading_angle - frame.angle
-    assert np.allclose(cp.orientation.coords,
+    assert np.allclose(cp.coords[2:],
                        [np.cos(rel), np.sin(rel)], atol=1e-12)
 
 
@@ -78,10 +78,10 @@ def test_polar_2d_example():
     frame = Frame2D(np.zeros(2), 0.0)
     pose = CartesianPose.from_angle(0.0, 2.0, np.pi / 2)
     cp = to_chart(pose, POLAR_2D, frame)
-    assert np.allclose(cp.position.coords[:2], [0.0, 1.0], atol=1e-12)
-    assert np.isclose(cp.position.coords[2], 2.0)
+    assert np.allclose(cp.coords[:2], [0.0, 1.0], atol=1e-12)
+    assert np.isclose(cp.coords[2], 2.0)
     # heading minus azimuth is zero -> local orientation (1, 0)
-    assert np.allclose(cp.orientation.coords, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(cp.coords[3:], [1.0, 0.0], atol=1e-12)
 
 
 def test_spherical_3d_example():
@@ -89,13 +89,13 @@ def test_spherical_3d_example():
     pose = CartesianPose(np.array([0.0, 0.0, 3.0]),
                          np.array([1.0, 0.0, 0.0, 0.0]))
     cp = to_chart(pose, SPHERICAL_3D, frame)
-    assert np.allclose(cp.position.coords[:3], [0.0, 0.0, 1.0], atol=1e-12)
-    assert np.isclose(cp.position.coords[3], 3.0)
+    assert np.allclose(cp.coords[:3], [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.isclose(cp.coords[3], 3.0)
     # local frame aligned with e_z -> minimal rotation is identity, so the
     # local orientation equals the world orientation
-    R = minimal_rotation(np.array([0.0, 0.0, 1.0]))
+    R = rotmat_from_quat(pole_quat(np.array([0.0, 0.0, 1.0])))
     assert np.allclose(R, np.eye(3), atol=1e-12)
-    assert np.allclose(np.abs(cp.orientation.coords[0]), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(cp.coords[4]), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("chart", charts_for("2d") + charts_for("3d"),
@@ -107,11 +107,18 @@ def test_chart_round_trip(chart):
         else:
             frame, pose = _random_frame_3d(RNG), _random_pose_3d(RNG)
         cp = to_chart(pose, chart, frame)
-        back = from_chart(cp, frame)
+        back = from_chart(cp, chart, frame)
         assert np.allclose(back.position, pose.position, atol=1e-9)
         # quaternions are defined up to sign
         dot = abs(back.orientation @ pose.orientation)
         assert np.isclose(dot, 1.0, atol=1e-9)
+
+
+def test_from_chart_rejects_a_point_of_another_chart():
+    # cylindrical and spherical points have the same 8 coordinates
+    frame, pose = _random_frame_3d(RNG), _random_pose_3d(RNG)
+    with pytest.raises(SpecMismatch):
+        from_chart(to_chart(pose, CYLINDRICAL_3D, frame), SPHERICAL_3D, frame)
 
 
 def test_cartesian_chart_distance_equals_euclidean():
@@ -119,8 +126,8 @@ def test_cartesian_chart_distance_equals_euclidean():
     a = CartesianPose.from_angle(0.3, 0.4, 0.1)
     b = CartesianPose.from_angle(-0.2, 1.0, 0.1)
     from geoilqr.manifolds import geodesic_distance
-    ca = to_chart(a, CARTESIAN_2D, frame).point()
-    cb = to_chart(b, CARTESIAN_2D, frame).point()
+    ca = to_chart(a, CARTESIAN_2D, frame)
+    cb = to_chart(b, CARTESIAN_2D, frame)
     d = geodesic_distance(ca, cb)
     pos = np.linalg.norm(a.position - b.position)
     assert np.isclose(d, pos, atol=1e-12)
@@ -144,11 +151,10 @@ def test_rotation_equivariance_polar():
     rotated = CartesianPose.from_angle(*(R @ pose.position),
                                        pose.heading_angle + a)
     cp1 = to_chart(rotated, POLAR_2D, frame)
-    assert np.isclose(cp1.position.coords[2], cp0.position.coords[2])
-    assert np.allclose(cp1.orientation.coords, cp0.orientation.coords,
-                       atol=1e-12)
-    az0 = np.arctan2(*cp0.position.coords[1::-1])
-    az1 = np.arctan2(*cp1.position.coords[1::-1])
+    assert np.isclose(cp1.coords[2], cp0.coords[2])
+    assert np.allclose(cp1.coords[3:], cp0.coords[3:], atol=1e-12)
+    az0 = np.arctan2(*cp0.coords[1::-1])
+    az1 = np.arctan2(*cp1.coords[1::-1])
     assert np.isclose((az1 - az0 - a + np.pi) % (2 * np.pi) - np.pi, 0.0,
                       atol=1e-12)
 
@@ -163,7 +169,7 @@ def test_chart_jacobian_2d_finite_differences(chart):
         if np.linalg.norm(frame.to_object(pose.position)) < 0.2:
             continue
         J = chart_jacobian(pose, chart, frame)
-        base = to_chart(pose, chart, frame).point()
+        base = to_chart(pose, chart, frame)
         num = np.zeros_like(J)
         for j in range(3):
             e = np.zeros(3)
@@ -175,9 +181,9 @@ def test_chart_jacobian_2d_finite_differences(chart):
                     pose.heading_angle + s * e[2])
 
             num[:, j] = (log_map(base, to_chart(moved(+1), chart,
-                                                frame).point()).coords
+                                                frame)).coords
                          - log_map(base, to_chart(moved(-1), chart,
-                                                  frame).point()).coords) / (2 * h)
+                                                  frame)).coords) / (2 * h)
         assert np.allclose(J, num, atol=1e-5)
 
 
@@ -192,7 +198,7 @@ def test_chart_jacobian_3d_finite_differences(chart):
         if np.linalg.norm(p_obj[:2]) < 0.2 or np.linalg.norm(p_obj) < 0.2:
             continue
         J = chart_jacobian(pose, chart, frame)
-        base = to_chart(pose, chart, frame).point()
+        base = to_chart(pose, chart, frame)
         num = np.zeros_like(J)
         for j in range(6):
             e = np.zeros(6)
@@ -208,9 +214,9 @@ def test_chart_jacobian_3d_finite_differences(chart):
                                      q / np.linalg.norm(q))
 
             num[:, j] = (log_map(base, to_chart(moved(+1), chart,
-                                                frame).point()).coords
+                                                frame)).coords
                          - log_map(base, to_chart(moved(-1), chart,
-                                                  frame).point()).coords) / (2 * h)
+                                                  frame)).coords) / (2 * h)
         assert np.allclose(J, num, atol=1e-5), np.abs(J - num).max()
 
 
@@ -268,7 +274,7 @@ def _moved(pose, step):
 def test_chart_jacobian_matches_central_differences(chart, seed, where):
     frame, pose = _chart_case_pose(chart, seed, where)
     J = chart_jacobian(pose, chart, frame)
-    spec, base = chart_spec(chart), to_chart(pose, chart, frame).point()
+    spec, base = chart_spec(chart), to_chart(pose, chart, frame)
     # position steps well inside the distance to a singular point of the
     # chart map (the origin, and -e_z of the spherical chart's minimal
     # rotation), else large enough to move each coordinate past ZERO_TOL
@@ -278,12 +284,20 @@ def test_chart_jacobian_matches_central_differences(chart, seed, where):
     h[:pose.dim] *= SHORT if singular else 1.0
     num = np.empty_like(J)
     for j, step in enumerate(np.diag(h)):
-        ends = [to_chart(_moved(pose, sign * step), chart, frame).point()
+        ends = [to_chart(_moved(pose, sign * step), chart, frame)
                 for sign in (1, -1)]
         logs = log_rows(spec, base.coords[None], np.array([e.coords
                                                             for e in ends]))
         num[:, j] = (logs[0] - logs[1]) / (2 * h[j])
     assert np.abs(J - num).max() <= 1e-5 * max(np.abs(num).max(), 1.0)
+
+
+def test_spherical_jacobian_raises_where_its_frame_turns_a_half_turn():
+    # the minimal rotation from e_z has no derivative at the direction -e_z
+    pose = CartesianPose(np.array([0.0, 0.0, -0.5]),
+                         np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(AntipodalPoint, match="spherical-3d"):
+        chart_jacobian(pose, SPHERICAL_3D, Frame3D(np.zeros(3)))
 
 
 def test_jacobian_shapes():
@@ -328,7 +342,7 @@ def test_minimal_rotation_sends_ez_to_direction():
         u /= np.linalg.norm(u)
         if u[2] < -0.99:
             continue
-        R = minimal_rotation(u)
+        R = rotmat_from_quat(pole_quat(u))
         assert np.allclose(R @ np.array([0.0, 0.0, 1.0]), u, atol=1e-12)
         assert np.allclose(R.T @ R, np.eye(3), atol=1e-12)
         assert np.isclose(np.linalg.det(R), 1.0)

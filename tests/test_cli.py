@@ -10,8 +10,9 @@ import pytest
 
 import geoilqr
 from geoilqr.cli import main
-from geoilqr.kinematics import rollout
+from geoilqr.kinematics import forward_kinematics, rollout
 from geoilqr.planner import result_from_dict
+from geoilqr.tasks import DEFAULT_ARM
 
 
 @pytest.fixture
@@ -136,6 +137,23 @@ def test_plan_fixed_strategy_and_initial(cfg, tmp_path):
                 "--initial", "2.0,-0.5,-0.5") == 0
 
 
+def test_path_csv_matches_forward_kinematics(grasp_model, cfg, tmp_path):
+    # the starting heading of 3 + 1 + 1 = 5 rad is written wrapped
+    assert _run("plan", "--config", cfg, "--model", grasp_model,
+                "--initial", "3.0,1.0,1.0") == 0
+    out = tmp_path / "out"
+    states = json.loads((out / "trajectory.json").read_text())["states"]
+    header, *rows = (out / "path.csv").read_text().splitlines()
+    assert header == "t,q,x,y,heading,chart,residual_norm"
+    assert len(rows) == len(states)
+    assert rows[0].split(",")[4] == "-1.283185"
+    for row, q in zip(rows, states):
+        pose = forward_kinematics(DEFAULT_ARM, np.array(q))
+        assert row.split(",")[2:5] == [f"{pose.position[0]:.6f}",
+                                       f"{pose.position[1]:.6f}",
+                                       f"{pose.heading_angle:.6f}"]
+
+
 def test_plan_bad_initial_length(cfg, tmp_path):
     _run("demo-gen", "--config", cfg)
     _run("fit", "--config", cfg)
@@ -180,7 +198,7 @@ def test_reference_contour_is_continuous_at_isotropic_covariance():
     from geoilqr.cli import _reference_contour
     frame = Frame2D(np.array([0.7, 0.0]))
     mean = to_chart(CartesianPose.from_angle(0.4, 0.3, 2.0), POLAR_2D,
-                    frame).point().coords
+                    frame).coords
     cov = 1e-4 * np.eye(3)
     bump = np.zeros((3, 3))
     bump[:2, :2] = [[1.0, 0.5], [0.5, -1.0]]

@@ -26,7 +26,7 @@ def _reference_at(q, chart, precision_scale=100.0):
     """Reference row (chart, mean, precision) whose mean is the chart image
     of the arm pose at q."""
     pose = forward_kinematics(ARM, q)
-    mean = to_chart(pose, chart, FRAME).point().coords
+    mean = to_chart(pose, chart, FRAME).coords
     d = chart_spec(chart).tangent_dim
     return chart, mean, precision_scale * np.eye(d)
 
@@ -384,10 +384,10 @@ def test_chart_singularity_names_first_timestep():
     rows = {}
     for t in range(2, T):
         pose = forward_kinematics(ARM, states[t] + 0.05)
-        rows[t] = (POLAR_2D, to_chart(pose, POLAR_2D, frame).point().coords,
+        rows[t] = (POLAR_2D, to_chart(pose, POLAR_2D, frame).coords,
                    np.eye(3))
     x3 = to_chart(forward_kinematics(ARM, states[3]), POLAR_2D, frame)
-    opposite = np.concatenate([-x3.position.coords[:2], rows[3][1][2:]])
+    opposite = np.concatenate([-x3.coords[:2], rows[3][1][2:]])
     for t_bad, exc, mean3 in ((6, OriginSingularity, rows[3][1]),
                               (3, AntipodalPoint, opposite)):
         rows[3] = (POLAR_2D, mean3, np.eye(3))
@@ -453,7 +453,7 @@ def test_banded_step_matches_dense_oracle(case):
     for t in np.flatnonzero(active):
         pose = forward_kinematics(ARM, states[t] + 0.1 * rng.standard_normal(3))
         A = rng.standard_normal((3, 3))
-        mean = to_chart(pose, charts[t], FAR_FRAME).point().coords
+        mean = to_chart(pose, charts[t], FAR_FRAME).coords
         rows[t] = (charts[t], mean, 10.0 * (A @ A.T + 0.1 * np.eye(3)))
     p = PlanProblem(ARM, q0, T, dt, FAR_FRAME, _references(rows),
                     10.0 ** log_r, start)

@@ -88,7 +88,6 @@ def test_gaussian_invariants():
     assert np.allclose(g.covariance, g.covariance.T, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(g.covariance)) >= EIGVAL_FLOOR - 1e-12
     assert np.isclose(g.det, np.linalg.det(g.covariance), rtol=1e-9)
-    assert np.allclose(g.precision @ g.covariance, np.eye(g.dim), atol=1e-8)
 
 
 def test_euclidean_agreement_with_classical_statistics():
@@ -112,7 +111,7 @@ def test_polar_samples_on_circle_have_small_radial_variance():
     radius = 1.0 + 1e-3 * RNG.standard_normal(60)
     poses = [CartesianPose.from_angle(r * np.cos(a), r * np.sin(a), a)
              for r, a in zip(radius, angles)]
-    pts = [to_chart(p, POLAR_2D, frame).point() for p in poses]
+    pts = [to_chart(p, POLAR_2D, frame) for p in poses]
     spec = pts[0].spec
     g = fit_gaussian(spec, *_samples(pts))
     var_ang, var_rad = g.covariance[0, 0], g.covariance[1, 1]
