@@ -136,10 +136,6 @@ def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
     return np.concatenate([np.cos(h), np.sin(h) * axis], axis=-1)
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_mul(quat_mul(q, np.concatenate(([0.0], v))), quat_conj(q))[1:]
-
-
 def rotmat_from_quat(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q
     return np.array([
@@ -254,64 +250,67 @@ class CartesianPose:
         return float(np.arctan2(self.orientation[1], self.orientation[0]))
 
 
-def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and radii along the last axis; OriginSingularity naming
-    the first radius below RADIUS_EPS."""
-    r = np.sqrt(np.sum(v * v, axis=-1))
+def _check_radius(r: np.ndarray, what: str):
+    """OriginSingularity naming the first radius below RADIUS_EPS."""
     bad = np.flatnonzero(r < RADIUS_EPS)
     if bad.size:
         raise OriginSingularity(f"{what} radius {r.flat[bad[0]]} below "
                                 f"{RADIUS_EPS}")
+
+
+def _unit(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and radii along the last axis, checked by _check_radius."""
+    r = np.sqrt(np.sum(v * v, axis=-1))
+    _check_radius(r, what)
     return v / r[..., None], r
 
 
 # --- chart maps -------------------------------------------------------------
+
+def chart_rows(chart: ChartId, frame, positions: np.ndarray,
+               orientations: np.ndarray) -> np.ndarray:
+    """Chart points (N x ambient) of world poses given as positions (N x d)
+    and unit orientations (N x 2 headings or N x 4 quaternions)."""
+    if chart.space == THREE_D:
+        return chart_rows_3d(chart, frame, positions, orientations)
+    return chart_rows_2d(chart, frame, positions,
+                         np.arctan2(orientations[:, 1], orientations[:, 0]))
+
 
 def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ManifoldPoint:
     """The world-frame pose as a point on the chart's product manifold, in
     the object frame."""
     if pose.space != chart.space:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
-    if chart.space == THREE_D:
-        x = chart_rows_3d(chart, frame, pose.position[None],
-                          pose.orientation[None])[0]
-    else:
-        x = chart_rows_2d(chart, frame, pose.position[None],
-                          np.array([pose.heading_angle]))[0][0]
-    return ManifoldPoint(chart_spec(chart), x)
+    x = chart_rows(chart, frame, pose.position[None], pose.orientation[None])
+    return ManifoldPoint(chart_spec(chart), x[0])
+
+
+def planar_rows(frame: Frame2D, positions: np.ndarray, headings: np.ndarray,
+                polar):
+    """Unit azimuths (N x 2), radii (N,) and unit local headings (N x 2) of
+    planar world poses given as positions (N x 2) and headings (N,), with
+    polar one bool or one per row. A Cartesian row returns its object-frame
+    position as its azimuth and 1 as its radius. The caller rejects radii
+    below RADIUS_EPS, whose azimuths are not unit."""
+    p = frame.to_object(positions)
+    r = np.where(polar, np.sqrt((p * p).sum(axis=-1)), 1.0)
+    a = p / np.maximum(r, RADIUS_EPS)[:, None]
+    loc = headings - frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
+    return a, r, np.stack([np.cos(loc), np.sin(loc)], 1)
 
 
 def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
-                  headings: np.ndarray, jacobian: bool = False):
+                  headings: np.ndarray) -> np.ndarray:
     """Chart points (N x ambient) of planar world poses given as positions
-    (N x 2) and headings (N,), and None or, with jacobian=True, the chart
-    Jacobians (N x 3 x 3) from (dx, dy, dheading) to intrinsic velocities."""
+    (N x 2) and headings (N,)."""
     if chart.space != TWO_D:
         raise DimensionMismatch(f"planar poses cannot use chart {chart}")
-    p = frame.to_object(positions)
-    phi = headings - frame.angle  # heading in the object frame
-    if chart == CARTESIAN_2D:
-        pos, loc = p, phi
-    else:
-        a, r = _unit(p, "polar")
-        pos = np.column_stack([a, r])
-        loc = phi - np.arctan2(p[:, 1], p[:, 0])  # in the azimuth-rotated frame
-    ori = np.stack([np.cos(loc), np.sin(loc)], axis=1)
-    X = np.hstack([pos, ori])
-    if not jacobian:
-        return X, None
-    G = rot2(-frame.angle)
-    s = _s1_signs(ori)
-    J = np.zeros((len(X), 3, 3))
-    J[:, 2, 2] = s
-    if chart == CARTESIAN_2D:
-        J[:, 0:2, 0:2] = G
-        return X, J
-    daz_dp = (perp2(a) / r[:, None]) @ G  # d(azimuth)/d(world position)
-    J[:, 0, 0:2] = _s1_signs(a)[:, None] * daz_dp  # azimuth, arc-length rate
-    J[:, 1, 0:2] = a @ G                             # radius
-    J[:, 2, 0:2] = -s[:, None] * daz_dp
-    return X, J
+    polar = chart == POLAR_2D
+    a, r, h = planar_rows(frame, positions, headings, polar)
+    if polar:
+        _check_radius(r, "polar")
+    return np.hstack([a, r[:, None], h] if polar else [a, h])
 
 
 def chart_rows_3d(chart: ChartId, frame: Frame3D, positions: np.ndarray,
@@ -369,6 +368,20 @@ def from_chart(x: ManifoldPoint, chart: ChartId, frame) -> CartesianPose:
 
 # --- chart differentials ----------------------------------------------------
 
+def planar_jacobian(G: np.ndarray, a: np.ndarray, r: np.ndarray, polar,
+                    s: np.ndarray) -> np.ndarray:
+    """Chart Jacobians (N x 3 x 3) from world pose velocities (dx, dy,
+    dheading) to intrinsic velocities, at the azimuths a and radii r of
+    planar_rows, with G = rot2(-frame.angle) and s (N x 2) the S¹ basis
+    signs of the azimuth and the heading."""
+    daz = (perp2(a) / r[:, None]) @ G      # d(azimuth)/d(world position)
+    C = np.zeros((len(a), 3, 3))
+    C[:, 2, 2] = s[:, 1]
+    C[:, :, :2] = np.where(np.reshape(polar, (-1, 1, 1)), np.stack(
+        [s[:, :1] * daz, a @ G, -s[:, 1:] * daz], 1), (*G, (0.0, 0.0)))
+    return C
+
+
 def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
     """Differential of the chart map at the pose.
 
@@ -380,8 +393,10 @@ def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
     if chart.space == THREE_D:
         return _jac_3d(pose, chart, frame)
-    return chart_rows_2d(chart, frame, pose.position[None],
-                         np.array([pose.heading_angle]), jacobian=True)[1][0]
+    x, polar = to_chart(pose, chart, frame).coords, chart == POLAR_2D
+    r = x[2:3] if polar else np.ones(1)
+    s = _s1_signs(np.array([x[:2], x[-2:]]))[None]
+    return planar_jacobian(rot2(-frame.angle), x[None, :2], r, polar, s)[0]
 
 
 def _jac_3d(pose, chart, frame) -> np.ndarray:

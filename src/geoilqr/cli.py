@@ -24,9 +24,10 @@ from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
                      phase_model_to_dict)
 from .planner import PlanProblem, result_to_dict, solve
 from .stats import select_winner
-from .tasks import (DEFAULT_ARM, TaskSpec, build_references, default_spec,
-                    evaluate_trial, fit_task_model, generate_demos, plan_mode,
-                    run_experiment, sample_initial_states)
+from .tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM, TaskSpec,
+                    build_references, default_spec, evaluate_trial,
+                    fit_task_model, generate_demos, plan_mode, run_experiment,
+                    sample_initial_states)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,7 +75,7 @@ def load_config(path: str) -> dict:
     _check_keys(task, _TASK_KEYS, "task")
     arm = raw.get("arm", {})
     _check_keys(arm if isinstance(arm, dict) else {}, _ARM_KEYS, "arm")
-    weight = raw.get("control_weight", 1e-2)
+    weight = raw.get("control_weight", CONTROL_WEIGHT)
     if type(weight) not in (int, float) or not 0.0 < weight < np.inf:
         raise ConfigError("config: 'control_weight' must be finite and > 0")
     for key, low in (("activation_start", 0), ("trials", 1)):
@@ -128,8 +129,9 @@ def build_arm(config: dict) -> ArmModel:
 def _plan_settings(config: dict) -> tuple[ArmModel, float, int]:
     """The arm, control weight and activation start that plan and evaluate
     share."""
-    return (build_arm(config), float(config.get("control_weight", 1e-2)),
-            int(config.get("activation_start", 20)))
+    return (build_arm(config),
+            float(config.get("control_weight", CONTROL_WEIGHT)),
+            int(config.get("activation_start", ACTIVATION_START)))
 
 
 def _out_dir(args, config: dict) -> str:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (CHART_IDS, THREE_D, ChartId, DimensionMismatch,
-                     chart_rows_2d, chart_rows_3d, chart_spec)
+from .charts import (CHART_IDS, ChartId, DimensionMismatch, chart_rows,
+                     chart_spec)
 from .manifolds import ManifoldPoint, exp_rows, log_rows, transport_rows
 from .stats import EIGVAL_FLOOR, ManifoldGaussian, fit_phases
 
@@ -194,15 +194,6 @@ class PhaseModel:
                 for c in self.charts}
 
 
-def _chart_rows(chart: ChartId, demo: Demonstration) -> np.ndarray:
-    """Chart points (N x ambient) of a demonstration's poses."""
-    P, O = demo.positions, demo.orientations
-    if chart.space == THREE_D:
-        return chart_rows_3d(chart, demo.object_frame, P, O)
-    return chart_rows_2d(chart, demo.object_frame, P,
-                         np.arctan2(O[:, 1], O[:, 0]))[0]
-
-
 def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
                       charts: list[ChartId], horizon: int) -> PhaseModel:
     """Fit per-phase per-chart Gaussians and blend them into per-timestep
@@ -228,7 +219,8 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
     by_index = sorted(charts, key=lambda c: c.index)
     for chart in by_index:
         spec = chart_spec(chart)
-        X = np.vstack([_chart_rows(chart, demo) for demo in demos])
+        X = np.vstack([chart_rows(chart, d.object_frame, d.positions,
+                                  d.orientations) for d in demos])
         try:
             M, U, S = fit_phases(spec, X, W)
             gs = fits[chart] = [ManifoldGaussian.from_moments(

@@ -20,7 +20,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import solveh_banded
 
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
-                     perp2, rot2)
+                     planar_jacobian, planar_rows, rot2)
 from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
 
@@ -135,11 +135,8 @@ def _forward(problem: PlanProblem, u: np.ndarray):
     (polar, S, s, offset, _), ts = problem._planar, problem.references.ts
     Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
     P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
-    p = problem.frame.to_object(P)
-    r = np.where(polar, np.sqrt((p * p).sum(axis=-1)), 1.0)
-    a = p / np.maximum(r, RADIUS_EPS)[:, None]
-    loc = H - problem.frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
-    X = np.stack([a, np.stack([np.cos(loc), np.sin(loc)], 1)], 1)  # azimuth, heading
+    a, r, h = planar_rows(problem.frame, P, H, polar)
+    X = np.stack([a, h], 1)                 # azimuth, heading
     dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
     # the first row whose chart or S¹ log map is undefined, the chart first
     singular = r < RADIUS_EPS
@@ -153,8 +150,8 @@ def _forward(problem: PlanProblem, u: np.ndarray):
                              "antipodal sphere points")
     cross = S[..., 0] * X[..., 1] - S[..., 1] * X[..., 0]
     angle = s * np.arctan2(cross, dots)       # (azimuth, heading) residuals
-    F = np.column_stack([np.where(polar, angle[:, 0], p[:, 0]),
-                         np.where(polar, r, p[:, 1]), angle[:, 1]]) - offset
+    F = np.column_stack([np.where(polar, angle[:, 0], a[:, 0]),
+                         np.where(polar, r, a[:, 1]), angle[:, 1]]) - offset
     c = (problem.control_weight * float(u @ u) + float(np.einsum(
         "ni,nij,nj->", F, problem.references.precisions, F)))
     return c, F, (Jk, a, r)
@@ -172,13 +169,10 @@ def _candidate(problem: PlanProblem, u: np.ndarray):
 def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
     """Jacobian rows (3n x D) of the active residuals w.r.t. their joint
     states, from a forward pass free of singularities: an S¹ log
-    differential s_m·s(x) times a chart row s(x)·c is s_m·c."""
+    differential s_m·s(x) times a chart row s(x)·c is s_m·c, the chart
+    Jacobian with the means' signs."""
     (polar, _, s, _, G), (Jk, a, r) = problem._planar, lin
-    daz = (perp2(a) / r[:, None]) @ G      # d(azimuth)/d(world position)
-    C = np.zeros((len(a), 3, 3))
-    C[:, 2, 2] = s[:, 1]
-    C[:, :, :2] = np.where(polar[:, None, None], np.stack(
-        [s[:, :1] * daz, a @ G, -s[:, 1:] * daz], 1), (*G, (0.0, 0.0)))
+    C = planar_jacobian(G, a, r, polar, s)
     return (C @ Jk).reshape(-1, problem.arm.dof)
 
 
@@ -281,11 +275,3 @@ def result_to_dict(result: PlanResult) -> dict:
         "iterations": result.iterations,
         "residual_norms": {str(t): v for t, v in result.residual_norms.items()},
     }
-
-
-def result_from_dict(d: dict) -> PlanResult:
-    traj = JointTrajectory(float(d["dt"]), np.array(d["states"]),
-                           np.array(d["controls"]))
-    return PlanResult(traj, list(d["cost_history"]), bool(d["converged"]),
-                      int(d["iterations"]),
-                      {int(t): v for t, v in d["residual_norms"].items()})

@@ -195,6 +195,8 @@ def _generate_grasppose3d(spec: TaskSpec, rng) -> list[Demonstration]:
 # --- reference construction and evaluation ----------------------------------
 
 DEFAULT_ARM = ArmModel(np.array([1.5, 1.5, 1.0]))
+CONTROL_WEIGHT = 1e-2       # the planning defaults of the library and the CLI
+ACTIVATION_START = 20
 
 
 PRECISION_CAP = 1e4
@@ -247,7 +249,7 @@ def _wrap(a: float) -> float:
 
 
 def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM,
-                   activation_start: int = 20):
+                   activation_start: int = ACTIVATION_START):
     """(success, reason) for one reproduction attempt."""
     if plan.trajectory.horizon != spec.horizon:
         raise HorizonMismatch(
@@ -287,7 +289,7 @@ def _active_object_positions(plan: PlanResult, spec: TaskSpec, arm: ArmModel,
 
 def arc_radius_deviation(plan: PlanResult, spec: TaskSpec,
                          arm: ArmModel = DEFAULT_ARM,
-                         activation_start: int = 20) -> float:
+                         activation_start: int = ACTIVATION_START) -> float:
     """Max relative radius deviation over the active arc (BoxOpen2D)."""
     p_obj = _active_object_positions(plan, spec, arm, activation_start)
     radii = np.linalg.norm(p_obj, axis=1)
@@ -383,8 +385,9 @@ def _run_trial(args):
 
 
 def run_experiment(spec: TaskSpec, strategy, n_trials: int = 50,
-                   arm: ArmModel = DEFAULT_ARM, control_weight: float = 1e-2,
-                   activation_start: int = 20,
+                   arm: ArmModel = DEFAULT_ARM,
+                   control_weight: float = CONTROL_WEIGHT,
+                   activation_start: int = ACTIVATION_START,
                    model: PhaseModel | None = None,
                    demos: list | None = None, jobs: int = 1) -> TrialReport:
     """Full loop: demos -> phase model -> per-trial solve -> scoring.

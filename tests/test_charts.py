@@ -7,8 +7,8 @@ from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             POLAR_2D, SPHERICAL_3D, CartesianPose, ChartId,
                             Frame2D, Frame3D, OriginSingularity, chart_jacobian,
                             chart_spec, charts_for, from_chart, pole_quat,
-                            position_spec, quat_from_axis_angle, quat_mul,
-                            quat_rotate, rotmat_from_quat, to_chart)
+                            position_spec, quat_conj, quat_from_axis_angle,
+                            quat_mul, rotmat_from_quat, to_chart)
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, Product,
                                SpecMismatch, Sphere, log_rows)
 
@@ -27,6 +27,11 @@ def _random_quat(rng):
 
 def _random_pose_3d(rng):
     return CartesianPose(rng.uniform(-2, 2, size=3), _random_quat(rng))
+
+
+def _quat_rotate(q, v):
+    """v rotated by the unit quaternion q, as the sandwich q v q*."""
+    return quat_mul(quat_mul(q, np.concatenate(([0.0], v))), quat_conj(q))[1:]
 
 
 def _random_frame_2d(rng):
@@ -159,67 +164,6 @@ def test_rotation_equivariance_polar():
                       atol=1e-12)
 
 
-@pytest.mark.parametrize("chart", charts_for("2d"), ids=lambda c: c.name)
-def test_chart_jacobian_2d_finite_differences(chart):
-    from geoilqr.manifolds import log_map
-    h = 1e-6
-    for _ in range(10):
-        frame = _random_frame_2d(RNG)
-        pose = _random_pose_2d(RNG)
-        if np.linalg.norm(frame.to_object(pose.position)) < 0.2:
-            continue
-        J = chart_jacobian(pose, chart, frame)
-        base = to_chart(pose, chart, frame)
-        num = np.zeros_like(J)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-
-            def moved(s):
-                return CartesianPose.from_angle(
-                    pose.position[0] + s * e[0], pose.position[1] + s * e[1],
-                    pose.heading_angle + s * e[2])
-
-            num[:, j] = (log_map(base, to_chart(moved(+1), chart,
-                                                frame)).coords
-                         - log_map(base, to_chart(moved(-1), chart,
-                                                  frame)).coords) / (2 * h)
-        assert np.allclose(J, num, atol=1e-5)
-
-
-@pytest.mark.parametrize("chart", charts_for("3d"), ids=lambda c: c.name)
-def test_chart_jacobian_3d_finite_differences(chart):
-    from geoilqr.manifolds import log_map
-    h = 1e-6
-    for _ in range(10):
-        frame = _random_frame_3d(RNG)
-        pose = _random_pose_3d(RNG)
-        p_obj = frame.to_object(pose.position)
-        if np.linalg.norm(p_obj[:2]) < 0.2 or np.linalg.norm(p_obj) < 0.2:
-            continue
-        J = chart_jacobian(pose, chart, frame)
-        base = to_chart(pose, chart, frame)
-        num = np.zeros_like(J)
-        for j in range(6):
-            e = np.zeros(6)
-            e[j] = h
-
-            def moved(s):
-                dp, omega = s * e[:3], s * e[3:]
-                angle = np.linalg.norm(omega)
-                dq = (np.array([1.0, 0, 0, 0]) if angle == 0.0
-                      else quat_from_axis_angle(omega / angle, angle))
-                q = quat_mul(dq, pose.orientation)
-                return CartesianPose(pose.position + dp,
-                                     q / np.linalg.norm(q))
-
-            num[:, j] = (log_map(base, to_chart(moved(+1), chart,
-                                                frame)).coords
-                         - log_map(base, to_chart(moved(-1), chart,
-                                                  frame)).coords) / (2 * h)
-        assert np.allclose(J, num, atol=1e-5), np.abs(J - num).max()
-
-
 CHARTS = charts_for("2d") + charts_for("3d")
 SHORT = 1e-3   # how far from a singular point the pose sits
 
@@ -326,13 +270,13 @@ def test_quaternion_helpers():
     assert np.allclose(Rab, rotmat_from_quat(a) @ rotmat_from_quat(b),
                        atol=1e-12)
     v = RNG.standard_normal(3)
-    assert np.allclose(quat_rotate(a, v), rotmat_from_quat(a) @ v, atol=1e-12)
+    assert np.allclose(_quat_rotate(a, v), rotmat_from_quat(a) @ v, atol=1e-12)
     # minimal rotation sends e_z onto each direction row, antipode included
     e_z = np.array([0.0, 0.0, 1.0])
     W = np.vstack([RNG.standard_normal((5, 3)), -e_z])
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     for q, w in zip(pole_quat(W), W):
-        assert np.allclose(quat_rotate(q, e_z), w, atol=1e-12)
+        assert np.allclose(_quat_rotate(q, e_z), w, atol=1e-12)
     assert np.allclose(pole_quat(W[0]), pole_quat(W)[0], atol=1e-15)
 
 

@@ -11,7 +11,6 @@ import pytest
 import geoilqr
 from geoilqr.cli import main
 from geoilqr.kinematics import forward_kinematics, rollout
-from geoilqr.planner import result_from_dict
 from geoilqr.tasks import DEFAULT_ARM
 
 

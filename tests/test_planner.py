@@ -7,14 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from geoilqr import planner
-from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D,
+from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D, RADIUS_EPS,
                             CartesianPose, Frame2D, OriginSingularity,
-                            chart_rows_2d, chart_spec, rot2, to_chart)
-from geoilqr.kinematics import (ArmModel, batch_dynamics, forward_kinematics,
-                                kinematics_rows, rollout)
-from geoilqr.manifolds import AntipodalPoint, log_jacobian_rows, log_rows
-from geoilqr.planner import (PlanProblem, References, cost, gauss_newton_step,
-                             residuals_and_jacobian, result_from_dict,
+                            chart_rows_2d, chart_spec, planar_jacobian, rot2,
+                            to_chart)
+from geoilqr.kinematics import (ArmModel, JointTrajectory, batch_dynamics,
+                                forward_kinematics, kinematics_rows, rollout)
+from geoilqr.manifolds import (AntipodalPoint, _s1_signs, log_jacobian_rows,
+                               log_rows)
+from geoilqr.planner import (PlanProblem, PlanResult, References, cost,
+                             gauss_newton_step, residuals_and_jacobian,
                              result_to_dict, solve)
 
 RNG = np.random.default_rng(4)
@@ -265,6 +267,21 @@ def test_jacobian_vs_finite_differences(chart):
         assert rel < 1e-4
 
 
+def _chart_points(chart, frame, P, H):
+    """Oracle chart points of planar poses, straight from each chart's
+    definition, and the azimuths and radii planar_jacobian takes there (the
+    object-frame position and 1 on a Cartesian row)."""
+    p, phi = frame.to_object(P), H - frame.angle
+    if chart == CARTESIAN_2D:
+        X = np.column_stack([p, np.cos(phi), np.sin(phi)])
+        return X, p, np.ones(len(p))
+    r = np.sqrt((p * p).sum(axis=1))
+    if (r < RADIUS_EPS).any():
+        raise OriginSingularity("polar radius below RADIUS_EPS")
+    a, phi = p / r[:, None], phi - np.arctan2(p[:, 1], p[:, 0])
+    return np.column_stack([a, r, np.cos(phi), np.sin(phi)]), a, r
+
+
 def _generic_pass(p, u):
     """Oracle: the residuals and Jacobian rows of p at u through the chart
     map and the S¹/R log kernels of each chart, or the exception type and
@@ -277,7 +294,7 @@ def _generic_pass(p, u):
         mean = refs.means[chart][seen[chart]][None]
         seen[chart] += 1
         try:
-            X, _ = chart_rows_2d(chart, p.frame, P[i:i + 1], H[i:i + 1])
+            X, _, _ = _chart_points(chart, p.frame, P[i:i + 1], H[i:i + 1])
             log_rows(chart_spec(chart), mean, X)
         except (OriginSingularity, AntipodalPoint) as exc:
             return type(exc), t
@@ -287,9 +304,12 @@ def _generic_pass(p, u):
         spec = chart_spec(chart)
         # the chart map of all rows at once, as the planar pass runs it
         # (numpy's matmul rounds a single row differently), with the other
-        # chart's rows moved off the object origin
-        X, Jc = chart_rows_2d(chart, p.frame,
-                              np.where(rows[:, None], P, P + 1.0), H, True)
+        # chart's rows moved off the object origin; the chart Jacobian with
+        # the point's own S¹ signs
+        X, a, r = _chart_points(chart, p.frame,
+                                np.where(rows[:, None], P, P + 1.0), H)
+        Jc = planar_jacobian(rot2(-p.frame.angle), a, r, chart == POLAR_2D,
+                             _s1_signs(np.stack([X[:, :2], X[:, -2:]], 1)))
         F[rows] = log_rows(spec, M, X[rows])
         J[rows] = log_jacobian_rows(spec, M, X[rows]) @ Jc[rows] @ Jk[rows]
     return F.ravel(), J.reshape(-1, D)
@@ -336,11 +356,11 @@ def _planar_problem(seed, dof, charts, edit, at):
         translation = P[i] + away
     frame = Frame2D(translation, angle)
     means = [chart_rows_2d(c, frame, P[j:j + 1] + rng.uniform(-.5, .5, 2),
-                           H[j:j + 1] + rng.uniform(-1, 1))[0][0]
+                           H[j:j + 1] + rng.uniform(-1, 1))[0]
              for j, c in enumerate(charts)]
     if edit in ("near-antipode", "antipode"):
         # the azimuth of a polar row, the heading of a Cartesian one
-        x = chart_rows_2d(charts[i], frame, P[i:i + 1], H[i:i + 1])[0][0]
+        x = chart_rows_2d(charts[i], frame, P[i:i + 1], H[i:i + 1])[0]
         block = slice(0, 2) if charts[i] == POLAR_2D else slice(2, 4)
         turn = np.pi - 1e-3 * (edit == "near-antipode")
         means[i][block] = rot2(turn) @ x[block]
@@ -542,10 +562,19 @@ def test_rollout_matches_trajectory():
     assert np.allclose(states, result.trajectory.states, atol=1e-12)
 
 
+def _result_from_dict(d: dict) -> PlanResult:
+    """The PlanResult a trajectory.json dict holds."""
+    traj = JointTrajectory(float(d["dt"]), np.array(d["states"]),
+                           np.array(d["controls"]))
+    return PlanResult(traj, list(d["cost_history"]), bool(d["converged"]),
+                      int(d["iterations"]),
+                      {int(t): v for t, v in d["residual_norms"].items()})
+
+
 def test_result_json_round_trip():
     p = _viapoint_problem(CARTESIAN_2D, seed=6)
     result = solve(p)
-    back = result_from_dict(result_to_dict(result))
+    back = _result_from_dict(result_to_dict(result))
     assert np.allclose(back.trajectory.states, result.trajectory.states)
     assert np.allclose(back.cost_history, result.cost_history)
     assert back.converged == result.converged

@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
-                            SPHERICAL_3D, CartesianPose)
-from geoilqr.kinematics import JointTrajectory, planar_ik_3link, rollout
+                            SPHERICAL_3D, CartesianPose, Frame2D, rot2)
+from geoilqr.kinematics import (ArmModel, JointTrajectory, planar_ik_3link,
+                                rollout)
 from geoilqr.planner import PlanProblem, PlanResult, solve
-from geoilqr.tasks import (DEFAULT_ARM, build_references, default_spec,
-                           evaluate_trial, fit_task_model, generate_demos,
-                           plan_mode, run_experiment, sample_initial_states)
+from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
+                           build_references, default_spec, evaluate_trial,
+                           fit_task_model, generate_demos, plan_mode,
+                           run_experiment, sample_initial_states)
 
 
 def test_default_spec_counts():
@@ -157,6 +159,38 @@ def test_box_polar_succeeds_cartesian_fails():
         outcomes[chart] = evaluate_trial(result, spec, DEFAULT_ARM, 20)
     assert outcomes[POLAR_2D][0]
     assert not outcomes[CARTESIAN_2D][0]
+
+
+@pytest.mark.parametrize("kind", ["grasp2d", "boxopen2d"])
+def test_plans_are_invariant_under_a_rigid_motion_of_arm_and_object(kind):
+    # the charts live in the object frame, so moving the arm base and the
+    # object by one rigid motion, with the same joint angles q0, changes no
+    # plan
+    spec = default_spec(kind, seed=0)
+    demos, _, model = fit_task_model(spec)
+    q0s = sample_initial_states(demos, DEFAULT_ARM, 2,
+                                np.random.default_rng(1))
+    arm, frame = DEFAULT_ARM, spec.object_frame
+    for strategy in (CARTESIAN_2D, POLAR_2D, "optimal"):
+        refs = build_references(model, strategy, spec.horizon,
+                                ACTIVATION_START, plan_mode(kind))
+
+        def plan(arm, frame, q0):
+            return solve(PlanProblem(arm, q0, spec.horizon, spec.dt, frame,
+                                     refs, CONTROL_WEIGHT, ACTIVATION_START))
+
+        for angle, shift in ((0.7, (0.4, -1.1)), (-2.3, (-3.0, 2.0))):
+            R = rot2(angle)
+            moved_arm = ArmModel(arm.link_lengths,
+                                 R @ arm.base_position + shift,
+                                 arm.base_angle + angle)
+            moved_frame = Frame2D(R @ frame.translation + shift,
+                                  frame.angle + angle)
+            for q0 in q0s:
+                a, b = plan(arm, frame, q0), plan(moved_arm, moved_frame, q0)
+                assert a.iterations == b.iterations
+                assert np.abs(a.trajectory.states
+                              - b.trajectory.states).max() <= 1e-9
 
 
 def test_run_experiment_report_consistency():
