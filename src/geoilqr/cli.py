@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .charts import CARTESIAN_2D, chart_spec, charts_for
-from .io import (atomic_write_text, demos_from_dict, demos_to_csv,
-                 demos_to_dict, write_json)
+from .io import (SCHEMA_VERSION, atomic_write_text, demos_from_dict,
+                 demos_to_csv, demos_to_dict, write_json)
 from .kinematics import ArmModel, kinematics_rows, link_positions
 from .manifolds import exp_rows
 from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
@@ -35,30 +36,53 @@ EXIT_FIT = 3
 EXIT_PLAN = 4
 EXIT_EVALUATE = 5
 
-SCHEMA_VERSION = 1
-
-_TASK_KEYS = {"kind", "seed", "phase_count", "demo_count", "horizon", "dt",
-              "radial_sigma", "angular_spread", "orientation_sigma",
-              "phase_radii", "arc_radius", "arc_start", "arc_sweep",
-              "symmetry", "phase_heights", "object_position"}
-_ARM_KEYS = {"link_lengths", "base_position", "base_angle"}
-_TOP_KEYS = {"task", "arm", "control_weight", "activation_start", "trials",
-             "strategies", "seed", "out_dir"}
+# each config key with the annotation that names the JSON type of its value
+_TASK_KEYS = {f.name: f.type for f in fields(TaskSpec)
+              if f.name != "object_frame"} | {"object_position": "tuple"}
+_ARM_KEYS = {f.name: f.type for f in fields(ArmModel)}
+_TOP_KEYS = {"task": "object", "arm": "object", "control_weight": "float",
+             "activation_start": "int", "trials": "int",
+             "strategies": "names", "seed": "int", "out_dir": "str"}
+# per annotation: the JSON types of a value and of its items, in words
+_NUMBERS = ((list,), (int, float), "a list of numbers")
+_JSON_TYPES = {"str": ((str,), (), "a string"), "tuple": _NUMBERS,
+               "int": ((int,), (), "an integer"), "np.ndarray": _NUMBERS,
+               "float": ((int, float), (), "a number"),
+               "names": ((list,), (str,), "a list of names"),
+               "object": ((dict,), (), "an object")}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+class Settings(NamedTuple):
+    """A checked config, and the raw dict that the outputs snapshot."""
+    config: dict
+    seed: int
+    spec: TaskSpec
+    arm: ArmModel
+    control_weight: float
+    activation_start: int
 
 
-def load_config(path: str) -> dict:
-    """Parse and validate the experiment config (strict: unknown keys are
-    errors)."""
+def _check_types(d: dict, types: dict, where: str):
+    """ConfigError unless each key of d is in types and each value has the
+    JSON type that types names for its key."""
+    if unknown := sorted(d.keys() - types):
+        raise ConfigError(f"unknown key(s) in {where}: {unknown}")
+    for key, value in d.items():
+        kinds, items, name = _JSON_TYPES[types[key]]
+        if type(value) not in kinds or items and any(type(v) not in items
+                                                     for v in value):
+            raise ConfigError(f"{where}: {key!r} must be {name}, "
+                              f"got {value!r}")
+
+
+def load_settings(path: str, cli_seed: int | None) -> Settings:
+    """The checked config: an unknown key, a value of another JSON type or
+    one that TaskSpec or ArmModel rejects raises ConfigError. Seed: cli_seed,
+    else GEOILQR_SEED, else the config seed, else the task's, else 0."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -68,112 +92,78 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    _check_keys(raw, _TOP_KEYS, "config")
-    task = raw.get("task", {})
-    if not isinstance(task, dict) or "kind" not in task:
+    _check_types(raw, _TOP_KEYS, "config")
+    task, arm = dict(raw.get("task", {})), raw.get("arm", {})
+    if "kind" not in task:
         raise ConfigError("config: 'task' must be an object with a 'kind'")
-    _check_keys(task, _TASK_KEYS, "task")
-    arm = raw.get("arm", {})
-    _check_keys(arm if isinstance(arm, dict) else {}, _ARM_KEYS, "arm")
+    _check_types(task, _TASK_KEYS, "task")
+    _check_types(arm, _ARM_KEYS, "arm")
     weight = raw.get("control_weight", CONTROL_WEIGHT)
-    if type(weight) not in (int, float) or not 0.0 < weight < np.inf:
+    if not 0.0 < weight < np.inf:
         raise ConfigError("config: 'control_weight' must be finite and > 0")
     for key, low in (("activation_start", 0), ("trials", 1)):
-        if type(raw.get(key, low)) is not int or raw.get(key, low) < low:
+        if raw.get(key, low) < low:
             raise ConfigError(f"config: {key!r} must be an integer >= {low}")
-    return raw
 
-
-def resolve_seed(config: dict, cli_seed) -> int:
-    """Precedence: --seed flag, then GEOILQR_SEED, then config, then 0."""
-    if cli_seed is not None:
-        return int(cli_seed)
-    env = os.environ.get("GEOILQR_SEED")
-    if env is not None:
-        return int(env)
-    return int(config.get("seed", config.get("task", {}).get("seed", 0)))
-
-
-def build_task(config: dict, seed: int) -> TaskSpec:
-    task = dict(config["task"])
-    kind = task.pop("kind")
-    task.pop("seed", None)
-    pos = task.pop("object_position", None)
-    for key in ("phase_radii", "phase_heights"):
-        if key in task:
-            task[key] = tuple(task[key])
+    seed = os.environ.get("GEOILQR_SEED",
+                          raw.get("seed", task.pop("seed", 0)))
+    try:  # only the environment's string can fail
+        seed = int(seed if cli_seed is None else cli_seed)
+    except ValueError:
+        raise ConfigError(f"GEOILQR_SEED must be an integer, got {seed!r}")
+    kind, pos = task.pop("kind"), task.pop("object_position", None)
     try:
-        spec = default_spec(kind, seed=seed, **task)
+        spec = default_spec(kind, seed=seed, **{
+            k: tuple(v) if _TASK_KEYS[k] == "tuple" else v
+            for k, v in task.items()})
         if pos is not None:
             frame = spec.object_frame
-            pos = np.asarray(pos, dtype=float)
             d = len(frame.translation)
-            if pos.shape != (d,) or not np.all(np.isfinite(pos)):
+            if len(pos) != d or not np.all(np.isfinite(pos)):
                 raise ValueError(f"object_position must be {d} finite "
-                                 f"numbers for {kind}, got {pos.tolist()}")
+                                 f"numbers for {kind}, got {pos}")
             spec = replace(spec, object_frame=type(frame)(pos))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"task: {exc}") from exc
-    return spec
+    try:
+        arm = replace(DEFAULT_ARM, **arm)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"arm: {exc}") from exc
+    return Settings(raw, seed, spec, arm, float(weight),
+                    raw.get("activation_start", ACTIVATION_START))
 
 
-def build_arm(config: dict) -> ArmModel:
-    arm = config.get("arm")
-    if not arm:
-        return DEFAULT_ARM
-    return ArmModel(np.asarray(arm.get("link_lengths", [1.5, 1.5, 1.0])),
-                    np.asarray(arm.get("base_position", [0.0, 0.0])),
-                    float(arm.get("base_angle", 0.0)))
-
-
-def _plan_settings(config: dict) -> tuple[ArmModel, float, int]:
-    """The arm, control weight and activation start that plan and evaluate
-    share."""
-    return (build_arm(config),
-            float(config.get("control_weight", CONTROL_WEIGHT)),
-            int(config.get("activation_start", ACTIVATION_START)))
-
-
-def _out_dir(args, config: dict) -> str:
-    out = args.out or config.get("out_dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _snapshot(config: dict, seed: int) -> dict:
-    snap = dict(config)
-    snap["seed"] = seed
-    return snap
+def _snapshot(settings: Settings) -> dict:
+    return {**settings.config, "seed": settings.seed}
 
 
 def _resolve_strategy(name: str, space: str):
     if space != "2d":  # the arm is planar
         raise ConfigError("planning needs a 2D task kind (grasp2d, boxopen2d)")
-    if name == "optimal":
-        return "optimal"
-    for chart in charts_for(space):
-        if chart.name == name:
-            return chart
-    raise ConfigError(f"unknown strategy {name!r} for space {space}")
+    by_name = {c.name: c for c in charts_for(space)} | {"optimal": "optimal"}
+    if name not in by_name:
+        raise ConfigError(f"unknown strategy {name!r} for space {space}")
+    return by_name[name]
 
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_demo_gen(args, config: dict, seed: int, spec: TaskSpec,
-                 out: str) -> int:
+def cmd_demo_gen(args, settings: Settings, out: str) -> int:
+    spec = settings.spec
     demos = generate_demos(spec)
     payload = demos_to_dict(demos)
-    payload["config"] = _snapshot(config, seed)
+    payload["config"] = _snapshot(settings)
     write_json(os.path.join(out, "demos.json"), payload)
     atomic_write_text(os.path.join(out, "demos.csv"), demos_to_csv(demos))
     frames = sum(len(d) for d in demos)
     print(f"wrote {len(demos)} demos ({frames} frames) to {out}; "
           f"noise: radial={spec.radial_sigma} orientation="
-          f"{spec.orientation_sigma} seed={seed}")
+          f"{spec.orientation_sigma} seed={settings.seed}")
     return EXIT_OK
 
 
-def cmd_fit(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
+def cmd_fit(args, settings: Settings, out: str) -> int:
+    spec = settings.spec
     demos_path = args.demos or os.path.join(out, "demos.json")
     if not os.path.exists(demos_path):
         raise ConfigError(f"demos file not found: {demos_path}")
@@ -183,7 +173,7 @@ def cmd_fit(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
     gmm = fit_time_gmm(demos, spec.phase_count)
     model = build_phase_model(demos, gmm, charts, horizon=spec.horizon)
     payload = phase_model_to_dict(model)
-    payload["config"] = _snapshot(config, seed)
+    payload["config"] = _snapshot(settings)
     write_json(os.path.join(out, "model.json"), payload)
 
     dets = model.phase_dets()
@@ -265,8 +255,8 @@ def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
     return "\n".join(parts)
 
 
-def cmd_plan(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
-    arm, control_weight, activation = _plan_settings(config)
+def cmd_plan(args, settings: Settings, out: str) -> int:
+    _, seed, spec, arm, weight, activation = settings
     strategy = _resolve_strategy(args.strategy, spec.space)
     model_path = args.model or os.path.join(out, "model.json")
     if not os.path.exists(model_path):
@@ -282,18 +272,21 @@ def cmd_plan(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
     refs = build_references(model, strategy, spec.horizon, activation,
                             plan_mode(spec.kind))
     if args.initial:
-        q0 = np.array([float(x) for x in args.initial.split(",")])
-        if q0.shape[0] != arm.dof or not np.all(np.isfinite(q0)):
-            raise ConfigError(f"initial state needs {arm.dof} finite "
-                              "joint angles")
+        try:
+            q0 = np.array([float(x) for x in args.initial.split(",")])
+        except ValueError:  # an entry that is not a number
+            q0 = np.array([np.nan])
+        if q0.shape != (arm.dof,) or not np.all(np.isfinite(q0)):
+            raise ConfigError(f"--initial needs {arm.dof} finite joint "
+                              f"angles, got {args.initial!r}")
     else:
         rng = np.random.default_rng(seed + 1)
         q0 = sample_initial_states(generate_demos(spec), arm, 1, rng)[0]
     problem = PlanProblem(arm, q0, spec.horizon, spec.dt, spec.object_frame,
-                          refs, control_weight, activation)
+                          refs, weight, activation)
     result = solve(problem)
     payload = result_to_dict(result)
-    payload["config"] = _snapshot(config, seed)
+    payload["config"] = _snapshot(settings)
     write_json(os.path.join(out, "trajectory.json"), payload)
 
     rows = ["t,q,x,y,heading,chart,residual_norm"]
@@ -314,27 +307,23 @@ def cmd_plan(args, config: dict, seed: int, spec: TaskSpec, out: str) -> int:
     print(f"plan: converged={result.converged} iterations={result.iterations}"
           f" final_cost={result.cost_history[-1]:.4e} outcome="
           f"{'success' if ok else 'failure'} ({reason})")
-    if not result.converged:
-        return EXIT_PLAN
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_PLAN
 
 
-def cmd_evaluate(args, config: dict, seed: int, spec: TaskSpec,
-                 out: str) -> int:
+def cmd_evaluate(args, settings: Settings, out: str) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    arm, control_weight, activation = _plan_settings(config)
+    config, _, spec, arm, weight, activation = settings
     names = config.get("strategies",
                        [c.name for c in charts_for(spec.space)] + ["optimal"])
     strategies = [_resolve_strategy(n, spec.space) for n in names]
-    trials = int(config.get("trials", 50))
     demos, _, model = fit_task_model(spec)
-    reports = [run_experiment(spec, strat, trials, arm, control_weight,
-                              activation, model=model, demos=demos,
+    reports = [run_experiment(spec, strat, config.get("trials", 50), arm,
+                              weight, activation, model=model, demos=demos,
                               jobs=args.jobs)
                for strat in strategies]
     payload = {"schema_version": SCHEMA_VERSION,
-               "config": _snapshot(config, seed),
+               "config": _snapshot(settings),
                "reports": [r.to_dict() for r in reports]}
     write_json(os.path.join(out, "report.json"), payload)
     rows = ["strategy,successes,trials,rate"]
@@ -393,10 +382,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        seed = resolve_seed(config, args.seed)
-        return args.func(args, config, seed, build_task(config, seed),
-                         _out_dir(args, config))
+        settings = load_settings(args.config, args.seed)
+        out = args.out or settings.config.get("out_dir", ".")
+        os.makedirs(out, exist_ok=True)
+        return args.func(args, settings, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,11 +48,14 @@ def demos_to_dict(demos: list) -> dict:
     rows = [[[int(t), *p, *o] for t, p, o in zip(
         demo.times, demo.positions.tolist(), demo.orientations.tolist())]
         for demo in demos]
-    first = demos[0]
+    dt, frame = demos[0].dt, frame_to_dict(demos[0].object_frame)
+    if any(demo.dt != dt or frame_to_dict(demo.object_frame) != frame
+           for demo in demos):
+        raise ValueError("the demos do not share one dt and one object_frame")
     return {
         "schema_version": SCHEMA_VERSION,
-        "dt": first.dt,
-        "object_frame": frame_to_dict(first.object_frame),
+        "dt": dt,
+        "object_frame": frame,
         "ids": [demo.id for demo in demos],
         "demos": rows,
     }

@@ -20,19 +20,22 @@ class ArmModel:
 
     def __post_init__(self):
         ll = np.asarray(self.link_lengths, dtype=float)
-        if np.any(ll <= 0.0):
-            raise ValueError("link lengths must be positive")
+        xy = np.asarray(self.base_position, dtype=float)
+        if not (ll.ndim == 1 and ll.size and np.all((0 < ll) & (ll < np.inf))):
+            raise ValueError(f"link_lengths {ll.tolist()} must be finite "
+                             "and > 0")
+        if xy.shape != (2,) or not np.all(np.isfinite(xy)):
+            raise ValueError(f"base_position {xy.tolist()} must be 2 finite "
+                             "numbers")
+        if not np.isfinite(self.base_angle):
+            raise ValueError(f"base_angle {self.base_angle} must be finite")
         object.__setattr__(self, "link_lengths", ll)
-        object.__setattr__(self, "base_position",
-                           np.asarray(self.base_position, dtype=float))
+        object.__setattr__(self, "base_position", xy)
+        object.__setattr__(self, "base_angle", float(self.base_angle))
 
     @property
     def dof(self) -> int:
         return len(self.link_lengths)
-
-    @property
-    def reach(self) -> float:
-        return float(self.link_lengths.sum())
 
 
 @dataclass(frozen=True)

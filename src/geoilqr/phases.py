@@ -15,6 +15,7 @@ import numpy as np
 
 from .charts import (CHART_IDS, ChartId, DimensionMismatch, chart_rows,
                      chart_spec)
+from .io import SCHEMA_VERSION
 from .manifolds import ManifoldPoint, exp_rows, log_rows, transport_rows
 from .stats import EIGVAL_FLOOR, ManifoldGaussian, fit_phases
 
@@ -258,7 +259,7 @@ def phase_model_to_dict(model: PhaseModel) -> dict:
         return {"space": c.space, "index": c.index}
 
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "charts": [cid(c) for c in model.charts],
         "weights": model.weights.tolist(),
         "phases": [
@@ -290,8 +291,8 @@ def _field(name: str, value, shape: tuple) -> np.ndarray:
 
 def phase_model_from_dict(d: dict) -> PhaseModel:
     """The PhaseModel of a model.json dict; ValueError names the first field
-    that is missing, or whose rows do not match the rows of weights, the
-    model's charts or the chart's widths."""
+    that is missing or of another schema_version, or whose rows do not match
+    the rows of weights, the model's charts or the chart's widths."""
     try:
         return _phase_model(d)
     except KeyError as exc:
@@ -299,6 +300,8 @@ def phase_model_from_dict(d: dict) -> PhaseModel:
 
 
 def _phase_model(d: dict) -> PhaseModel:
+    if d["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"model schema_version must be {SCHEMA_VERSION}")
     charts = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["charts"]]
     by_name = {str(c): c for c in charts}
     T = len(d["weights"])

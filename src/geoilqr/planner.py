@@ -12,6 +12,7 @@ linearizes the accepted one once, from that pass's intermediates.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ from scipy.linalg import solveh_banded
 
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
                      planar_jacobian, planar_rows, rot2)
+from .io import SCHEMA_VERSION
 from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
 
@@ -246,7 +248,6 @@ def solve(problem: PlanProblem) -> PlanResult:
             # candidate moves the cost by less than the tolerance
             converged = c_new - c < COST_TOL * max(abs(c), 1.0)
             if not converged:
-                import warnings
                 warnings.warn("no descent step found; returning best iterate",
                               LineSearchFailed)
             break
@@ -266,7 +267,7 @@ def solve(problem: PlanProblem) -> PlanResult:
 
 def result_to_dict(result: PlanResult) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "dt": result.trajectory.dt,
         "states": result.trajectory.states.tolist(),
         "controls": result.trajectory.controls.tolist(),

@@ -15,6 +15,7 @@ import numpy as np
 from .charts import (THREE_D, TWO_D, CartesianPose, Frame2D, Frame3D,
                      azimuth_quat, charts_for, pole_quat, quat_from_axis_angle,
                      quat_mul, quat_normalize)
+from .io import SCHEMA_VERSION
 from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
                          kinematics_rows, planar_ik_3link)
 from .phases import (Demonstration, PhaseModel, build_phase_model,
@@ -314,7 +315,7 @@ class TrialReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "strategy": self.strategy,
             "successes": self.successes,
             "total": self.total,

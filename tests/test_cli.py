@@ -159,12 +159,15 @@ def test_plan_bad_initial_length(cfg, tmp_path):
     assert _run("plan", "--config", cfg, "--initial", "1.0,2.0") == 2
 
 
-@pytest.mark.parametrize("initial", ["nan,0,0", "0,inf,0"])
+@pytest.mark.parametrize("initial", ["nan,0,0", "0,inf,0", "a,b,c"])
 def test_plan_rejects_non_finite_initial_state(initial, grasp_model, cfg,
-                                               capsys):
+                                               tmp_path, capsys):
     assert _run("plan", "--config", cfg, "--model", grasp_model,
                 "--initial", initial) == 2
-    assert "finite joint angles" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --initial")
+    assert "finite joint angles" in err
+    assert not (tmp_path / "out" / "trajectory.json").exists()
 
 
 def test_evaluate_outputs(cfg, tmp_path, capsys):
@@ -277,6 +280,10 @@ def _narrow_phase_covariance(model):
     model["phases"][0]["polar-2d"]["covariance"] = [[1e-4, 0.0], [0.0, 1e-4]]
 
 
+def _future_schema(model):
+    model["schema_version"] = 99
+
+
 @pytest.mark.parametrize("edit, field", [
     (_cut_rows, "references polar-2d means has shape (50, 5), not (100, 5)"),
     (_narrow_means, "references cartesian-2d means has shape (100, 3), not "
@@ -287,9 +294,11 @@ def _narrow_phase_covariance(model):
     (_drop_phase_chart, "model phase 1 names charts ['cartesian-2d'], not "
                         "the model charts ['cartesian-2d', 'polar-2d']"),
     (_narrow_phase_covariance, "phase 0 polar-2d covariance has shape (2, 2),"
-                               " not (3, 3)")],
+                               " not (3, 3)"),
+    (_future_schema, "model schema_version must be 1")],
     ids=["cut-rows", "narrow-means", "short-row", "cut-winners",
-         "no-winners", "phase-without-chart", "phase-covariance-2x2"])
+         "no-winners", "phase-without-chart", "phase-covariance-2x2",
+         "schema-version"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:
@@ -325,20 +334,37 @@ def test_plan_and_evaluate_reject_bad_planning_numbers(
     assert repr(key) in capsys.readouterr().err
 
 
+ARM_KEYS = ("link_lengths", "base_position")
+TOP_KEYS = ("arm", "seed", "strategies")
+
+
 @pytest.mark.parametrize("key, value", [
     ("phase_radii", []), ("phase_heights", []), ("symmetry", "conical"),
     ("dt", 0), ("dt", -1), ("phase_count", 0), ("horizon", 1),
-    ("object_position", [0.7, 0.0, 0.1])])
+    ("object_position", [0.7, 0.0, 0.1]),
+    ("dt", "x"), ("phase_radii", 5), ("horizon", 30.0),
+    ("link_lengths", [1.5, -1.5, 1.0]), ("base_position", [0, 0, 0]),
+    ("arm", [1, 2]), ("seed", "abc"), ("GEOILQR_SEED", "x"),
+    ("strategies", "polar")])
 @pytest.mark.parametrize("command", ["demo-gen", "fit", "plan", "evaluate"])
 def test_every_command_rejects_bad_task_numbers(command, key, value,
                                                 grasp_model, tmp_path,
-                                                capsys):
+                                                capsys, monkeypatch):
+    # a task value, an arm value (ARM_KEYS), a top-level value (TOP_KEYS)
+    # or the seed variable: every command reads the whole config
+    config = {"task": {"kind": "grasp2d"}, "out_dir": str(tmp_path)}
+    if key == "GEOILQR_SEED":
+        monkeypatch.setenv(key, value)
+    elif key in ARM_KEYS:
+        config["arm"] = {key: value}
+    else:
+        (config if key in TOP_KEYS else config["task"])[key] = value
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"task": {"kind": "grasp2d", key: value},
-                                "out_dir": str(tmp_path)}))
+    path.write_text(json.dumps(config))
     model = ["--model", grasp_model] if command == "plan" else []
     assert _run(command, "--config", str(path), *model) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 

@@ -1,5 +1,5 @@
-"""Every name a geoilqr module imports is used in that module, and every
-public top-level function or class has a user.
+"""Every name a geoilqr or test module imports is used in that module, and
+every public top-level function or class of geoilqr has a user.
 
 No linter ships with the project, so these stdlib ``ast`` passes stand in
 for an unused-import check and a dead-code check. The package ``__init__``
@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "geoilqr"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.AST) -> set:
@@ -65,7 +66,7 @@ def test_the_check_sees_an_unused_import():
                            "import numpy as np\nnp.sum(c)\n") == ["e", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -1,8 +1,10 @@
 """Serialization: atomic writes, demo JSON round trips and CSV, frames."""
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from geoilqr.charts import Frame2D, Frame3D
 from geoilqr.io import (atomic_write_text, demos_from_dict, demos_to_csv,
@@ -56,6 +58,19 @@ def test_demo_json_round_trip_2d_and_3d():
         for da, db in zip(demos, back):
             assert da.id == db.id and np.array_equal(da.times, db.times)
             _poses_equal(da, db)
+
+
+def test_demos_to_dict_rejects_demos_of_two_frames_or_dts():
+    # demos.json holds one frame and one dt; a mixed set must not be written
+    # as if every demo shared the first one's
+    demos = generate_demos(default_spec("grasp2d", seed=0))[:4]
+    other = Frame2D(np.array([0.9, 0.2]), 0.3)
+    moved = demos[:2] + [replace(d, object_frame=other) for d in demos[2:]]
+    slower = demos[:2] + [replace(d, dt=0.02) for d in demos[2:]]
+    for mixed in (moved, slower):
+        with pytest.raises(ValueError, match="dt and one object_frame"):
+            demos_to_dict(mixed)
+    assert len(demos_to_dict(demos)["demos"]) == 4
 
 
 def test_demos_csv_matches_demo_arrays():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from geoilqr.charts import CartesianPose, rot2
+from geoilqr.charts import rot2
 from geoilqr.kinematics import (ArmModel, JointTrajectory, batch_dynamics,
                                 forward_kinematics, inverse_kinematics,
                                 kinematic_jacobian, link_positions,
@@ -15,6 +15,24 @@ ARM = ArmModel(np.array([1.0, 1.0, 1.0]))
 def test_link_lengths_must_be_positive():
     with pytest.raises(ValueError):
         ArmModel(np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("link_lengths", [1.5, -1.5, 1.0]), ("link_lengths", [1.0, np.nan]),
+    ("link_lengths", [1.0, np.inf]), ("link_lengths", []),
+    ("link_lengths", [[1.0, 1.0]]), ("link_lengths", 1.0),
+    ("base_position", [0.0, 0.0, 0.0]), ("base_position", [0.0, np.nan]),
+    ("base_position", 0.0), ("base_angle", np.inf), ("base_angle", np.nan)])
+def test_arm_model_rejects_bad_geometry_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ArmModel(**{field: value})
+
+
+def test_arm_model_keeps_its_fields_as_float_arrays():
+    arm = ArmModel([1, 2], (0, 1), 1)
+    assert arm.link_lengths.dtype == float and arm.dof == 2
+    assert np.array_equal(arm.base_position, [0.0, 1.0])
+    assert type(arm.base_angle) is float
 
 
 def test_forward_kinematics_straight_arm():

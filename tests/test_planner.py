@@ -8,7 +8,7 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from geoilqr import planner
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D, RADIUS_EPS,
-                            CartesianPose, Frame2D, OriginSingularity,
+                            Frame2D, OriginSingularity,
                             chart_rows_2d, chart_spec, planar_jacobian, rot2,
                             to_chart)
 from geoilqr.kinematics import (ArmModel, JointTrajectory, batch_dynamics,

@@ -4,8 +4,7 @@ import pytest
 
 from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
                             SPHERICAL_3D, CartesianPose, Frame2D, rot2)
-from geoilqr.kinematics import (ArmModel, JointTrajectory, planar_ik_3link,
-                                rollout)
+from geoilqr.kinematics import ArmModel, JointTrajectory, planar_ik_3link
 from geoilqr.planner import PlanProblem, PlanResult, solve
 from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
                            build_references, default_spec, evaluate_trial,
