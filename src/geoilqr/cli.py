@@ -80,9 +80,11 @@ def _check_types(d: dict, types: dict, where: str):
 
 
 def load_settings(path: str, cli_seed: int | None) -> Settings:
-    """The checked config: an unknown key, a value of another JSON type or
-    one that TaskSpec or ArmModel rejects raises ConfigError. Seed: cli_seed,
-    else GEOILQR_SEED, else the config seed, else the task's, else 0."""
+    """The checked config: an unknown key, a value of another JSON type, a
+    negative seed, a strategy that names no chart of the task's space, or a
+    value that TaskSpec or ArmModel rejects raises ConfigError. Seed:
+    cli_seed, else GEOILQR_SEED, else the config seed, else the task's,
+    else 0."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -105,12 +107,17 @@ def load_settings(path: str, cli_seed: int | None) -> Settings:
         if raw.get(key, low) < low:
             raise ConfigError(f"config: {key!r} must be an integer >= {low}")
 
-    seed = os.environ.get("GEOILQR_SEED",
-                          raw.get("seed", task.pop("seed", 0)))
+    config_seed = raw.get("seed", task.pop("seed", 0))
+    env = os.environ.get("GEOILQR_SEED")
+    source, seed = (("--seed", cli_seed) if cli_seed is not None
+                    else ("GEOILQR_SEED", env) if env is not None
+                    else ("seed", config_seed))
     try:  # only the environment's string can fail
-        seed = int(seed if cli_seed is None else cli_seed)
+        seed = int(seed)
     except ValueError:
         raise ConfigError(f"GEOILQR_SEED must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"{source} must be an integer >= 0, got {seed}")
     kind, pos = task.pop("kind"), task.pop("object_position", None)
     try:
         spec = default_spec(kind, seed=seed, **{
@@ -125,6 +132,10 @@ def load_settings(path: str, cli_seed: int | None) -> Settings:
             spec = replace(spec, object_frame=type(frame)(pos))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"task: {exc}") from exc
+    known = [c.name for c in charts_for(spec.space)] + ["optimal"]
+    if unknown := [n for n in raw.get("strategies", []) if n not in known]:
+        raise ConfigError(f"config: 'strategies' names {unknown}, not one of "
+                          f"{known}")
     try:
         arm = replace(DEFAULT_ARM, **arm)
     except (TypeError, ValueError) as exc:

@@ -12,13 +12,13 @@ linearizes the accepted one once, from that pass's intermediates.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import solveh_banded
 
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
                      planar_jacobian, planar_rows, rot2)
@@ -35,6 +35,15 @@ PLANAR_CHARTS = {CARTESIAN_2D: False, POLAR_2D: True}   # chart -> is polar
 
 class LineSearchFailed(RuntimeWarning):
     pass
+
+
+@functools.cache
+def banded_solver():
+    """scipy.linalg.solveh_banded, imported by the first call: loading
+    scipy.linalg takes most of the package's import time, and only planning
+    needs it."""
+    from scipy.linalg import solveh_banded
+    return solveh_banded
 
 
 class References(NamedTuple):
@@ -217,8 +226,8 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
     band[1:, :, 0] += 2.0 * r / dt ** 2
     band[-1, :, 0] -= r / dt ** 2
     band[1:-1, :, D] = -r / dt ** 2
-    x = solveh_banded(band[1:].reshape(-1, D + 1).T, g[1:].ravel(),
-                      overwrite_ab=True, overwrite_b=True, lower=True)
+    x = banded_solver()(band[1:].reshape(-1, D + 1).T, g[1:].ravel(),
+                        overwrite_ab=True, overwrite_b=True, lower=True)
     dX = np.diff(x.reshape(T - 1, D), axis=0, prepend=0.0) / dt
     return np.concatenate([dX.ravel(), -U[-1]])
 

@@ -20,7 +20,8 @@ from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
                          kinematics_rows, planar_ik_3link)
 from .phases import (Demonstration, PhaseModel, build_phase_model,
                      fit_time_gmm)
-from .planner import PlanProblem, PlanResult, References, solve
+from .planner import (PlanProblem, PlanResult, References, banded_solver,
+                      solve)
 from .stats import select_winner
 
 GRASP2D = "grasp2d"
@@ -69,9 +70,15 @@ class TaskSpec:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
         if not (len(self.phase_radii) and len(self.phase_heights)):
             raise ValueError("phase_radii and phase_heights must not be empty")
-        for v in (self.radial_sigma, self.orientation_sigma):
-            if v < 0.0:
-                raise ValueError("noise levels must be >= 0")
+        for name in ("radial_sigma", "orientation_sigma"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("angular_spread", "arc_start", "arc_sweep",
+                     "phase_radii", "phase_heights"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 < self.arc_radius < np.inf:
+            raise ValueError("arc_radius must be finite and > 0")
 
     @property
     def space(self) -> str:
@@ -409,6 +416,7 @@ def run_experiment(spec: TaskSpec, strategy, n_trials: int = 50,
             for i in range(n_trials)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        banded_solver()   # imported once here, not in every forked worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             trials = list(pool.map(_run_trial, work))
     else:

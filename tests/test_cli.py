@@ -310,12 +310,23 @@ def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
     assert field in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
-    # the GMM's log-sum-exp is numpy, so the CLI imports no scipy.special
+def test_demo_gen_and_fit_load_no_scipy(tmp_path):
+    # the GMM's log-sum-exp is numpy and only the planner's banded solve
+    # needs scipy, so importing the CLI, demo-gen and fit load none of it
     src = os.path.dirname(os.path.dirname(geoilqr.__file__))
-    code = "import sys, geoilqr.cli; assert 'scipy.special' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env=dict(os.environ, PYTHONPATH=src))
+    config = str(tmp_path / "cfg.json")
+    with open(config, "w") as fh:
+        json.dump({"task": {"kind": "grasppose3d"}, "out_dir": str(tmp_path)},
+                  fh)
+    code = ("import sys, geoilqr.cli as cli\n"
+            f"assert cli.main(['demo-gen', '--config', {config!r}]) == 0\n"
+            f"assert cli.main(['fit', '--config', {config!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -345,16 +356,25 @@ TOP_KEYS = ("arm", "seed", "strategies")
     ("dt", "x"), ("phase_radii", 5), ("horizon", 30.0),
     ("link_lengths", [1.5, -1.5, 1.0]), ("base_position", [0, 0, 0]),
     ("arm", [1, 2]), ("seed", "abc"), ("GEOILQR_SEED", "x"),
-    ("strategies", "polar")])
+    ("strategies", "polar"), ("seed", -2), ("GEOILQR_SEED", "-2"),
+    ("--seed", "-2"), ("radial_sigma", float("nan")),
+    ("orientation_sigma", float("inf")), ("angular_spread", float("nan")),
+    ("arc_radius", -0.3), ("arc_radius", float("inf")),
+    ("arc_start", float("-inf")), ("arc_sweep", float("nan")),
+    ("phase_heights", [0.4, float("nan"), 0.1]), ("strategies", ["bogus"])])
 @pytest.mark.parametrize("command", ["demo-gen", "fit", "plan", "evaluate"])
 def test_every_command_rejects_bad_task_numbers(command, key, value,
                                                 grasp_model, tmp_path,
                                                 capsys, monkeypatch):
-    # a task value, an arm value (ARM_KEYS), a top-level value (TOP_KEYS)
-    # or the seed variable: every command reads the whole config
+    # a task value, an arm value (ARM_KEYS), a top-level value (TOP_KEYS),
+    # the seed variable or the seed flag: every command reads the whole
+    # config
     config = {"task": {"kind": "grasp2d"}, "out_dir": str(tmp_path)}
+    flag = []
     if key == "GEOILQR_SEED":
         monkeypatch.setenv(key, value)
+    elif key == "--seed":
+        flag = [key, value]
     elif key in ARM_KEYS:
         config["arm"] = {key: value}
     else:
@@ -362,7 +382,7 @@ def test_every_command_rejects_bad_task_numbers(command, key, value,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     model = ["--model", grasp_model] if command == "plan" else []
-    assert _run(command, "--config", str(path), *model) == 2
+    assert _run(command, "--config", str(path), *model, *flag) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert os.listdir(tmp_path) == ["cfg.json"]

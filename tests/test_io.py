@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoilqr.charts import Frame2D, Frame3D
 from geoilqr.io import (atomic_write_text, demos_from_dict, demos_to_csv,
@@ -29,6 +30,32 @@ def test_write_json_stable(tmp_path):
     assert json.loads(text) == {"b": 1, "a": [1, 2]}
     write_json(str(path), {"b": 1, "a": [1, 2]})
     assert path.read_text() == text
+
+
+# edge values json writes in its own way, and strings that hold the
+# separators, quotes and brackets the writer looks for in encoded text
+_EDGES = st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                          float("-inf"), 2 ** 63, -2 ** 64 - 1, 10 ** 30,
+                          1e16, 1e-7, True, False, None, [], {}, "", ", ",
+                          '"', "[", "]", "{", "}", '", "', "[1, 2]",
+                          "\n\t\x00\x1f\\", "Ünïcödé ☃ 漢字 \U0001f600",
+                          {2: "a", 0.5: [1.0], False: None}, {None: 0},
+                          {float("nan"): 1}, {float("-inf"): {}}])
+_TEXT = st.text() | st.text(alphabet=', "[]{}:\\\n\x00é☃')
+_JSON = st.recursive(
+    _EDGES | _TEXT | st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    lambda values: st.lists(values) | st.dictionaries(_TEXT, values),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON)
+def test_write_json_writes_what_json_dumps_writes(value, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "value.json"
+    write_json(str(path), value)
+    expect = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expect
 
 
 def test_frame_round_trips():
@@ -87,3 +114,14 @@ def test_demos_csv_matches_demo_arrays():
                                              d.positions, d.orientations])
                             for i, d in enumerate(demos)])
         assert np.array_equal(rows, expect)
+
+
+@pytest.mark.parametrize("kind", ["grasp2d", "boxopen2d", "grasppose3d"])
+def test_demos_csv_text_matches_numpy_scalar_formatting(kind):
+    # the writer formats Python floats; the text is what str() of numpy's
+    # float64 scalars gave
+    demos = generate_demos(default_spec(kind, seed=2))
+    old = [",".join(str(v) for v in [i, int(t), *p, *o])
+           for i, demo in enumerate(demos)
+           for t, p, o in zip(demo.times, demo.positions, demo.orientations)]
+    assert demos_to_csv(demos).splitlines()[1:] == old

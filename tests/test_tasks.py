@@ -1,7 +1,12 @@
 """Demonstration generators, trial scoring, and the experiment harness."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import geoilqr
 from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
                             SPHERICAL_3D, CartesianPose, Frame2D, rot2)
 from geoilqr.kinematics import ArmModel, JointTrajectory, planar_ik_3link
@@ -235,6 +240,19 @@ def test_parallel_trials_match_serial():
     for ts, tp in zip(serial.trials, parallel.trials):
         assert ts["success"] == tp["success"]
         assert np.isclose(ts["final_cost"], tp["final_cost"])
+
+
+def test_worker_pools_start_after_the_parent_loads_the_solver():
+    # forked workers inherit scipy.linalg from the parent, rather than each
+    # importing it on its first banded solve
+    src = os.path.dirname(os.path.dirname(geoilqr.__file__))
+    code = ("import sys\n"
+            "from geoilqr.tasks import default_spec, run_experiment\n"
+            "run_experiment(default_spec('grasp2d'), 'optimal', n_trials=2, "
+            "jobs=2)\n"
+            "assert 'scipy.linalg' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_3d_symmetry_selects_matching_chart():
