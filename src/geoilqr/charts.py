@@ -101,7 +101,7 @@ def rot2(angle: float) -> np.ndarray:
 
 
 def perp2(v: np.ndarray) -> np.ndarray:
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+    return v[..., ::-1] * (-1.0, 1.0)
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,14 +171,16 @@ class Frame2D:
     """Pose of the object frame in the world: p_w = t + R(angle) p_obj."""
     translation: np.ndarray = field(default_factory=lambda: np.zeros(2))
     angle: float = 0.0
+    world_to_object: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation",
                            np.asarray(self.translation, dtype=float))
+        object.__setattr__(self, "world_to_object", rot2(-self.angle))
 
     def to_object(self, p_world: np.ndarray) -> np.ndarray:
         """Object-frame coordinates of a world point, or of N x 2 rows."""
-        return (np.asarray(p_world) - self.translation) @ rot2(-self.angle).T
+        return (p_world - self.translation) @ self.world_to_object.T
 
     def to_world(self, p_obj: np.ndarray) -> np.ndarray:
         """World coordinates of an object-frame point, or of N x 2 rows."""
@@ -288,16 +290,18 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ManifoldPoint:
 
 def planar_rows(frame: Frame2D, positions: np.ndarray, headings: np.ndarray,
                 polar):
-    """Unit azimuths (N x 2), radii (N,) and unit local headings (N x 2) of
-    planar world poses given as positions (N x 2) and headings (N,), with
-    polar one bool or one per row. A Cartesian row returns its object-frame
-    position as its azimuth and 1 as its radius. The caller rejects radii
-    below RADIUS_EPS, whose azimuths are not unit."""
+    """Unit azimuths and unit local headings (N x 2 x 2, in that order) and
+    radii (N,) of planar world poses given as positions (N x 2) and headings
+    (N,), with polar one bool or one per row. A Cartesian row returns its
+    object-frame position as its azimuth and 1 as its radius. The caller
+    rejects radii below RADIUS_EPS, whose azimuths are not unit."""
     p = frame.to_object(positions)
     r = np.where(polar, np.sqrt((p * p).sum(axis=-1)), 1.0)
-    a = p / np.maximum(r, RADIUS_EPS)[:, None]
+    X = np.empty((len(p), 2, 2))
+    X[:, 0] = p / np.maximum(r, RADIUS_EPS)[:, None]
     loc = headings - frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
-    return a, r, np.stack([np.cos(loc), np.sin(loc)], 1)
+    X[:, 1, 0], X[:, 1, 1] = np.cos(loc), np.sin(loc)
+    return X, r
 
 
 def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
@@ -306,11 +310,11 @@ def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
     (N x 2) and headings (N,)."""
     if chart.space != TWO_D:
         raise DimensionMismatch(f"planar poses cannot use chart {chart}")
-    polar = chart == POLAR_2D
-    a, r, h = planar_rows(frame, positions, headings, polar)
-    if polar:
-        _check_radius(r, "polar")
-    return np.hstack([a, r[:, None], h] if polar else [a, h])
+    X, r = planar_rows(frame, positions, headings, chart == POLAR_2D)
+    if chart == CARTESIAN_2D:
+        return X.reshape(-1, 4)
+    _check_radius(r, "polar")
+    return np.hstack([X[:, 0], r[:, None], X[:, 1]])
 
 
 def chart_rows_3d(chart: ChartId, frame: Frame3D, positions: np.ndarray,
@@ -372,13 +376,14 @@ def planar_jacobian(G: np.ndarray, a: np.ndarray, r: np.ndarray, polar,
                     s: np.ndarray) -> np.ndarray:
     """Chart Jacobians (N x 3 x 3) from world pose velocities (dx, dy,
     dheading) to intrinsic velocities, at the azimuths a and radii r of
-    planar_rows, with G = rot2(-frame.angle) and s (N x 2) the S¹ basis
+    planar_rows, with G = frame.world_to_object and s (N x 2) the S¹ basis
     signs of the azimuth and the heading."""
     daz = (perp2(a) / r[:, None]) @ G      # d(azimuth)/d(world position)
     C = np.zeros((len(a), 3, 3))
-    C[:, 2, 2] = s[:, 1]
-    C[:, :, :2] = np.where(np.reshape(polar, (-1, 1, 1)), np.stack(
-        [s[:, :1] * daz, a @ G, -s[:, 1:] * daz], 1), (*G, (0.0, 0.0)))
+    C[:, 0, :2], C[:, 1, :2] = s[:, :1] * daz, a @ G
+    C[:, 2, :2], C[:, 2, 2] = -s[:, 1:] * daz, s[:, 1]
+    np.copyto(C[:, :, :2], (*G, (0.0, 0.0)),      # Cartesian rows
+              where=~np.reshape(polar, (-1, 1, 1)))
     return C
 
 
@@ -396,7 +401,7 @@ def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
     x, polar = to_chart(pose, chart, frame).coords, chart == POLAR_2D
     r = x[2:3] if polar else np.ones(1)
     s = _s1_signs(np.array([x[:2], x[-2:]]))[None]
-    return planar_jacobian(rot2(-frame.angle), x[None, :2], r, polar, s)[0]
+    return planar_jacobian(frame.world_to_object, x[None, :2], r, polar, s)[0]
 
 
 def _jac_3d(pose, chart, frame) -> np.ndarray:

@@ -53,15 +53,14 @@ def kinematics_rows(arm: ArmModel, Q: np.ndarray, jacobian: bool = False):
     """End-effector positions (N x 2), headings (N,) and None or, with
     jacobian=True, (x, y, heading) Jacobians (N x 3 x D) of joint rows Q."""
     angles = arm.base_angle + np.cumsum(Q, axis=1)
-    cos = arm.link_lengths * np.cos(angles)
-    sin = arm.link_lengths * np.sin(angles)
-    P = arm.base_position + np.stack([cos.sum(axis=1), sin.sum(axis=1)], axis=1)
+    links = arm.link_lengths * np.array([np.cos(angles), np.sin(angles)])
+    P = arm.base_position + links.sum(axis=2).T
     if not jacobian:
         return P, angles[:, -1], None
-    # joint i moves every link j >= i
+    # joint i moves every link j >= i: dx is minus the y sum, dy the x sum
     J = np.ones((len(Q), 3, arm.dof))
-    J[:, 0] = -np.cumsum(sin[:, ::-1], axis=1)[:, ::-1]
-    J[:, 1] = np.cumsum(cos[:, ::-1], axis=1)[:, ::-1]
+    links[..., ::-1].cumsum(axis=2, out=J[:, 1::-1, ::-1].swapaxes(0, 1))
+    J[:, 0] *= -1.0
     return P, angles[:, -1], J
 
 
@@ -93,10 +92,10 @@ def batch_dynamics(D: int, T: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rollout(q0: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """Integrated states T x D with states[0] = q0."""
-    u = np.atleast_2d(u)
-    return np.cumsum(np.vstack([np.broadcast_to(q0, u[:1].shape), dt * u[:-1]]),
-                     axis=0)
+    """Integrated states T x D with states[0] = q0, from controls u (T x D)."""
+    states = np.empty(np.shape(u))
+    states[0], states[1:] = q0, np.multiply(dt, u[:-1])
+    return states.cumsum(axis=0, out=states)
 
 
 def planar_ik_3link(arm: ArmModel,

@@ -4,7 +4,7 @@ The problem is open loop: the joint states are the running sum of the
 velocity commands, the state cost is a precision-weighted squared geodesic
 residual in the selected chart at each active timestep, and each iteration
 solves the regularized normal equations for the full horizon as a band in
-the moves of the states q_2..q_T. u_T moves no state; its step is -u_T.
+the moves of the states q_2..q_T with LAPACK's dpbsv; u_T moves no state.
 
 Both planar charts are products of R and S¹ factors, so one closed-form
 pass per line-search candidate evaluates all active rows; the Jacobian pass
@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
-                     planar_jacobian, planar_rows, rot2)
+                     planar_jacobian, planar_rows)
 from .io import SCHEMA_VERSION
 from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
@@ -39,11 +39,11 @@ class LineSearchFailed(RuntimeWarning):
 
 @functools.cache
 def banded_solver():
-    """scipy.linalg.solveh_banded, imported by the first call: loading
-    scipy.linalg takes most of the package's import time, and only planning
-    needs it."""
-    from scipy.linalg import solveh_banded
-    return solveh_banded
+    """LAPACK's dpbsv, the Cholesky band solve under scipy.linalg's
+    solveh_banded, imported by the first call: loading scipy.linalg takes
+    most of the package's import time, and only planning needs it."""
+    from scipy.linalg.lapack import dpbsv
+    return dpbsv
 
 
 class References(NamedTuple):
@@ -125,8 +125,10 @@ class PlanProblem:
         self.references, polar, S, offset = _checked(
             References(*self.references), self.horizon, self.activation_start)
         # the planar pass's per-row constants, with the S¹ means' basis signs
-        # and d(object position)/d(world position)
-        self._planar = polar, S, _s1_signs(S), offset, rot2(-self.frame.angle)
+        self._planar = polar, S, _s1_signs(S), offset
+        # the step puts JᵀQJ[i, j], i >= j (flat iD + j), in band[t, j, i - j]
+        D, k = self.arm.dof, np.flatnonzero(np.tri(self.arm.dof, dtype=bool))
+        self._band_scatter = k, k % D * D + k // D
 
 
 @dataclass
@@ -143,11 +145,10 @@ def _forward(problem: PlanProblem, u: np.ndarray):
     timesteps, and their linearization's inputs: the kinematic Jacobians, unit
     azimuths and radii (p and 1 on a Cartesian row). A chart or log map
     singularity raises naming the first offending timestep."""
-    (polar, S, s, offset, _), ts = problem._planar, problem.references.ts
+    (polar, S, s, offset), ts = problem._planar, problem.references.ts
     Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
     P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
-    a, r, h = planar_rows(problem.frame, P, H, polar)
-    X = np.stack([a, h], 1)                 # azimuth, heading
+    X, r = planar_rows(problem.frame, P, H, polar)    # azimuth, heading
     dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
     # the first row whose chart or S¹ log map is undefined, the chart first
     singular = r < RADIUS_EPS
@@ -161,11 +162,13 @@ def _forward(problem: PlanProblem, u: np.ndarray):
                              "antipodal sphere points")
     cross = S[..., 0] * X[..., 1] - S[..., 1] * X[..., 0]
     angle = s * np.arctan2(cross, dots)       # (azimuth, heading) residuals
-    F = np.column_stack([np.where(polar, angle[:, 0], a[:, 0]),
-                         np.where(polar, r, a[:, 1]), angle[:, 1]]) - offset
+    F = np.empty((len(ts), 3))    # polar (angle, radius) or Cartesian x, y
+    F[:, 0], F[:, 1], F[:, 2] = (np.where(polar, angle[:, 0], X[:, 0, 0]),
+                                 np.where(polar, r, X[:, 0, 1]), angle[:, 1])
+    F -= offset
     c = (problem.control_weight * float(u @ u) + float(np.einsum(
         "ni,nij,nj->", F, problem.references.precisions, F)))
-    return c, F, (Jk, a, r)
+    return c, F, (Jk, X[:, 0], r)
 
 
 def _candidate(problem: PlanProblem, u: np.ndarray):
@@ -182,8 +185,8 @@ def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
     states, from a forward pass free of singularities: an S¹ log
     differential s_m·s(x) times a chart row s(x)·c is s_m·c, the chart
     Jacobian with the means' signs."""
-    (polar, _, s, _, G), (Jk, a, r) = problem._planar, lin
-    C = planar_jacobian(G, a, r, polar, s)
+    (polar, _, s, _), (Jk, a, r) = problem._planar, lin
+    C = planar_jacobian(problem.frame.world_to_object, a, r, polar, s)
     return (C @ Jk).reshape(-1, problem.arm.dof)
 
 
@@ -217,19 +220,24 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
     Jr = J.reshape(-1, 3, D)
     JtQ = Jr.transpose(0, 2, 1) @ refs.precisions
     # control term r/dt (u_t - u_{t-1}) at state t, u_T left out; row 0 unused
-    g = (r / dt) * np.diff(U[:-1], axis=0, prepend=0.0, append=0.0)
+    g = np.concatenate([U[:-1], np.zeros((1, D))])
+    g[1:] = (r / dt) * (g[1:] - g[:-1])
     g[ts] -= np.einsum("nai,ni->na", JtQ, f.reshape(-1, 3))
     # lower band storage, Fortran order: band[t, a, d] = A[tD+a+d, tD+a]
-    band, JtQJ = np.zeros((T, D, D + 1)), JtQ @ Jr
-    for d in range(D + 1):
-        band[ts, :D - d, d] = np.diagonal(JtQJ, -d, 1, 2)
+    band, (k, at) = np.zeros((T, D, D + 1)), problem._band_scatter
+    band.reshape(-1)[ts[:, None] * (D * D + D) + at] = (
+        JtQ @ Jr).reshape(len(ts), -1)[:, k]
     band[1:, :, 0] += 2.0 * r / dt ** 2
     band[-1, :, 0] -= r / dt ** 2
     band[1:-1, :, D] = -r / dt ** 2
-    x = banded_solver()(band[1:].reshape(-1, D + 1).T, g[1:].ravel(),
-                        overwrite_ab=True, overwrite_b=True, lower=True)
-    dX = np.diff(x.reshape(T - 1, D), axis=0, prepend=0.0) / dt
-    return np.concatenate([dX.ravel(), -U[-1]])
+    ab, b = band[1:].reshape(-1, D + 1).T, g[1:].reshape(-1)
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, x, info = banded_solver()(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    g[0], g[1:] = 0.0, x.reshape(T - 1, D)     # the moves, x_1 = 0
+    return np.concatenate([((g[1:] - g[:-1]) / dt).ravel(), -U[-1]])
 
 
 def solve(problem: PlanProblem) -> PlanResult:
@@ -248,7 +256,7 @@ def solve(problem: PlanProblem) -> PlanResult:
             break
         alpha = 1.0
         while alpha >= LINE_SEARCH_MIN_STEP:
-            c_new, F_new, lin_new = _candidate(problem, u + alpha * du)
+            c_new, F_new, lin_new = _candidate(problem, u_new := u + alpha * du)
             if c_new < c:
                 break
             alpha *= 0.5
@@ -260,9 +268,8 @@ def solve(problem: PlanProblem) -> PlanResult:
                 warnings.warn("no descent step found; returning best iterate",
                               LineSearchFailed)
             break
-        u = u + alpha * du
         improvement = c - c_new
-        c, F, lin = c_new, F_new, lin_new
+        u, c, F, lin = u_new, c_new, F_new, lin_new
         history.append(c)
         if improvement < COST_TOL * max(abs(c), 1.0):
             converged = True

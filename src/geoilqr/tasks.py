@@ -274,10 +274,9 @@ def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM
             return False, f"heading error {np.degrees(heading_err):.1f} deg"
         return True, "ok"
     if spec.kind == BOXOPEN2D:
-        dev = arc_radius_deviation(plan, spec, arm, activation_start)
+        p_obj, dev = _active_arc(plan, spec, arm, activation_start)
         if dev > ARC_RADIUS_REL_TOL:
             return False, f"radius deviation {100 * dev:.1f}%"
-        p_obj = _active_object_positions(plan, spec, arm, activation_start)
         az = np.unwrap(np.arctan2(p_obj[:, 1], p_obj[:, 0]))
         swept = abs(az[-1] - az[0])
         target = abs(spec.arc_sweep) * (len(az) - 1) / (spec.horizon - 1)
@@ -288,20 +287,20 @@ def evaluate_trial(plan: PlanResult, spec: TaskSpec, arm: ArmModel = DEFAULT_ARM
     raise ValueError(f"no trial evaluation for task kind {spec.kind}")
 
 
-def _active_object_positions(plan: PlanResult, spec: TaskSpec, arm: ArmModel,
-                             activation_start: int) -> np.ndarray:
-    """Object-frame end-effector positions from activation_start on."""
-    states = plan.trajectory.states[activation_start:]
-    return spec.object_frame.to_object(kinematics_rows(arm, states)[0])
+def _active_arc(plan: PlanResult, spec: TaskSpec, arm: ArmModel, start: int):
+    """Object-frame end-effector positions from timestep start on, and
+    their max relative deviation from the arc radius."""
+    states = plan.trajectory.states[start:]
+    p_obj = spec.object_frame.to_object(kinematics_rows(arm, states)[0])
+    dev = np.abs(np.linalg.norm(p_obj, axis=1) - spec.arc_radius).max()
+    return p_obj, float(dev / spec.arc_radius)
 
 
 def arc_radius_deviation(plan: PlanResult, spec: TaskSpec,
                          arm: ArmModel = DEFAULT_ARM,
                          activation_start: int = ACTIVATION_START) -> float:
     """Max relative radius deviation over the active arc (BoxOpen2D)."""
-    p_obj = _active_object_positions(plan, spec, arm, activation_start)
-    radii = np.linalg.norm(p_obj, axis=1)
-    return float(np.max(np.abs(radii - spec.arc_radius)) / spec.arc_radius)
+    return _active_arc(plan, spec, arm, activation_start)[1]
 
 
 # --- experiment harness -----------------------------------------------------

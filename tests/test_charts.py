@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
-                            POLAR_2D, SPHERICAL_3D, CartesianPose, ChartId,
-                            Frame2D, Frame3D, OriginSingularity, chart_jacobian,
-                            chart_spec, charts_for, from_chart, pole_quat,
-                            position_spec, quat_conj, quat_from_axis_angle,
-                            quat_mul, rotmat_from_quat, to_chart)
+                            POLAR_2D, RADIUS_EPS, SPHERICAL_3D, CartesianPose,
+                            ChartId, Frame2D, Frame3D, OriginSingularity,
+                            chart_jacobian, chart_spec, charts_for,
+                            from_chart, perp2, planar_jacobian, planar_rows,
+                            pole_quat, position_spec, quat_conj,
+                            quat_from_axis_angle, quat_mul, rot2,
+                            rotmat_from_quat, to_chart)
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, Product,
                                SpecMismatch, Sphere, log_rows)
 
@@ -204,6 +206,41 @@ def _moved(pose, step):
     if angle:
         q = quat_mul(quat_from_axis_angle(step[3:], angle), q)
     return CartesianPose(pose.position + step[:3], q / np.linalg.norm(q))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 2 ** 16), st.sampled_from([1, 80]),
+       st.sampled_from(["cartesian", "polar", "mixed"]))
+def test_planar_pass_equals_plain_formulas_bit_for_bit(seed, n, masks):
+    """planar_rows and planar_jacobian against each chart's formulas, row by
+    row, with the same float operations in the same order. The products
+    with the frame rotation run on all rows at once, as in the kernels,
+    because numpy's matmul rounds one row apart from a stack of them."""
+    rng = np.random.default_rng(seed)
+    frame = _random_frame_2d(rng)
+    P, H = rng.uniform(-2, 2, (n, 2)), rng.uniform(-np.pi, np.pi, n)
+    polar = {"cartesian": False, "polar": True,
+             "mixed": rng.random(n) < 0.5}[masks]
+    rows = np.broadcast_to(polar, n)
+    X, r = planar_rows(frame, P, H, polar)
+    p = (P - frame.translation) @ rot2(-frame.angle).T
+    for i, is_polar in enumerate(rows):
+        radius = np.sqrt(p[i, 0] * p[i, 0] + p[i, 1] * p[i, 1])
+        heading = H[i] - frame.angle
+        if is_polar:
+            heading = heading - np.arctan2(p[i, 1], p[i, 0])
+        assert r[i] == (radius if is_polar else 1.0)
+        assert np.array_equal(X[i, 0], p[i] / max(r[i], RADIUS_EPS))
+        assert np.array_equal(X[i, 1], [np.cos(heading), np.sin(heading)])
+
+    s, G = np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0), rot2(-frame.angle)
+    C = planar_jacobian(frame.world_to_object, X[:, 0], r, polar, s)
+    daz, aG = (perp2(X[:, 0]) / r[:, None]) @ G, X[:, 0] @ G
+    for i, is_polar in enumerate(rows):
+        top = ([s[i, 0] * daz[i], aG[i], -s[i, 1] * daz[i]] if is_polar
+               else [G[0], G[1], [0.0, 0.0]])
+        assert np.array_equal(C[i, :, :2], top)
+        assert np.array_equal(C[i, :, 2], [0.0, 0.0, s[i, 1]])
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

@@ -165,11 +165,16 @@ def test_step_rejects_what_the_band_solver_cannot_take():
         with pytest.raises(ValueError, match="infs or NaNs"):
             gauss_newton_step(p, u, bad_f, bad_J)
     # a negative definite precision, past the problem's checks, leaves a
-    # normal matrix that is not positive definite
-    p.references = p.references._replace(
-        precisions=-1e9 * p.references.precisions)
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        gauss_newton_step(p, u, f, J)
+    # normal matrix that is not positive definite, down to the smallest
+    # band: the one block of a two-step plan
+    small = _viapoint_problem(POLAR_2D, T=2)
+    for p, u in ((p, u), (small, np.full(6, 0.05))):
+        f, J, _ = residuals_and_jacobian(p, u)
+        p.references = p.references._replace(
+            precisions=-1e9 * p.references.precisions)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            gauss_newton_step(p, u, f, J)
 
 
 @pytest.mark.parametrize("q0", [[1.0, 2.0], [0.0, np.nan, 0.0],

@@ -242,6 +242,44 @@ def test_parallel_trials_match_serial():
         assert np.isclose(ts["final_cost"], tp["final_cost"])
 
 
+# (success, reason, iterations, final cost) of the first three trials of
+# run_experiment at seed 0, per task and strategy, as the planner gave them
+# before its kernels were rewritten to make fewer numpy calls
+RECORDED_TRIALS = {
+    ("grasp2d", "fixed-1"): [
+        (False, "radius error 0.061 m", 13, 8.067795423985121),
+        (False, "radius error 0.073 m", 17, 6.199763212012616),
+        (False, "radius error 0.079 m", 8, 3.4473481113100117)],
+    ("grasp2d", "fixed-2"): [(True, "ok", 13, 9.20890149394755),
+                             (True, "ok", 11, 4.50696275694629),
+                             (True, "ok", 8, 2.918300640757523)],
+    ("boxopen2d", "fixed-1"): [
+        (False, "radius deviation 25.2%", 18, 17635.000833519825),
+        (False, "radius deviation 26.0%", 26, 14690.679100563744),
+        (False, "radius deviation 25.2%", 25, 14693.83879930285)],
+    ("boxopen2d", "fixed-2"): [(True, "ok", 11, 15.099375313213411),
+                               (True, "ok", 11, 15.260763424014316),
+                               (True, "ok", 12, 15.189481395908647)],
+}
+RECORDED_TRIALS |= {(kind, "optimal"): RECORDED_TRIALS[kind, "fixed-2"]
+                    for kind in ("grasp2d", "boxopen2d")}
+
+
+@pytest.mark.parametrize("kind", ["grasp2d", "boxopen2d"])
+def test_planning_outcomes_match_recorded_values(kind):
+    spec = default_spec(kind, seed=0)
+    demos, _, model = fit_task_model(spec)
+    for strategy in (CARTESIAN_2D, POLAR_2D, "optimal"):
+        report = run_experiment(spec, strategy, 3, model=model, demos=demos)
+        recorded = RECORDED_TRIALS[kind, report.strategy]
+        for trial, (ok, reason, iterations, cost) in zip(report.trials,
+                                                         recorded, strict=True):
+            assert (trial["success"], trial["reason"],
+                    trial["iterations"]) == (ok, reason, iterations)
+            assert trial["final_cost"] == pytest.approx(cost, rel=1e-12,
+                                                        abs=0.0)
+
+
 def test_worker_pools_start_after_the_parent_loads_the_solver():
     # forked workers inherit scipy.linalg from the parent, rather than each
     # importing it on its first banded solve
