@@ -26,38 +26,10 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode   # compact, in C
-
-
-def _indented(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), with each line after the
-    first indented by pad more. indent selects json's pure-Python encoder,
-    so each list of scalars goes to the C encoder in one call, and its ", "
-    separators become line breaks: no number, true, false or null holds
-    one."""
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        # {k: None} encodes as '{<key>: null}', with json's key conversion
-        body = (",\n" + inner).join(_encode({k: None})[1:-5]
-                                    + _indented(v, inner)
-                                    for k, v in sorted(obj.items()))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        text = "" if isinstance(obj[0], (list, tuple, dict)) else _encode(obj)
-        # a string or a non-empty dict shows as a quote, a nested list as a
-        # bracket; {} is written alike either way
-        if not text or '"' in text or "[" in text[1:]:
-            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
-        else:
-            body = text[1:-1].replace(", ", ",\n" + inner)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return _encode(obj)
-
-
 def write_json(path: str, obj: dict):
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, and a
     newline."""
-    atomic_write_text(path, _indented(obj, "") + "\n")
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def frame_to_dict(frame) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,10 +82,6 @@ class TimeGmm:
     priors: np.ndarray        # (K,)
     means: np.ndarray         # (K, F), feature 0 is normalized time
     covariances: np.ndarray   # (K, F, F)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.priors)
 
 
 def _pooled_features(demos: list[Demonstration]) -> np.ndarray:
@@ -170,24 +167,76 @@ def phase_weights(gmm: TimeGmm, T: int) -> np.ndarray:
     return phase_weights_at(gmm, s)
 
 
-@dataclass
-class ChartReferences:
+class ChartReferences(NamedTuple):
     """Per-timestep blended references in one chart."""
     means: np.ndarray           # (T, ambient) points on the chart manifold
     covariances: np.ndarray     # (T, d, d) tangent covariances at the means
 
 
+class ChartFit(NamedTuple):
+    """One chart's phase fits: the Fréchet means (K x ambient), the raw second
+    moments of the residuals at them (K x d x d) and their time covariances."""
+    means: np.ndarray
+    moments: np.ndarray
+    c_vs: np.ndarray
+
+
 @dataclass
 class PhaseModel:
+    """The fitted parameters, K rows each: the GMM's time marginals, the mean
+    and variance of normalized time under each phase's frame weights (m_s,
+    c_ss) and each chart's ChartFit. __post_init__ derives the phases (per
+    phase, ChartId -> ManifoldGaussian), the weights (T x K), the references
+    (ChartId -> ChartReferences) and a winner per timestep: the chart whose
+    blended covariance has the smallest determinant, then the lowest index."""
     charts: list
-    phases: list                # per phase: dict ChartId -> ManifoldGaussian
-    weights: np.ndarray         # (T, K)
-    references: dict            # ChartId -> ChartReferences
-    winners: list               # ChartId per timestep
+    horizon: int
+    priors: np.ndarray
+    time_means: np.ndarray
+    time_variances: np.ndarray
+    m_s: np.ndarray
+    c_ss: np.ndarray
+    fits: dict                  # ChartId -> ChartFit
 
-    @property
-    def horizon(self) -> int:
-        return self.weights.shape[0]
+    def __post_init__(self):
+        K, m_s, c_ss = len(self.priors), self.m_s, self.c_ss
+        s_grid = np.arange(self.horizon) / max(self.horizon - 1, 1)
+        H = phase_weights_at(TimeGmm(self.priors, self.time_means[:, None],
+                                     self.time_variances[:, None, None]),
+                             s_grid)
+        h = np.where(H > 1e-12, H, 0.0)
+        anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
+
+        gaussians, references, dets = {}, {}, []
+        by_index = sorted(self.charts, key=lambda c: c.index)
+        for chart in by_index:
+            spec = chart_spec(chart)
+            M, S, c_vs = self.fits[chart]
+            gs = gaussians[chart] = [ManifoldGaussian.from_moments(
+                ManifoldPoint(spec, m), c) for m, c in zip(M, S)]
+            slope = c_vs / c_ss[:, None]
+            # Conditional mean/covariance of each phase given time; the slope
+            # of phase k reaches the mean of phase a by parallel transport.
+            trend = transport_rows(spec, np.repeat(M, K, axis=0),
+                                   np.tile(M, (K, 1)),
+                                   np.repeat(slope, K, axis=0))
+            trend = trend.reshape(K, K, -1)[:, anchor]  # (K, T, tangent)
+            A = M[anchor]
+            blend = sum(h[:, k, None] * (log_rows(spec, A, M[k:k + 1])
+                                         + trend[k] * (s_grid - m_s[k])[:, None])
+                        for k in range(K))
+            C = [g.covariance for g in gs] - c_vs[:, :, None] * slope[:, None]
+            cov = np.tensordot(h, C, 1)
+            vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
+            vals = np.maximum(vals, EIGVAL_FLOOR)
+            covs = (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2)
+            references[chart] = ChartReferences(exp_rows(spec, A, blend), covs)
+            dets.append(np.prod(vals, axis=1))
+
+        self.phases = [{c: gaussians[c][k] for c in self.charts}
+                       for k in range(K)]
+        self.weights, self.references = H, references
+        self.winners = [by_index[i] for i in np.argmin(dets, axis=0)]
 
     def phase_dets(self) -> dict:
         """ChartId -> per-phase covariance determinants."""
@@ -197,102 +246,65 @@ class PhaseModel:
 
 def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
                       charts: list[ChartId], horizon: int) -> PhaseModel:
-    """Fit per-phase per-chart Gaussians and blend them into per-timestep
-    references; each timestep's winner is the chart whose blended covariance
-    has the smallest determinant, ties going to the lowest chart index."""
-    K = gmm.n_components
-    H = phase_weights(gmm, horizon)
-    h = np.where(H > 1e-12, H, 0.0)
-    s_grid = np.arange(horizon) / max(horizon - 1, 1)
-    anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
-
+    """Fit each chart's phase Gaussians to the demos, weighted by the time
+    marginals of gmm, and regress their residuals on normalized time, so the
+    references track motion within a phase, not only the phase mean."""
     s = np.concatenate([d.phase_variable() for d in demos])
     W = phase_weights_at(gmm, s).T                  # (K, n_frames)
     W = W / W.sum(axis=1, keepdims=True)
-    # Linear regression of the tangent residuals on normalized time, so
-    # per-timestep references track motion within a phase instead of
-    # collapsing to the phase mean.
     m_s = W @ s
     ds = s - m_s[:, None]
     c_ss = np.vecdot(W, ds * ds) + 1e-12
 
-    fits, references, dets = {}, {}, []
-    by_index = sorted(charts, key=lambda c: c.index)
-    for chart in by_index:
-        spec = chart_spec(chart)
+    fits = {}
+    for chart in sorted(charts, key=lambda c: c.index):
         X = np.vstack([chart_rows(chart, d.object_frame, d.positions,
                                   d.orientations) for d in demos])
         try:
-            M, U, S = fit_phases(spec, X, W)
-            gs = fits[chart] = [ManifoldGaussian.from_moments(
-                ManifoldPoint(spec, m), c) for m, c in zip(M, S)]
+            M, U, S = fit_phases(chart_spec(chart), X, W)
         except Exception as exc:
             raise RuntimeError(f"fit failed for chart {chart}") from exc
-        c_vs = ((W * ds)[:, None] @ U)[:, 0]        # (K, tangent)
-        slope = c_vs / c_ss[:, None]
-        # Conditional mean/covariance of each phase Gaussian given time; the
-        # slope of phase k reaches the mean of phase a by parallel transport.
-        trend = transport_rows(spec, np.repeat(M, K, axis=0), np.tile(M, (K, 1)),
-                               np.repeat(slope, K, axis=0))
-        trend = trend.reshape(K, K, -1)[:, anchor]  # (K, T, tangent)
-        A = M[anchor]
-        blend = sum(h[:, k, None] * (log_rows(spec, A, M[k:k + 1])
-                                     + trend[k] * (s_grid - m_s[k])[:, None])
-                    for k in range(K))
-        C = [g.covariance for g in gs] - c_vs[:, :, None] * slope[:, None]
-        cov = np.tensordot(h, C, 1)
-        vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
-        vals = np.maximum(vals, EIGVAL_FLOOR)
-        covs = (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2)
-        references[chart] = ChartReferences(exp_rows(spec, A, blend), covs)
-        dets.append(np.prod(vals, axis=1))
-
-    phases = [{c: fits[c][k] for c in charts} for k in range(K)]
-    winners = [by_index[i] for i in np.argmin(dets, axis=0)]
-    return PhaseModel(list(charts), phases, H, references, winners)
+        fits[chart] = ChartFit(M, S, ((W * ds)[:, None] @ U)[:, 0])
+    return PhaseModel(list(charts), horizon, gmm.priors, gmm.means[:, 0],
+                      gmm.covariances[:, 0, 0], m_s, c_ss, fits)
 
 
 # --- serialization ----------------------------------------------------------
 
-def phase_model_to_dict(model: PhaseModel) -> dict:
-    def cid(c):
-        return {"space": c.space, "index": c.index}
+_K_ROWS = ("priors", "time_means", "time_variances", "m_s", "c_ss")
+_POSITIVE = {"priors", "time_variances", "c_ss"}
 
+
+def phase_model_to_dict(model: PhaseModel) -> dict:
+    """The fitted parameters of model; the loader derives the rest from them."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "charts": [cid(c) for c in model.charts],
-        "weights": model.weights.tolist(),
-        "phases": [
-            {str(c): {"mean": g.mean.coords.tolist(),
-                      "covariance": g.covariance.tolist()}
-             for c, g in phase.items()}
-            for phase in model.phases
-        ],
-        "references": {
-            str(c): {"means": r.means.tolist(),
-                     "covariances": r.covariances.tolist()}
-            for c, r in model.references.items()
-        },
-        "winners": [cid(c) for c in model.winners],
+        "charts": [{"space": c.space, "index": c.index} for c in model.charts],
+        "horizon": model.horizon,
+        **{name: getattr(model, name).tolist() for name in _K_ROWS},
+        "fits": {str(c): {name: a.tolist() for name, a in f._asdict().items()}
+                 for c, f in model.fits.items()},
     }
 
 
-def _field(name: str, value, shape: tuple) -> np.ndarray:
-    """value as a float array of the given shape, else ValueError naming the
-    model field."""
+def _field(name: str, value, shape: tuple, positive=False) -> np.ndarray:
+    """value as a finite float array of shape, else ValueError naming it."""
     try:
         a = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"model {name} is not an array of numbers") from None
     if a.shape != shape:
         raise ValueError(f"model {name} has shape {a.shape}, not {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"model {name} is not finite")
+    if positive and not (a > 0).all():
+        raise ValueError(f"model {name} must be > 0")
     return a
 
 
 def phase_model_from_dict(d: dict) -> PhaseModel:
     """The PhaseModel of a model.json dict; ValueError names the first field
-    that is missing or of another schema_version, or whose rows do not match
-    the rows of weights, the model's charts or the chart's widths."""
+    missing, not finite, out of range, of another shape or schema_version."""
     try:
         return _phase_model(d)
     except KeyError as exc:
@@ -304,32 +316,23 @@ def _phase_model(d: dict) -> PhaseModel:
         raise ValueError(f"model schema_version must be {SCHEMA_VERSION}")
     charts = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["charts"]]
     by_name = {str(c): c for c in charts}
-    T = len(d["weights"])
-    weights = _field("weights", d["weights"], (T, len(d["phases"])))
-
-    def per_chart(where: str, entry: dict, mean: str, cov: str, rows=()):
-        """chart -> (means, covariances) of an entry naming every chart."""
-        if set(entry) != set(by_name):
-            raise ValueError(f"model {where} names charts {sorted(entry)}, "
-                             f"not the model charts {sorted(by_name)}")
-        out = {}
-        for name, g in entry.items():
-            spec = chart_spec(by_name[name])
-            n, k = spec.ambient_dim, spec.tangent_dim
-            out[by_name[name]] = (
-                _field(f"{where} {name} {mean}", g[mean], (*rows, n)),
-                _field(f"{where} {name} {cov}", g[cov], (*rows, k, k)))
-        return out
-
-    phases = []
-    for i, phase in enumerate(d["phases"]):
-        fits = per_chart(f"phase {i}", phase, "mean", "covariance")
-        phases.append({c: ManifoldGaussian.from_moments(
-            ManifoldPoint(chart_spec(c), m), S) for c, (m, S) in fits.items()})
-    references = {c: ChartReferences(*arrays) for c, arrays in per_chart(
-        "references", d["references"], "means", "covariances", (T,)).items()}
-    winners = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["winners"]]
-    if len(winners) != T or not set(winners) <= set(references):
-        raise ValueError(f"model winners must name a chart with references "
-                         f"at each of the {T} rows of weights")
-    return PhaseModel(charts, phases, weights, references, winners)
+    horizon = d["horizon"]
+    if type(horizon) is not int or horizon < 2:
+        raise ValueError(f"model horizon {horizon!r} is not an integer >= 2")
+    if not (isinstance(d["priors"], list) and d["priors"]):
+        raise ValueError("model priors is not a non-empty list")
+    K = len(d["priors"])
+    rows = {name: _field(name, d[name], (K,), name in _POSITIVE)
+            for name in _K_ROWS}
+    if set(d["fits"]) != set(by_name):
+        raise ValueError(f"model fits names charts {sorted(d['fits'])}, "
+                         f"not the model charts {sorted(by_name)}")
+    fits = {}
+    for name, chart in by_name.items():
+        spec = chart_spec(chart)
+        n, k = spec.ambient_dim, spec.tangent_dim
+        fits[chart] = ChartFit(*(
+            _field(f"fits {name} {key}", d["fits"][name][key], shape)
+            for key, shape in zip(ChartFit._fields,
+                                  ((K, n), (K, k, k), (K, k)))))
+    return PhaseModel(charts, horizon, **rows, fits=fits)

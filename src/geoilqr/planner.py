@@ -104,8 +104,9 @@ def _checked(refs: References, T: int, start: int):
             polar[kept:], S[kept:], offset[kept:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanProblem:
+    """A plan's inputs, frozen as __post_init__ derives constants from them."""
     arm: ArmModel
     q0: np.ndarray
     horizon: int
@@ -116,19 +117,20 @@ class PlanProblem:
     activation_start: int = 0
 
     def __post_init__(self):
-        self.q0 = np.asarray(self.q0, dtype=float)
+        q0 = np.asarray(self.q0, dtype=float)
         if self.horizon < 1 or not (self.dt > 0 and self.control_weight > 0):
             raise ValueError("need horizon >= 1, dt > 0, control_weight > 0")
-        if (self.q0.shape != (self.arm.dof,)
-                or not np.all(np.isfinite(self.q0))):
+        if q0.shape != (self.arm.dof,) or not np.all(np.isfinite(q0)):
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
-        self.references, polar, S, offset = _checked(
+        references, polar, S, offset = _checked(
             References(*self.references), self.horizon, self.activation_start)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "references", references)
         # the planar pass's per-row constants, with the S¹ means' basis signs
-        self._planar = polar, S, _s1_signs(S), offset
+        object.__setattr__(self, "_planar", (polar, S, _s1_signs(S), offset))
         # the step puts JᵀQJ[i, j], i >= j (flat iD + j), in band[t, j, i - j]
         D, k = self.arm.dof, np.flatnonzero(np.tri(self.arm.dof, dtype=bool))
-        self._band_scatter = k, k % D * D + k // D
+        object.__setattr__(self, "_band_scatter", (k, k % D * D + k // D))
 
 
 @dataclass

@@ -221,8 +221,7 @@ def build_references(model: PhaseModel, selector, T: int,
         ts = idx = np.arange(activation_start, T)   # rows of the blend
         charts = (model.winners[activation_start:T] if selector == "optimal"
                   else [selector] * len(ts))
-        source = {c: (r.means, r.covariances)
-                  for c, r in model.references.items()}
+        source = model.references
     else:
         dominant = np.argmax(model.weights[activation_start:T], axis=1)
         # the last timestep of each phase's dominance window, in time order

@@ -11,7 +11,9 @@ import pytest
 import geoilqr
 from geoilqr.cli import main
 from geoilqr.kinematics import forward_kinematics, rollout
-from geoilqr.tasks import DEFAULT_ARM
+from geoilqr.planner import PlanProblem, solve
+from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
+                           build_references, default_spec, fit_task_model)
 
 
 @pytest.fixture
@@ -251,33 +253,44 @@ def test_plan_rejects_a_model_of_another_horizon(fixture, kind, horizon,
 
 
 def _cut_rows(model):
-    model["references"]["polar-2d"]["means"] = (
-        model["references"]["polar-2d"]["means"][:50])
+    model["fits"]["polar-2d"]["means"].pop()
 
 
 def _narrow_means(model):
-    for row in model["references"]["cartesian-2d"]["means"]:
+    for row in model["fits"]["cartesian-2d"]["means"]:
         row.pop()
 
 
 def _short_row(model):
-    model["references"]["polar-2d"]["covariances"][7].pop()
+    model["fits"]["polar-2d"]["moments"][1][2].pop()
 
 
-def _cut_winners(model):
-    model["winners"].pop()
-
-
-def _drop_winners(model):
-    del model["winners"]
-
-
-def _drop_phase_chart(model):
-    del model["phases"][1]["polar-2d"]
+def _other_charts(model):
+    del model["fits"]["polar-2d"]
 
 
 def _narrow_phase_covariance(model):
-    model["phases"][0]["polar-2d"]["covariance"] = [[1e-4, 0.0], [0.0, 1e-4]]
+    model["fits"]["polar-2d"]["moments"] = [[[1e-4, 0.0], [0.0, 1e-4]]] * 3
+
+
+def _nan(model):
+    model["fits"]["polar-2d"]["c_vs"][0][0] = float("nan")
+
+
+def _flat_time(model):
+    model["time_variances"][1] = 0.0
+
+
+def _fractional_horizon(model):
+    model["horizon"] = 2.5
+
+
+def _pre_change_format(model):
+    # the format that stored the per-timestep references, not the fit
+    for key in ("horizon", "priors", "time_means", "time_variances", "m_s",
+                "c_ss", "fits"):
+        del model[key]
+    model.update(weights=[[1.0]], phases=[], references={}, winners=[])
 
 
 def _future_schema(model):
@@ -285,20 +298,21 @@ def _future_schema(model):
 
 
 @pytest.mark.parametrize("edit, field", [
-    (_cut_rows, "references polar-2d means has shape (50, 5), not (100, 5)"),
-    (_narrow_means, "references cartesian-2d means has shape (100, 3), not "
-                    "(100, 4)"),
-    (_short_row, "references polar-2d covariances is not an array"),
-    (_cut_winners, "winners"),
-    (_drop_winners, "model field 'winners' is missing"),
-    (_drop_phase_chart, "model phase 1 names charts ['cartesian-2d'], not "
-                        "the model charts ['cartesian-2d', 'polar-2d']"),
-    (_narrow_phase_covariance, "phase 0 polar-2d covariance has shape (2, 2),"
-                               " not (3, 3)"),
+    (_cut_rows, "fits polar-2d means has shape (2, 5), not (3, 5)"),
+    (_narrow_means, "fits cartesian-2d means has shape (3, 3), not (3, 4)"),
+    (_short_row, "fits polar-2d moments is not an array"),
+    (_other_charts, "model fits names charts ['cartesian-2d'], not the model "
+                    "charts ['cartesian-2d', 'polar-2d']"),
+    (_narrow_phase_covariance, "fits polar-2d moments has shape (3, 2, 2), "
+                               "not (3, 3, 3)"),
+    (_nan, "model fits polar-2d c_vs is not finite"),
+    (_flat_time, "model time_variances must be > 0"),
+    (_fractional_horizon, "model horizon 2.5 is not an integer >= 2"),
+    (_pre_change_format, "model field 'horizon' is missing"),
     (_future_schema, "model schema_version must be 1")],
-    ids=["cut-rows", "narrow-means", "short-row", "cut-winners",
-         "no-winners", "phase-without-chart", "phase-covariance-2x2",
-         "schema-version"])
+    ids=["cut-rows", "narrow-means", "short-row", "other-charts",
+         "phase-covariance-2x2", "nan", "zero-time-variance",
+         "fractional-horizon", "pre-change-format", "schema-version"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:
@@ -308,6 +322,24 @@ def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
     path.write_text(json.dumps(model))
     assert _plan_with_model(str(path), {"kind": "boxopen2d"}, tmp_path) == 2
     assert field in capsys.readouterr().err
+
+
+def test_plan_solves_the_problem_of_the_fitted_model(grasp_model, tmp_path):
+    # model.json holds the fitted parameters and the loader derives the
+    # references from them as the fit does, so plan gives the trajectory of
+    # the in-memory model that evaluate plans with, bit for bit
+    assert _plan_with_model(grasp_model, {"kind": "grasp2d"}, tmp_path) == 0
+    with open(tmp_path / "trajectory.json") as fh:
+        planned = json.load(fh)
+    spec = default_spec("grasp2d", seed=planned["config"]["seed"])
+    model = fit_task_model(spec)[2]
+    refs = build_references(model, "optimal", spec.horizon, ACTIVATION_START,
+                            "stepwise")
+    result = solve(PlanProblem(DEFAULT_ARM, planned["states"][0],
+                               spec.horizon, spec.dt, spec.object_frame,
+                               refs, CONTROL_WEIGHT, ACTIVATION_START))
+    assert np.array_equal(planned["states"], result.trajectory.states)
+    assert np.array_equal(planned["controls"], result.trajectory.controls)
 
 
 def test_demo_gen_and_fit_load_no_scipy(tmp_path):

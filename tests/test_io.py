@@ -32,8 +32,8 @@ def test_write_json_stable(tmp_path):
     assert path.read_text() == text
 
 
-# edge values json writes in its own way, and strings that hold the
-# separators, quotes and brackets the writer looks for in encoded text
+# edge values json writes in its own way, and strings that hold JSON's
+# separators, quotes and brackets
 _EDGES = st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
                           float("-inf"), 2 ** 63, -2 ** 64 - 1, 10 ** 30,
                           1e16, 1e-7, True, False, None, [], {}, "", ", ",

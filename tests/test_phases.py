@@ -1,10 +1,13 @@
 """Phase segmentation (time-augmented GMM) and per-chart phase statistics."""
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from geoilqr.charts import CARTESIAN_2D, POLAR_2D, chart_spec, charts_for
+from geoilqr.charts import (CARTESIAN_2D, CHART_IDS, POLAR_2D, chart_spec,
+                            charts_for)
+from geoilqr.io import write_json
 from geoilqr.phases import (DegenerateComponent, Demonstration,
                             build_phase_model, fit_time_gmm,
                             phase_model_from_dict, phase_model_to_dict,
@@ -192,27 +195,32 @@ def test_reference_mean_at_dominant_time_matches_phase_mean():
         assert d < 0.5
 
 
-def test_phase_model_json_round_trip():
-    demos = _grasp_demos()
-    gmm = fit_time_gmm(demos, 3)
-    model = build_phase_model(demos, gmm, charts_for("2d"), horizon=50)
-    back = phase_model_from_dict(phase_model_to_dict(model))
-    assert back.charts == model.charts
-    assert np.allclose(back.weights, model.weights)
+@pytest.mark.parametrize("case", ["grasp2d", "boxopen2d",
+                                  "grasppose3d-cylindrical",
+                                  "grasppose3d-spherical"])
+def test_phase_model_json_round_trip(case, tmp_path):
+    # model.json holds the fitted parameters, and the loader derives the rest
+    # from them as the fit does, so nothing moves by a bit
+    model = _model(_task_demos(case))
+    path = str(tmp_path / "model.json")
+    write_json(path, phase_model_to_dict(model))
+    with open(path) as fh:
+        back = phase_model_from_dict(json.load(fh))
+    assert back.charts == model.charts and back.horizon == model.horizon
     assert back.winners == model.winners
     # one object per chart, as the fit gives, so that a per-row lookup keyed
     # by charts matches by identity
-    assert all(c is POLAR_2D or c is CARTESIAN_2D
-               for c in back.charts + back.winners + model.winners)
+    assert all(CHART_IDS[c] is c for c in back.charts + back.winners)
+    assert np.array_equal(back.weights, model.weights)
     for c in model.charts:
-        for k in range(3):
-            assert np.allclose(back.phases[k][c].covariance,
-                               model.phases[k][c].covariance)
-        for t in (0, 25, 49):
-            assert np.allclose(back.references[c].means[t],
-                               model.references[c].means[t])
-            assert np.allclose(back.references[c].covariances[t],
-                               model.references[c].covariances[t])
+        assert np.array_equal(back.references[c].means,
+                              model.references[c].means)
+        assert np.array_equal(back.references[c].covariances,
+                              model.references[c].covariances)
+        assert np.array_equal(back.phase_dets()[c], model.phase_dets()[c])
+        for p, q in zip(back.phases, model.phases, strict=True):
+            assert np.array_equal(p[c].mean.coords, q[c].mean.coords)
+            assert np.array_equal(p[c].covariance, q[c].covariance)
 
 
 @pytest.mark.parametrize("symmetry", ["cylindrical", "spherical"])

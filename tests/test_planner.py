@@ -1,5 +1,6 @@
 """Batch Gauss-Newton planner: residuals, steps, convergence, round trips."""
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -164,14 +165,18 @@ def test_step_rejects_what_the_band_solver_cannot_take():
                          (f, np.where(J == J[0, 0], np.nan, J))):
         with pytest.raises(ValueError, match="infs or NaNs"):
             gauss_newton_step(p, u, bad_f, bad_J)
+    # a checked problem is frozen, so only a deliberate bypass replaces its
+    # references
+    with pytest.raises(FrozenInstanceError):
+        p.references = p.references
     # a negative definite precision, past the problem's checks, leaves a
     # normal matrix that is not positive definite, down to the smallest
     # band: the one block of a two-step plan
     small = _viapoint_problem(POLAR_2D, T=2)
     for p, u in ((p, u), (small, np.full(6, 0.05))):
         f, J, _ = residuals_and_jacobian(p, u)
-        p.references = p.references._replace(
-            precisions=-1e9 * p.references.precisions)
+        object.__setattr__(p, "references", p.references._replace(
+            precisions=-1e9 * p.references.precisions))
         with pytest.raises(np.linalg.LinAlgError,
                            match="not positive definite"):
             gauss_newton_step(p, u, f, J)
