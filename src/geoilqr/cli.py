@@ -274,12 +274,9 @@ def cmd_plan(args, settings: Settings, out: str) -> int:
         raise ConfigError(f"model file not found: {model_path}")
     with open(model_path) as fh:
         try:
-            model = phase_model_from_dict(json.load(fh))
+            model = phase_model_from_dict(json.load(fh), spec.horizon)
         except ValueError as exc:
             raise ConfigError(f"{model_path}: {exc}") from exc
-    if model.horizon != spec.horizon:
-        raise ConfigError(f"{model_path}: model horizon {model.horizon} "
-                          f"differs from the task horizon {spec.horizon}")
     refs = build_references(model, strategy, spec.horizon, activation,
                             plan_mode(spec.kind))
     if args.initial:

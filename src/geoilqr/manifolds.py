@@ -153,6 +153,14 @@ def sphere_basis(p: np.ndarray) -> np.ndarray:
     return sphere_bases(p[None])[0]
 
 
+def on_spheres(spec, X: np.ndarray) -> bool:
+    """Whether every sphere block of the rows of X (... x ambient) has norm 1
+    within 1e-9; NaN fails."""
+    return all(np.all(np.abs(np.sqrt(np.vecdot(X[..., asl], X[..., asl])) - 1)
+                      <= 1e-9)
+               for leaf, asl, _ in leaves(spec) if isinstance(leaf, Sphere))
+
+
 def _check_same(a: ManifoldPoint, b: ManifoldPoint):
     if a.spec != b.spec:
         raise SpecMismatch(f"specs differ: {a.spec} vs {b.spec}")
@@ -175,13 +183,18 @@ def log_rows(spec, P: np.ndarray, X: np.ndarray) -> np.ndarray:
         if isinstance(leaf, Euclidean):
             out[:, tsl] = X[:, asl] - P[:, asl]
             continue
-        y = _reflect(P[:, asl], X[:, asl])  # (p . x, B^T x)
-        _check_antipodal(y[:, 0], "log map")
-        r = y[:, 1:]
-        nr = np.sqrt(np.vecdot(r, r))
-        angle = np.arctan2(nr, y[:, 0]) * (nr >= ZERO_TOL)
-        out[:, tsl] = (angle / np.maximum(nr, ZERO_TOL))[:, None] * r
+        out[:, tsl] = sphere_log(_reflect(P[:, asl], X[:, asl]))
     return out
+
+
+def sphere_log(Y: np.ndarray) -> np.ndarray:
+    """Log maps (... x d) at p of the sphere points x given by their reflected
+    rows y = (p . x, B_p^T x) (... x d+1): B_p^T x scaled to the angle."""
+    _check_antipodal(Y[..., 0], "log map")
+    r = Y[..., 1:]
+    nr = np.sqrt(np.vecdot(r, r))
+    angle = np.arctan2(nr, Y[..., 0]) * (nr >= ZERO_TOL)
+    return (angle / np.maximum(nr, ZERO_TOL))[..., None] * r
 
 
 def exp_rows(spec, P: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 from .charts import (CHART_IDS, ChartId, DimensionMismatch, chart_rows,
                      chart_spec)
 from .io import SCHEMA_VERSION
-from .manifolds import ManifoldPoint, exp_rows, log_rows, transport_rows
+from .manifolds import (ManifoldPoint, exp_rows, log_rows, on_spheres,
+                        transport_rows)
 from .stats import EIGVAL_FLOOR, ManifoldGaussian, fit_phases
 
 GMM_MAX_ITER = 200
@@ -103,7 +104,7 @@ def _log_gauss(X: np.ndarray, means: np.ndarray,
     with means (K x F) and covariances (K x F x F)."""
     F = means.shape[1]
     L = np.linalg.cholesky(covs)
-    z = np.linalg.solve(L, np.swapaxes(X - means[:, None], 1, 2))
+    z = np.linalg.inv(L) @ np.swapaxes(X - means[:, None], 1, 2)
     log_det = 2 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (F * np.log(2 * np.pi) + log_det[:, None]
                    + (z * z).sum(axis=1))
@@ -216,21 +217,22 @@ class PhaseModel:
                 ManifoldPoint(spec, m), c) for m, c in zip(M, S)]
             slope = c_vs / c_ss[:, None]
             # Conditional mean/covariance of each phase given time; the slope
-            # of phase k reaches the mean of phase a by parallel transport.
-            trend = transport_rows(spec, np.repeat(M, K, axis=0),
-                                   np.tile(M, (K, 1)),
-                                   np.repeat(slope, K, axis=0))
+            # of phase k reaches the mean of phase a by parallel transport,
+            # and the mean of phase k is seen from that of phase a by its log.
+            Mk, Ma = np.repeat(M, K, axis=0), np.tile(M, (K, 1))  # pair (k, a)
+            trend = transport_rows(spec, Mk, Ma, np.repeat(slope, K, axis=0))
             trend = trend.reshape(K, K, -1)[:, anchor]  # (K, T, tangent)
-            A = M[anchor]
-            blend = sum(h[:, k, None] * (log_rows(spec, A, M[k:k + 1])
-                                         + trend[k] * (s_grid - m_s[k])[:, None])
+            offset = log_rows(spec, Ma, Mk).reshape(K, K, -1)[:, anchor]
+            blend = sum(h[:, k, None] * (offset[k] + trend[k]
+                                         * (s_grid - m_s[k])[:, None])
                         for k in range(K))
             C = [g.covariance for g in gs] - c_vs[:, :, None] * slope[:, None]
             cov = np.tensordot(h, C, 1)
             vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
             vals = np.maximum(vals, EIGVAL_FLOOR)
             covs = (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2)
-            references[chart] = ChartReferences(exp_rows(spec, A, blend), covs)
+            references[chart] = ChartReferences(
+                exp_rows(spec, M[anchor], blend), covs)
             dets.append(np.prod(vals, axis=1))
 
         self.phases = [{c: gaussians[c][k] for c in self.charts}
@@ -302,16 +304,18 @@ def _field(name: str, value, shape: tuple, positive=False) -> np.ndarray:
     return a
 
 
-def phase_model_from_dict(d: dict) -> PhaseModel:
+def phase_model_from_dict(d: dict, horizon: int | None = None) -> PhaseModel:
     """The PhaseModel of a model.json dict; ValueError names the first field
-    missing, not finite, out of range, of another shape or schema_version."""
+    missing, not finite, out of range, of another shape or schema_version,
+    and, given horizon, a model horizon other than it, before the model
+    derives anything."""
     try:
-        return _phase_model(d)
+        return _phase_model(d, horizon)
     except KeyError as exc:
         raise ValueError(f"model field {exc.args[0]!r} is missing") from None
 
 
-def _phase_model(d: dict) -> PhaseModel:
+def _phase_model(d: dict, task_horizon: int | None) -> PhaseModel:
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"model schema_version must be {SCHEMA_VERSION}")
     charts = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["charts"]]
@@ -319,6 +323,9 @@ def _phase_model(d: dict) -> PhaseModel:
     horizon = d["horizon"]
     if type(horizon) is not int or horizon < 2:
         raise ValueError(f"model horizon {horizon!r} is not an integer >= 2")
+    if task_horizon is not None and horizon != task_horizon:
+        raise ValueError(f"model horizon {horizon} differs from the task "
+                         f"horizon {task_horizon}")
     if not (isinstance(d["priors"], list) and d["priors"]):
         raise ValueError("model priors is not a non-empty list")
     K = len(d["priors"])
@@ -335,4 +342,7 @@ def _phase_model(d: dict) -> PhaseModel:
             _field(f"fits {name} {key}", d["fits"][name][key], shape)
             for key, shape in zip(ChartFit._fields,
                                   ((K, n), (K, k, k), (K, k)))))
+        if not on_spheres(spec, fits[chart].means):
+            raise ValueError(f"model fits {name} means has a sphere block "
+                             "whose norm is not 1 within 1e-9")
     return PhaseModel(charts, horizon, **rows, fits=fits)

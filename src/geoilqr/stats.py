@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import (ManifoldPoint, SpecMismatch, Sphere, exp_rows, leaves,
-                        log_rows)
+from .manifolds import (Euclidean, ManifoldPoint, SpecMismatch, Sphere,
+                        _reflect, exp_rows, leaves, on_spheres, sphere_log)
 
 EIGVAL_FLOOR = 1e-8
 MEAN_TOL = 1e-10
@@ -75,10 +75,8 @@ def _validated(spec, X, w) -> tuple[np.ndarray, np.ndarray]:
     if X.ndim != 2 or X.shape[1] != spec.ambient_dim or w.shape != X.shape[:1]:
         raise SpecMismatch(f"samples {X.shape} and weights {w.shape} do not "
                            f"fit N x {spec.ambient_dim} points")
-    for leaf, asl, _ in leaves(spec):
-        if isinstance(leaf, Sphere) and not np.all(  # NaN fails too
-                np.abs(np.sqrt(np.vecdot(X[:, asl], X[:, asl])) - 1) <= 1e-9):
-            raise ValueError("sphere block norm is not 1 within 1e-9")
+    if not on_spheres(spec, X):
+        raise ValueError("sphere block norm is not 1 within 1e-9")
     if np.any(w < 0.0):
         raise ValueError("negative sample weight")
     if not np.any(w > 0.0):
@@ -90,9 +88,20 @@ def _residuals(spec, X: np.ndarray, M: np.ndarray,
                live: np.ndarray) -> np.ndarray:
     """Log maps (K x N x tangent) of the rows of X at the mean rows of M, on
     each mean's quaternion sheet, where live (K x N) holds and 0 elsewhere."""
-    k, n = np.nonzero(live)
-    U = np.zeros(live.shape + (spec.tangent_dim,))
-    U[k, n] = log_rows(spec, M[k], quat_sign_align(spec, X[n], M[k]))
+    U = np.empty(live.shape + (spec.tangent_dim,))
+    for leaf, asl, tsl in leaves(spec):
+        if isinstance(leaf, Euclidean):
+            U[..., tsl] = np.where(live[..., None],
+                                   X[:, asl] - M[:, None, asl], 0.0)
+            continue
+        # every pair's (m . x, B_m^T x) from one matmul with the means'
+        # (symmetric) Householder matrices; R(-x) = -Rx, so the sheet flip
+        # of x is a sign flip of its reflected row
+        n = leaf.ambient_dim
+        Y = X[:, asl] @ _reflect(M[:, None, asl], np.eye(n))
+        if leaf.dim == 3:
+            Y *= np.where(Y[..., :1] < 0.0, -1.0, 1.0)
+        U[..., tsl] = sphere_log(np.where(live[..., None], Y, np.eye(n)[0]))
     return U
 
 

@@ -11,6 +11,7 @@ import pytest
 import geoilqr
 from geoilqr.cli import main
 from geoilqr.kinematics import forward_kinematics, rollout
+from geoilqr.phases import PhaseModel
 from geoilqr.planner import PlanProblem, solve
 from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
                            build_references, default_spec, fit_task_model)
@@ -252,6 +253,25 @@ def test_plan_rejects_a_model_of_another_horizon(fixture, kind, horizon,
     assert not (tmp_path / "trajectory.json").exists()
 
 
+def test_plan_checks_the_horizon_before_deriving_the_model(
+        grasp_model, tmp_path, capsys, monkeypatch):
+    # the derived references have one row per timestep, so a model of a
+    # long horizon must fail on its horizon field before anything is derived
+    with open(grasp_model) as fh:
+        model = json.load(fh)
+    model["horizon"] = 200000
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+
+    def derive(self):
+        raise AssertionError("the model was derived before the horizon check")
+
+    monkeypatch.setattr(PhaseModel, "__post_init__", derive)
+    assert _plan_with_model(str(path), {"kind": "grasp2d"}, tmp_path) == 2
+    assert ("model horizon 200000 differs from the task horizon 100"
+            in capsys.readouterr().err)
+
+
 def _cut_rows(model):
     model["fits"]["polar-2d"]["means"].pop()
 
@@ -275,6 +295,10 @@ def _narrow_phase_covariance(model):
 
 def _nan(model):
     model["fits"]["polar-2d"]["c_vs"][0][0] = float("nan")
+
+
+def _off_sphere_mean(model):
+    model["fits"]["polar-2d"]["means"][1][0] = 2.0
 
 
 def _flat_time(model):
@@ -306,13 +330,16 @@ def _future_schema(model):
     (_narrow_phase_covariance, "fits polar-2d moments has shape (3, 2, 2), "
                                "not (3, 3, 3)"),
     (_nan, "model fits polar-2d c_vs is not finite"),
+    (_off_sphere_mean, "model fits polar-2d means has a sphere block whose "
+                       "norm is not 1 within 1e-9"),
     (_flat_time, "model time_variances must be > 0"),
     (_fractional_horizon, "model horizon 2.5 is not an integer >= 2"),
     (_pre_change_format, "model field 'horizon' is missing"),
     (_future_schema, "model schema_version must be 1")],
     ids=["cut-rows", "narrow-means", "short-row", "other-charts",
-         "phase-covariance-2x2", "nan", "zero-time-variance",
-         "fractional-horizon", "pre-change-format", "schema-version"])
+         "phase-covariance-2x2", "nan", "off-sphere-mean",
+         "zero-time-variance", "fractional-horizon", "pre-change-format",
+         "schema-version"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:

@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoilqr.charts import (CARTESIAN_2D, CHART_IDS, POLAR_2D, chart_spec,
                             charts_for)
 from geoilqr.io import write_json
-from geoilqr.phases import (DegenerateComponent, Demonstration,
+from geoilqr.phases import (DegenerateComponent, Demonstration, _log_gauss,
                             build_phase_model, fit_time_gmm,
                             phase_model_from_dict, phase_model_to_dict,
                             phase_weights, phase_weights_at)
@@ -71,6 +72,26 @@ def test_demonstration_rejects_bad_arrays(case, message):
         Demonstration("odd", d.dt, *args, d.object_frame)
     assert str(err.value).startswith("demo odd: ")
     assert message in str(err.value)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_log_gauss_matches_closed_form_density(seed, K, F):
+    # the distances go through inverted Cholesky factors; the closed form
+    # takes the log-determinant and solves with each covariance itself
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((30, F))
+    means = rng.standard_normal((K, F))
+    A = rng.standard_normal((K, F, F))
+    covs = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(F)
+    expect = np.empty((K, 30))
+    for k in range(K):
+        Xc = X - means[k]
+        maha = np.vecdot(Xc, np.linalg.solve(covs[k], Xc.T).T)
+        expect[k] = -0.5 * (F * np.log(2 * np.pi)
+                            + np.linalg.slogdet(covs[k])[1] + maha)
+    np.testing.assert_allclose(_log_gauss(X, means, covs), expect,
+                               rtol=1e-12, atol=0)
 
 
 def test_gmm_single_component_is_pooled_statistics():
@@ -211,22 +232,37 @@ def test_phase_model_json_round_trip(case, tmp_path):
     # one object per chart, as the fit gives, so that a per-row lookup keyed
     # by charts matches by identity
     assert all(CHART_IDS[c] is c for c in back.charts + back.winners)
-    assert np.array_equal(back.weights, model.weights)
-    for c in model.charts:
-        assert np.array_equal(back.references[c].means,
-                              model.references[c].means)
-        assert np.array_equal(back.references[c].covariances,
-                              model.references[c].covariances)
-        assert np.array_equal(back.phase_dets()[c], model.phase_dets()[c])
-        for p, q in zip(back.phases, model.phases, strict=True):
-            assert np.array_equal(p[c].mean.coords, q[c].mean.coords)
-            assert np.array_equal(p[c].covariance, q[c].covariance)
+    _assert_same_arrays(back, model)
+
+
+def _assert_same_arrays(a, b):
+    """Every stored and derived array of the models a and b is equal."""
+    def arrays(model):
+        out = {name: getattr(model, name) for name in (
+            "priors", "time_means", "time_variances", "m_s", "c_ss",
+            "weights")}
+        for c in model.charts:
+            out |= {f"{c} {key}": v
+                    for key, v in model.fits[c]._asdict().items()}
+            out |= {f"{c} reference {key}": v
+                    for key, v in model.references[c]._asdict().items()}
+            for k, p in enumerate(model.phases):
+                out |= {f"{c} phase {k} mean": p[c].mean.coords,
+                        f"{c} phase {k} covariance": p[c].covariance,
+                        f"{c} phase {k} det": p[c].det}
+        return out
+
+    x, y = arrays(a), arrays(b)
+    assert x.keys() == y.keys() and len(a.phases) == len(b.phases)
+    for name in x:
+        assert np.array_equal(x[name], y[name]), name
 
 
 @pytest.mark.parametrize("symmetry", ["cylindrical", "spherical"])
 def test_quaternion_sign_flips_leave_model_unchanged(symmetry):
     # q and -q are the same rotation, so negating half of the demonstrated
-    # quaternions must not move any statistic of the phase model
+    # quaternions must not move any statistic of the phase model: the fit
+    # flips a reflected row exactly where it would flip the quaternion
     demos = generate_demos(default_spec("grasppose3d", seed=0,
                                         symmetry=symmetry))
     sign = np.where(np.arange(100) % 2, -1.0, 1.0)[:, None]
@@ -236,14 +272,7 @@ def test_quaternion_sign_flips_leave_model_unchanged(symmetry):
     a, b = [build_phase_model(ds, fit_time_gmm(ds, 3), charts_for("3d"),
                               horizon=100) for ds in (demos, flipped)]
     assert b.winners == a.winners
-    for c in a.charts:
-        np.testing.assert_allclose(b.phase_dets()[c], a.phase_dets()[c],
-                                   rtol=1e-9)
-        np.testing.assert_allclose(b.references[c].covariances,
-                                   a.references[c].covariances, rtol=1e-9)
-        for k in range(3):
-            np.testing.assert_allclose(b.phases[k][c].covariance,
-                                       a.phases[k][c].covariance, rtol=1e-9)
+    _assert_same_arrays(b, a)
 
 
 def _task_demos(case):

@@ -2,16 +2,18 @@
 selection."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
                             SPHERICAL_3D, CartesianPose, Frame2D, chart_spec,
                             to_chart)
-from geoilqr.manifolds import (Euclidean, ManifoldPoint, Product, Sphere,
-                               exp_rows, geodesic_distance, leaves,
-                               log_map_batch, random_point)
+from geoilqr.manifolds import (AntipodalPoint, Euclidean, ManifoldPoint,
+                               Product, Sphere, exp_rows, geodesic_distance,
+                               leaves, log_map_batch, log_rows, random_point)
 from geoilqr.stats import (EIGVAL_FLOOR, EmptyInput, EmptySample,
-                           ManifoldGaussian, fit_gaussian, fit_phases,
-                           geometric_mean, quat_sign_align, select_winner)
+                           ManifoldGaussian, _residuals, fit_gaussian,
+                           fit_phases, geometric_mean, quat_sign_align,
+                           select_winner)
 
 RNG = np.random.default_rng(2)
 
@@ -198,3 +200,46 @@ def test_zero_weight_antipodal_row_is_ignored():
     assert np.all(U == 0.0) and np.all(S == 0.0)
     g = fit_gaussian(Sphere(1), X, W[0])
     assert np.array_equal(g.mean.coords, X[0])
+
+
+@st.composite
+def _pairwise_cases(draw):
+    """A product of S1, S2, S3 and Euclidean factors, a seed for its K means,
+    N rows and K x N weights, and K and N."""
+    factors = st.sampled_from([Sphere(1), Sphere(2), Sphere(3), Euclidean(1),
+                               Euclidean(2)])
+    return (Product(tuple(draw(st.lists(factors, min_size=1, max_size=4)))),
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4)),
+            draw(st.integers(2, 12)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_pairwise_cases())
+def test_pairwise_residuals_match_row_log_maps(case):
+    # means and rows within 0.9 of a base point on each factor, so that no
+    # live pair comes near an antipode; half of the quaternions flipped, some
+    # weights 0, and row 0, of zero weight, antipodal to mean 0
+    spec, seed, K, N = case
+    rng = np.random.default_rng(seed)
+    base = random_point(spec, rng).coords[None]
+    d = spec.tangent_dim
+    M = exp_rows(spec, base, rng.uniform(-0.5, 0.5, size=(K, d)))
+    X = exp_rows(spec, base, rng.uniform(-0.5, 0.5, size=(N, d)))
+    W = rng.uniform(size=(K, N)) * (rng.uniform(size=(K, N)) > 0.3)
+    W[:, 0] = 0.0
+    for leaf, asl, _ in leaves(spec):
+        if isinstance(leaf, Sphere):
+            X[0, asl] = -M[0, asl]
+            if leaf.dim == 3:
+                X[1::2, asl] *= -1.0
+    live = W > 0.0
+    U = _residuals(spec, X, M, live)
+    for k in range(K):
+        V = log_rows(spec, M[k:k + 1],
+                     quat_sign_align(spec, X[live[k]], M[k]))
+        np.testing.assert_allclose(U[k, live[k]], V, rtol=0, atol=1e-12)
+    assert np.all(U[~live] == 0.0)
+    if any(isinstance(leaf, Sphere) and leaf.dim < 3 for leaf in spec.factors):
+        live[0, 0] = True  # with weight, the antipodal pair has no log map
+        with pytest.raises(AntipodalPoint):
+            _residuals(spec, X, M, live)
