@@ -166,16 +166,31 @@ def pole_quat(u: np.ndarray) -> np.ndarray:
 
 # --- frames and poses -------------------------------------------------------
 
+def _finite(name: str, value, shape: tuple) -> np.ndarray:
+    """value as finite floats of shape (n,) or (), else ValueError naming it."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} is not " + (f"{shape[0]} finite numbers"
+                                              if shape else "a finite number"))
+    return a
+
+
 @dataclass(frozen=True)
 class Frame2D:
-    """Pose of the object frame in the world: p_w = t + R(angle) p_obj."""
+    """Pose of the object frame in the world: p_w = t + R(angle) p_obj, where
+    angle is the frame's heading."""
     translation: np.ndarray = field(default_factory=lambda: np.zeros(2))
     angle: float = 0.0
     world_to_object: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float))
+                           _finite("translation", self.translation, (2,)))
+        object.__setattr__(self, "angle",
+                           float(_finite("heading", self.angle, ())))
         object.__setattr__(self, "world_to_object", rot2(-self.angle))
 
     def to_object(self, p_world: np.ndarray) -> np.ndarray:
@@ -195,9 +210,13 @@ class Frame3D:
 
     def __post_init__(self):
         object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float))
-        object.__setattr__(self, "quaternion",
-                           quat_normalize(self.quaternion))
+                           _finite("translation", self.translation, (3,)))
+        q = _finite("quaternion", self.quaternion, (4,))
+        with np.errstate(over="ignore"):    # an infinite norm is rejected
+            n = np.sqrt(np.vecdot(q, q))
+        if not 0.0 < n < np.inf:
+            raise ValueError("quaternion norm is not a positive finite number")
+        object.__setattr__(self, "quaternion", quat_normalize(q))
 
     @property
     def rotation(self) -> np.ndarray:

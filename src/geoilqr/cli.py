@@ -24,7 +24,6 @@ from .manifolds import exp_rows
 from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
                      phase_model_to_dict)
 from .planner import PlanProblem, result_to_dict, solve
-from .stats import select_winner
 from .tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM, TaskSpec,
                     build_references, default_spec, evaluate_trial,
                     fit_task_model, generate_demos, plan_mode, run_experiment,
@@ -187,11 +186,10 @@ def cmd_fit(args, settings: Settings, out: str) -> int:
     payload["config"] = _snapshot(settings)
     write_json(os.path.join(out, "model.json"), payload)
 
-    dets = model.phase_dets()
+    dets, winners = model.phase_dets(), model.phase_winners
     rows = ["chart,phase,determinant,winner"]
     print(f"{'chart':<12}" + "".join(f"phase {k+1:<12}"
                                      for k in range(spec.phase_count)))
-    winners = [select_winner(phase) for phase in model.phases]
     for chart in charts:
         cells = []
         for k in range(spec.phase_count):
@@ -277,6 +275,14 @@ def cmd_plan(args, settings: Settings, out: str) -> int:
             model = phase_model_from_dict(json.load(fh), spec.horizon)
         except ValueError as exc:
             raise ConfigError(f"{model_path}: {exc}") from exc
+    names = [str(c) for c in model.charts]
+    if strategy == "optimal" and any(c.space != spec.space
+                                     for c in model.charts):
+        raise ConfigError(f"{model_path}: strategy 'optimal' needs "
+                          f"{spec.space} charts, not the model charts {names}")
+    if strategy != "optimal" and strategy not in model.charts:
+        raise ConfigError(f"{model_path}: strategy {args.strategy!r} needs "
+                          f"chart {strategy}, not in the model charts {names}")
     refs = build_references(model, strategy, spec.horizon, activation,
                             plan_mode(spec.kind))
     if args.initial:

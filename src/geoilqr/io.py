@@ -40,10 +40,19 @@ def frame_to_dict(frame) -> dict:
 
 
 def frame_from_dict(d: dict):
-    t = np.array(d["translation"], dtype=float)
-    if "heading" in d:
-        return Frame2D(t, float(d["heading"]))
-    return Frame3D(t, np.array(d["quaternion"], dtype=float))
+    """The Frame2D (with a heading) or Frame3D (with a quaternion) of an
+    object_frame dict; ValueError naming object_frame and the field."""
+    if not isinstance(d, dict) or not {"heading", "quaternion"} & d.keys():
+        raise ValueError("object_frame is not an object with a heading (2D) "
+                         "or a quaternion (3D)")
+    if "translation" not in d:
+        raise ValueError("object_frame translation is missing")
+    try:
+        if "heading" in d:
+            return Frame2D(d["translation"], d["heading"])
+        return Frame3D(d["translation"], d["quaternion"])
+    except ValueError as exc:
+        raise ValueError(f"object_frame {exc}") from None
 
 
 def demos_to_dict(demos: list) -> dict:
@@ -78,12 +87,26 @@ def _demo(demo_id: str, dt: float, rows, frame):
 
 
 def demos_from_dict(d: dict) -> list:
+    """The demonstrations of a demos.json dict; ValueError names the first
+    field missing, of another schema_version or type, out of range or of
+    another length."""
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
+    if missing := [k for k in ("object_frame", "dt", "demos") if k not in d]:
+        raise ValueError(f"demos field {missing[0]!r} is missing")
     frame = frame_from_dict(d["object_frame"])
-    ids = d.get("ids") or [f"demo-{i}" for i in range(len(d["demos"]))]
-    return [_demo(ids[i], float(d["dt"]), rows, frame)
-            for i, rows in enumerate(d["demos"])]
+    dt, demos = d["dt"], d["demos"]
+    if not isinstance(demos, list):
+        raise ValueError("demos is not a list of demos")
+    if type(dt) not in (int, float) or not 0.0 < dt < np.inf:
+        raise ValueError(f"dt {dt!r} is not a finite number > 0")
+    ids = d.get("ids")
+    if ids is None:
+        ids = [f"demo-{i}" for i in range(len(demos))]
+    if not isinstance(ids, list) or len(ids) != len(demos):
+        raise ValueError(f"ids is not a list of {len(demos)} names, one per "
+                         "demo")
+    return [_demo(i, float(dt), rows, frame) for i, rows in zip(ids, demos)]
 
 
 def demos_to_csv(demos: list) -> str:

@@ -19,7 +19,8 @@ from .charts import (CHART_IDS, ChartId, DimensionMismatch, chart_rows,
 from .io import SCHEMA_VERSION
 from .manifolds import (ManifoldPoint, exp_rows, log_rows, on_spheres,
                         transport_rows)
-from .stats import EIGVAL_FLOOR, ManifoldGaussian, fit_phases
+from .stats import (ManifoldGaussian, chart_winners, fit_phases,
+                    floor_eigenvalues)
 
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-8
@@ -168,10 +169,11 @@ def phase_weights(gmm: TimeGmm, T: int) -> np.ndarray:
     return phase_weights_at(gmm, s)
 
 
-class ChartReferences(NamedTuple):
-    """Per-timestep blended references in one chart."""
-    means: np.ndarray           # (T, ambient) points on the chart manifold
-    covariances: np.ndarray     # (T, d, d) tangent covariances at the means
+class ChartGaussians(NamedTuple):
+    """Gaussians in one chart as rows: the phases' or the timesteps'."""
+    means: np.ndarray           # (n, ambient) points on the chart manifold
+    covariances: np.ndarray     # (n, d, d) floored tangent covariances
+    dets: np.ndarray            # (n,) their determinants
 
 
 class ChartFit(NamedTuple):
@@ -186,10 +188,10 @@ class ChartFit(NamedTuple):
 class PhaseModel:
     """The fitted parameters, K rows each: the GMM's time marginals, the mean
     and variance of normalized time under each phase's frame weights (m_s,
-    c_ss) and each chart's ChartFit. __post_init__ derives the phases (per
-    phase, ChartId -> ManifoldGaussian), the weights (T x K), the references
-    (ChartId -> ChartReferences) and a winner per timestep: the chart whose
-    blended covariance has the smallest determinant, then the lowest index."""
+    c_ss) and each chart's ChartFit. __post_init__ derives the weights (T x
+    K) and the ChartGaussians of the K phases and of the T blended references
+    of each chart, with a winner per row (phase_winners, winners): the chart
+    of the smallest determinant, then the lowest index."""
     charts: list
     horizon: int
     priors: np.ndarray
@@ -202,19 +204,18 @@ class PhaseModel:
     def __post_init__(self):
         K, m_s, c_ss = len(self.priors), self.m_s, self.c_ss
         s_grid = np.arange(self.horizon) / max(self.horizon - 1, 1)
-        H = phase_weights_at(TimeGmm(self.priors, self.time_means[:, None],
-                                     self.time_variances[:, None, None]),
-                             s_grid)
+        self.weights = H = phase_weights_at(
+            TimeGmm(self.priors, self.time_means[:, None],
+                    self.time_variances[:, None, None]), s_grid)
         h = np.where(H > 1e-12, H, 0.0)
         anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
 
-        gaussians, references, dets = {}, {}, []
-        by_index = sorted(self.charts, key=lambda c: c.index)
-        for chart in by_index:
+        self.phase_gaussians, self.references = {}, {}
+        for chart in self.charts:
             spec = chart_spec(chart)
             M, S, c_vs = self.fits[chart]
-            gs = gaussians[chart] = [ManifoldGaussian.from_moments(
-                ManifoldPoint(spec, m), c) for m, c in zip(M, S)]
+            phase = self.phase_gaussians[chart] = ChartGaussians(
+                M, *floor_eigenvalues(S))
             slope = c_vs / c_ss[:, None]
             # Conditional mean/covariance of each phase given time; the slope
             # of phase k reaches the mean of phase a by parallel transport,
@@ -226,24 +227,26 @@ class PhaseModel:
             blend = sum(h[:, k, None] * (offset[k] + trend[k]
                                          * (s_grid - m_s[k])[:, None])
                         for k in range(K))
-            C = [g.covariance for g in gs] - c_vs[:, :, None] * slope[:, None]
-            cov = np.tensordot(h, C, 1)
-            vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, 1, 2)))
-            vals = np.maximum(vals, EIGVAL_FLOOR)
-            covs = (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2)
-            references[chart] = ChartReferences(
-                exp_rows(spec, M[anchor], blend), covs)
-            dets.append(np.prod(vals, axis=1))
+            C = phase.covariances - c_vs[:, :, None] * slope[:, None]
+            self.references[chart] = ChartGaussians(
+                exp_rows(spec, M[anchor], blend),
+                *floor_eigenvalues(np.tensordot(h, C, 1)))
 
-        self.phases = [{c: gaussians[c][k] for c in self.charts}
-                       for k in range(K)]
-        self.weights, self.references = H, references
-        self.winners = [by_index[i] for i in np.argmin(dets, axis=0)]
+        self.phase_winners = chart_winners(self.phase_dets())
+        self.winners = chart_winners({c: g.dets
+                                      for c, g in self.references.items()})
+
+    @property
+    def phases(self) -> list:
+        """Per phase, ChartId -> ManifoldGaussian, from phase_gaussians."""
+        return [{c: ManifoldGaussian(ManifoldPoint(chart_spec(c), g.means[k]),
+                                     g.covariances[k], float(g.dets[k]))
+                 for c, g in self.phase_gaussians.items()}
+                for k in range(len(self.priors))]
 
     def phase_dets(self) -> dict:
         """ChartId -> per-phase covariance determinants."""
-        return {c: np.array([p[c].det for p in self.phases])
-                for c in self.charts}
+        return {c: g.dets for c, g in self.phase_gaussians.items()}
 
 
 def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
@@ -318,8 +321,16 @@ def phase_model_from_dict(d: dict, horizon: int | None = None) -> PhaseModel:
 def _phase_model(d: dict, task_horizon: int | None) -> PhaseModel:
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"model schema_version must be {SCHEMA_VERSION}")
-    charts = [CHART_IDS[ChartId(c["space"], c["index"])] for c in d["charts"]]
+    try:
+        charts = [CHART_IDS[ChartId(c["space"], c["index"])]
+                  for c in d["charts"]]
+    except (TypeError, ValueError):
+        raise ValueError("model charts is not a list of {space, index} "
+                         "charts") from None
     by_name = {str(c): c for c in charts}
+    if len(by_name) != len(charts) or not charts:
+        raise ValueError(f"model charts {[str(c) for c in charts]} must name "
+                         "at least one chart, each once")
     horizon = d["horizon"]
     if type(horizon) is not int or horizon < 2:
         raise ValueError(f"model horizon {horizon!r} is not an integer >= 2")

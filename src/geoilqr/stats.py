@@ -39,19 +39,27 @@ class ManifoldGaussian:
     covariance: np.ndarray
     det: float
 
-    @property
-    def dim(self) -> int:
-        return self.mean.spec.tangent_dim
-
     @classmethod
     def from_moments(cls, mean: ManifoldPoint,
                      covariance: np.ndarray) -> "ManifoldGaussian":
-        """Symmetrize, floor the eigenvalues at EIGVAL_FLOOR and cache the
-        determinant."""
-        cov = 0.5 * (covariance + covariance.T)
-        w, V = np.linalg.eigh(cov)
-        w = np.maximum(w, EIGVAL_FLOOR)
-        return cls(mean, (V * w) @ V.T, float(np.prod(w)))
+        """The floored covariance of floor_eigenvalues, and its determinant."""
+        covs, dets = floor_eigenvalues(covariance[None])
+        return cls(mean, covs[0], float(dets[0]))
+
+
+def floor_eigenvalues(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covariances C (n x d x d) symmetrized, with their eigenvalues
+    floored at EIGVAL_FLOOR, and the determinants (n,) of the results."""
+    vals, vecs = np.linalg.eigh(0.5 * (C + np.swapaxes(C, 1, 2)))
+    vals = np.maximum(vals, EIGVAL_FLOOR)
+    return (vecs * vals[:, None]) @ np.swapaxes(vecs, 1, 2), vals.prod(axis=1)
+
+
+def chart_winners(dets: dict) -> list:
+    """Per entry of the charts' equal-length determinant rows (ChartId ->
+    dets), the chart with the smallest; ties go to the lowest chart index."""
+    charts = sorted(dets, key=lambda c: c.index)
+    return [charts[i] for i in np.argmin([dets[c] for c in charts], axis=0)]
 
 
 def quat_sign_align(spec, X: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -150,11 +158,8 @@ def select_winner(gaussians_per_chart: dict) -> object:
     """
     if not gaussians_per_chart:
         raise EmptyInput("no charts to select from")
-    items = []
-    for chart, g in gaussians_per_chart.items():
-        det = float(getattr(g, "det", g))
-        if not np.isfinite(det) or det <= 0.0:
-            raise ValueError(f"non-positive determinant for chart {chart}")
-        items.append((det, chart.index, chart))
-    items.sort(key=lambda it: (it[0], it[1]))
-    return items[0][2]
+    dets = {c: [float(getattr(g, "det", g))]
+            for c, g in gaussians_per_chart.items()}
+    if bad := [c for c, (det,) in dets.items() if not 0.0 < det < np.inf]:
+        raise ValueError(f"non-positive determinant for chart {bad[0]}")
+    return chart_winners(dets)[0]

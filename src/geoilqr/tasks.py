@@ -22,7 +22,6 @@ from .phases import (Demonstration, PhaseModel, build_phase_model,
                      fit_time_gmm)
 from .planner import (PlanProblem, PlanResult, References, banded_solver,
                       solve)
-from .stats import select_winner
 
 GRASP2D = "grasp2d"
 BOXOPEN2D = "boxopen2d"
@@ -212,32 +211,32 @@ PRECISION_CAP = 1e4
 
 def build_references(model: PhaseModel, selector, T: int,
                      activation_start: int, mode: str) -> References:
-    """References for a plan: 'stepwise' places one viapoint per phase at the
-    end of its dominance window; 'dense' activates the blended reference at
-    every timestep after the warm-up. selector is a ChartId or 'optimal'.
-    The covariance eigenvalues are floored at 1 / PRECISION_CAP, so
-    near-noiseless demonstrations do not give an ill-conditioned cost."""
+    """References for a plan of T = model.horizon steps: 'stepwise' places
+    one viapoint per phase at the end of its dominance window; 'dense'
+    activates the blended reference at every timestep after the warm-up.
+    selector is a ChartId or 'optimal'. The covariance eigenvalues are
+    floored at 1 / PRECISION_CAP, so near-noiseless demonstrations do not
+    give an ill-conditioned cost."""
+    if T != model.horizon:
+        raise ValueError(f"plan horizon {T} differs from the model horizon "
+                         f"{model.horizon}")
     if mode == "dense":
         ts = idx = np.arange(activation_start, T)   # rows of the blend
-        charts = (model.winners[activation_start:T] if selector == "optimal"
-                  else [selector] * len(ts))
-        source = model.references
+        source, winners = model.references, model.winners
     else:
         dominant = np.argmax(model.weights[activation_start:T], axis=1)
         # the last timestep of each phase's dominance window, in time order
         ts, idx = np.array(sorted(
             (activation_start + np.flatnonzero(dominant == k)[-1], k)
             for k in set(dominant.tolist())), dtype=int).reshape(-1, 2).T
-        charts = [select_winner(model.phases[k]) if selector == "optimal"
-                  else selector for k in idx]
-        source = {c: (np.array([p[c].mean.coords for p in model.phases]),
-                      np.array([p[c].covariance for p in model.phases]))
-                  for c in model.charts}
+        source, winners = model.phase_gaussians, model.phase_winners
+    charts = ([winners[i] for i in idx] if selector == "optimal"
+              else [selector] * len(ts))
     means, covs = {}, np.empty((len(ts), 3, 3))
     for chart in dict.fromkeys(charts):
         rows = np.array([c == chart for c in charts])
-        means[chart] = source[chart][0][idx[rows]]
-        covs[rows] = source[chart][1][idx[rows]]
+        means[chart] = source[chart].means[idx[rows]]
+        covs[rows] = source[chart].covariances[idx[rows]]
     vals, vecs = np.linalg.eigh(covs)
     vals = np.maximum(vals, 1.0 / PRECISION_CAP)[:, None]
     return References(ts, charts, means,
@@ -409,7 +408,6 @@ def run_experiment(spec: TaskSpec, strategy, n_trials: int = 50,
     q0s = sample_initial_states(demos, arm, n_trials, rng)
     refs = build_references(model, strategy, spec.horizon, activation_start,
                             plan_mode(spec.kind))
-    winners_per_phase = [select_winner(phase) for phase in model.phases]
     work = [(i, q0s[i], spec, arm, refs, control_weight, activation_start)
             for i in range(n_trials)]
     if jobs > 1:
@@ -420,4 +418,4 @@ def run_experiment(spec: TaskSpec, strategy, n_trials: int = 50,
     else:
         trials = [_run_trial(w) for w in work]
     name = strategy if isinstance(strategy, str) else f"fixed-{strategy.index}"
-    return TrialReport(name, trials, winners_per_phase)
+    return TrialReport(name, trials, model.phase_winners)

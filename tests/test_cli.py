@@ -234,10 +234,15 @@ def box_model(tmp_path_factory):
     return _fitted_model(tmp_path_factory, "boxopen2d")
 
 
-def _plan_with_model(model: str, task: dict, tmp_path) -> int:
+@pytest.fixture(scope="module")
+def pose_model(tmp_path_factory):
+    return _fitted_model(tmp_path_factory, "grasppose3d")
+
+
+def _plan_with_model(model: str, task: dict, tmp_path, *argv) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"task": task, "out_dir": str(tmp_path)}))
-    return _run("plan", "--config", str(path), "--model", model)
+    return _run("plan", "--config", str(path), "--model", model, *argv)
 
 
 @pytest.mark.parametrize("fixture, kind, horizon", [
@@ -321,6 +326,18 @@ def _future_schema(model):
     model["schema_version"] = 99
 
 
+def _repeated_chart(model):
+    model["charts"].append(model["charts"][1])
+
+
+def _no_charts(model):
+    model["charts"] = []
+
+
+def _unknown_chart(model):
+    model["charts"][1]["index"] = 7
+
+
 @pytest.mark.parametrize("edit, field", [
     (_cut_rows, "fits polar-2d means has shape (2, 5), not (3, 5)"),
     (_narrow_means, "fits cartesian-2d means has shape (3, 3), not (3, 4)"),
@@ -335,11 +352,15 @@ def _future_schema(model):
     (_flat_time, "model time_variances must be > 0"),
     (_fractional_horizon, "model horizon 2.5 is not an integer >= 2"),
     (_pre_change_format, "model field 'horizon' is missing"),
-    (_future_schema, "model schema_version must be 1")],
+    (_future_schema, "model schema_version must be 1"),
+    (_repeated_chart, "model charts ['cartesian-2d', 'polar-2d', 'polar-2d'] "
+                      "must name at least one chart, each once"),
+    (_no_charts, "model charts [] must name at least one chart, each once"),
+    (_unknown_chart, "model charts is not a list of {space, index} charts")],
     ids=["cut-rows", "narrow-means", "short-row", "other-charts",
          "phase-covariance-2x2", "nan", "off-sphere-mean",
          "zero-time-variance", "fractional-horizon", "pre-change-format",
-         "schema-version"])
+         "schema-version", "repeated-chart", "no-charts", "unknown-chart"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:
@@ -349,6 +370,43 @@ def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
     path.write_text(json.dumps(model))
     assert _plan_with_model(str(path), {"kind": "boxopen2d"}, tmp_path) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.json").exists()
+
+
+def _plan_rejects(model: str, strategy: str, tmp_path, capsys) -> str:
+    """stderr of a grasp2d plan with strategy against model, which must exit
+    2 without warnings or outputs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _plan_with_model(model, {"kind": "grasp2d"}, tmp_path,
+                                "--strategy", strategy) == 2
+    assert caught == []
+    assert not (tmp_path / "trajectory.json").exists()
+    return capsys.readouterr().err
+
+
+def test_plan_rejects_a_strategy_whose_chart_the_model_lacks(
+        grasp_model, tmp_path, capsys):
+    with open(grasp_model) as fh:
+        model = json.load(fh)
+    model["charts"].pop()
+    del model["fits"]["polar-2d"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert ("strategy 'polar' needs chart polar-2d, not in the model charts "
+            "['cartesian-2d']" in _plan_rejects(str(path), "polar", tmp_path,
+                                                 capsys))
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("optimal", "strategy 'optimal' needs 2d charts, not the model charts"),
+    ("polar", "strategy 'polar' needs chart polar-2d, not in the model "
+              "charts")])
+def test_plan_rejects_a_model_of_another_space(strategy, message, pose_model,
+                                               tmp_path, capsys):
+    err = _plan_rejects(pose_model, strategy, tmp_path, capsys)
+    assert (f"{message} ['cartesian-3d', 'cylindrical-3d', 'spherical-3d']"
+            in err)
 
 
 def test_plan_solves_the_problem_of_the_fitted_model(grasp_model, tmp_path):
@@ -452,7 +510,7 @@ def _fit_edited_demos(grasp_model, tmp_path, capsys, edit) -> str:
     the grasp2d demos changed by edit."""
     with open(os.path.join(os.path.dirname(grasp_model), "demos.json")) as fh:
         demos = json.load(fh)
-    edit(demos["demos"])
+    edit(demos)
     (tmp_path / "demos.json").write_text(json.dumps(demos))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"task": {"kind": "grasp2d"},
@@ -466,21 +524,63 @@ def _fit_edited_demos(grasp_model, tmp_path, capsys, edit) -> str:
 
 
 def test_fit_rejects_a_nan_frame(grasp_model, tmp_path, capsys):
-    def edit(demos):
-        demos[2][17][1] = float("nan")
+    def edit(d):
+        d["demos"][2][17][1] = float("nan")
     err = _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
     assert "demo grasp2d-2: position at frame 17" in err
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda demos: demos[1].clear(), "demo grasp2d-1: times must be"),
-    (lambda demos: demos[1][5].pop(), "demo grasp2d-1: frame 5 has 4 values, "
-                                      "not 5"),
-    (lambda demos: demos[1][5].append(0.0), "demo grasp2d-1: frame 5 has 6 "
-                                            "values, not 5")],
+    (lambda d: d["demos"][1].clear(), "demo grasp2d-1: times must be"),
+    (lambda d: d["demos"][1][5].pop(), "demo grasp2d-1: frame 5 has 4 "
+                                       "values, not 5"),
+    (lambda d: d["demos"][1][5].append(0.0), "demo grasp2d-1: frame 5 has 6 "
+                                             "values, not 5")],
     ids=["empty", "short-frame", "long-frame"])
 def test_fit_rejects_malformed_demo_rows(edit, message, grasp_model, tmp_path,
                                          capsys):
+    assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
+
+
+def _set(*path_and_value):
+    """An edit that sets the value at the key path of a demos.json dict."""
+    *path, key, value = path_and_value
+
+    def edit(d):
+        for k in path:
+            d = d[k]
+        d[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["object_frame"].pop("translation"),
+     "object_frame translation is missing"),
+    (lambda d: d["object_frame"].pop("heading"),
+     "object_frame is not an object with a heading (2D) or a quaternion"),
+    (_set("object_frame", "translation", 1, float("nan")),
+     "object_frame translation is not 2 finite numbers"),
+    (_set("object_frame", "heading", float("inf")),
+     "object_frame heading is not a finite number"),
+    (_set("object_frame", {"translation": [0.7, 0.0, 0.0],
+                           "quaternion": [0.0, 0.0, 0.0, 0.0]}),
+     "object_frame quaternion norm is not a positive finite number"),
+    (_set("object_frame", {"translation": [0.7, 0.0, 0.0],
+                           "quaternion": [1.0, float("nan"), 0.0, 0.0]}),
+     "object_frame quaternion is not 4 finite numbers"),
+    (lambda d: d["ids"].pop(), "ids is not a list of 6 names, one per demo"),
+    (lambda d: d["ids"].append("grasp2d-6"),
+     "ids is not a list of 6 names, one per demo"),
+    (_set("dt", 0.0), "dt 0.0 is not a finite number > 0"),
+    (_set("dt", float("nan")), "dt nan is not a finite number > 0"),
+    (_set("dt", "0.01"), "dt '0.01' is not a finite number > 0"),
+    (lambda d: d.pop("dt"), "demos field 'dt' is missing"),
+    (_set("demos", 6), "demos is not a list of demos")],
+    ids=["no-translation", "no-heading", "nan-translation", "inf-heading",
+         "zero-quaternion", "nan-quaternion", "short-ids", "long-ids",
+         "zero-dt", "nan-dt", "string-dt", "no-dt", "demos-not-a-list"])
+def test_fit_rejects_a_malformed_demos_file(edit, message, grasp_model,
+                                            tmp_path, capsys):
     assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
 
 

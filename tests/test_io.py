@@ -1,6 +1,7 @@
 """Serialization: atomic writes, demo JSON round trips and CSV, frames."""
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,31 @@ def test_frame_round_trips():
     back = frame_from_dict(frame_to_dict(f3))
     assert np.allclose(back.translation, f3.translation)
     assert np.allclose(back.quaternion, f3.quaternion)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Frame2D([0.3, np.nan]), "translation is not 2 finite numbers"),
+    (lambda: Frame2D([0.3, -0.2, 0.0]), "translation is not 2 finite numbers"),
+    (lambda: Frame2D([0.3, -0.2], np.inf), "heading is not a finite number"),
+    (lambda: Frame2D([0.3, -0.2], "north"), "heading is not a finite number"),
+    (lambda: Frame3D([1.0, 2.0], [1.0, 0, 0, 0]),
+     "translation is not 3 finite numbers"),
+    (lambda: Frame3D([1.0, 2.0, 3.0], np.zeros(4)),
+     "quaternion norm is not a positive finite number"),
+    (lambda: Frame3D([1.0, 2.0, 3.0], [1e200, 1e200, 0, 0]),
+     "quaternion norm is not a positive finite number"),
+    (lambda: Frame3D([1.0, 2.0, 3.0], [1.0, np.nan, 0, 0]),
+     "quaternion is not 4 finite numbers")],
+    ids=["nan-2d", "3-translation-2d", "inf-heading", "string-heading",
+         "2-translation-3d", "zero-quaternion", "overflowing-quaternion",
+         "nan-quaternion"])
+def test_frames_reject_what_gives_no_pose(make, message):
+    # a non-finite or zero quaternion would only fail later, in the fit,
+    # with a warning or a message that does not name the frame
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def _poses_equal(a, b, atol=0.0):

@@ -8,13 +8,16 @@ import pytest
 
 import geoilqr
 from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
-                            SPHERICAL_3D, CartesianPose, Frame2D, rot2)
+                            SPHERICAL_3D, CartesianPose, Frame2D, chart_spec,
+                            charts_for, rot2)
 from geoilqr.kinematics import ArmModel, JointTrajectory, planar_ik_3link
+from geoilqr.manifolds import ManifoldPoint
 from geoilqr.planner import PlanProblem, PlanResult, solve
+from geoilqr.stats import ManifoldGaussian, select_winner
 from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
-                           build_references, default_spec, evaluate_trial,
-                           fit_task_model, generate_demos, plan_mode,
-                           run_experiment, sample_initial_states)
+                           PRECISION_CAP, build_references, default_spec,
+                           evaluate_trial, fit_task_model, generate_demos,
+                           plan_mode, run_experiment, sample_initial_states)
 
 
 def test_default_spec_counts():
@@ -138,6 +141,57 @@ def test_build_references_shapes():
     assert dense.ts.tolist() == list(range(20, spec.horizon))
     assert dense.charts == [POLAR_2D] * (spec.horizon - 20)
     assert dense.means[POLAR_2D].shape == (spec.horizon - 20, 5)
+
+
+@pytest.mark.parametrize("mode, T", [("dense", 120), ("stepwise", 60)])
+def test_build_references_rejects_another_horizon(mode, T):
+    # a dense row past the model's horizon does not exist, and a shorter
+    # stepwise plan would lose the viapoints of its last phase
+    model = fit_task_model(default_spec("grasp2d", seed=0))[2]
+    with pytest.raises(ValueError, match=f"plan horizon {T} differs from "
+                                         "the model horizon 100"):
+        build_references(model, "optimal", T, 20, mode)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind, extra", [
+    ("grasp2d", {}), ("boxopen2d", {}),
+    ("grasppose3d", {"symmetry": "cylindrical"}),
+    ("grasppose3d", {"symmetry": "spherical"})],
+    ids=["grasp2d", "boxopen2d", "cylindrical", "spherical"])
+def test_phase_arrays_match_the_phase_gaussians(kind, extra, seed):
+    # the phase winners and the stepwise references come from the model's
+    # phase arrays, floored as a stack; ManifoldGaussian.from_moments on each
+    # fitted phase and select_winner must give the same rows, bit for bit
+    spec = default_spec(kind, seed=seed, **extra)
+    model = fit_task_model(spec)[2]
+    for c, fit in model.fits.items():
+        for k, p in enumerate(model.phases):
+            g = ManifoldGaussian.from_moments(
+                ManifoldPoint(chart_spec(c), fit.means[k]), fit.moments[k])
+            assert np.array_equal(p[c].mean.coords, g.mean.coords)
+            assert np.array_equal(p[c].covariance, g.covariance)
+            assert p[c].det == g.det
+    assert model.phase_winners == [select_winner(p) for p in model.phases]
+    if spec.space != "2d":      # the planner's references are planar
+        return
+    for selector in charts_for("2d") + ["optimal"]:
+        refs = build_references(model, selector, spec.horizon,
+                                ACTIVATION_START, "stepwise")
+        phases = [model.phases[k]
+                  for k in np.argmax(model.weights[refs.ts], axis=1)]
+        charts = [select_winner(p) if selector == "optimal" else selector
+                  for p in phases]
+        assert refs.charts == charts
+        for chart in set(charts):
+            assert np.array_equal(refs.means[chart], [
+                p[c].mean.coords for p, c in zip(phases, charts)
+                if c == chart])
+        vals, vecs = np.linalg.eigh([p[c].covariance
+                                     for p, c in zip(phases, charts)])
+        vals = np.maximum(vals, 1.0 / PRECISION_CAP)[:, None]
+        assert np.array_equal(refs.precisions,
+                              (vecs / vals) @ np.swapaxes(vecs, 1, 2))
 
 
 def test_sampled_initial_states_vary():
