@@ -123,12 +123,12 @@ def load_settings(path: str, cli_seed: int | None) -> Settings:
             k: tuple(v) if _TASK_KEYS[k] == "tuple" else v
             for k, v in task.items()})
         if pos is not None:
-            frame = spec.object_frame
-            d = len(frame.translation)
-            if len(pos) != d or not np.all(np.isfinite(pos)):
-                raise ValueError(f"object_position must be {d} finite "
-                                 f"numbers for {kind}, got {pos}")
-            spec = replace(spec, object_frame=type(frame)(pos))
+            try:
+                frame = type(spec.object_frame)(pos)
+            except ValueError as exc:
+                raise ValueError(f"object_position {pos} for {kind}: "
+                                 f"{exc}") from None
+            spec = replace(spec, object_frame=frame)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"task: {exc}") from exc
     known = [c.name for c in charts_for(spec.space)] + ["optimal"]

@@ -187,14 +187,17 @@ def log_rows(spec, P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def sphere_log(Y: np.ndarray) -> np.ndarray:
-    """Log maps (... x d) at p of the sphere points x given by their reflected
-    rows y = (p . x, B_p^T x) (... x d+1): B_p^T x scaled to the angle."""
-    _check_antipodal(Y[..., 0], "log map")
-    r = Y[..., 1:]
-    nr = np.sqrt(np.vecdot(r, r))
-    angle = np.arctan2(nr, Y[..., 0]) * (nr >= ZERO_TOL)
-    return (angle / np.maximum(nr, ZERO_TOL))[..., None] * r
+def sphere_log(Y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log maps at p of the sphere points x given by their reflected
+    coordinates y = (p . x, B_p^T x), d+1 entries along axis: B_p^T x scaled
+    to the angle, d entries along axis. axis=-1 takes rows (... x d+1),
+    axis=-2 sample-major columns (... x d+1 x N)."""
+    lead = (slice(None),) * (axis % Y.ndim)
+    c, r = Y[lead + (slice(0, 1),)], Y[lead + (slice(1, None),)]
+    _check_antipodal(c, "log map")
+    nr = np.sqrt((r * r).sum(axis=axis, keepdims=True))
+    angle = np.arctan2(nr, c) * (nr >= ZERO_TOL)
+    return angle / np.maximum(nr, ZERO_TOL) * r
 
 
 def exp_rows(spec, P: np.ndarray, V: np.ndarray) -> np.ndarray:

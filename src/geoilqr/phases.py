@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,11 +87,25 @@ class TimeGmm:
     covariances: np.ndarray   # (K, F, F)
 
 
+def _frame_runs(demos: list[Demonstration]) -> list[tuple]:
+    """The demos as runs of consecutive demos that share one object frame
+    object (a demos.json has one), in demo order: per run, the frame and the
+    run's stacked positions and orientations."""
+    runs = []
+    for d in demos:
+        if not (runs and runs[-1][0] is d.object_frame):
+            runs.append((d.object_frame, []))
+        runs[-1][1].append(d)
+    return [(frame, np.vstack([d.positions for d in run]),
+             np.vstack([d.orientations for d in run])) for frame, run in runs]
+
+
 def _pooled_features(demos: list[Demonstration]) -> np.ndarray:
-    return np.vstack([
-        np.column_stack([d.phase_variable(),
-                         d.object_frame.to_object(d.positions)])
-        for d in demos])
+    """The pooled features, sample-major (F x n): normalized time, then the
+    object-frame position of every frame of every demo."""
+    s = np.concatenate([d.phase_variable() for d in demos])
+    P = np.vstack([frame.to_object(P) for frame, P, _ in _frame_runs(demos)])
+    return np.vstack([s, P.T])
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -101,11 +116,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def _log_gauss(X: np.ndarray, means: np.ndarray,
                covs: np.ndarray) -> np.ndarray:
-    """Log densities (K x n) of the rows of X (n x F) under the K Gaussians
-    with means (K x F) and covariances (K x F x F)."""
+    """Log densities (K x n) of the sample columns of X (F x n) under the K
+    Gaussians with means (K x F) and covariances (K x F x F)."""
     F = means.shape[1]
     L = np.linalg.cholesky(covs)
-    z = np.linalg.inv(L) @ np.swapaxes(X - means[:, None], 1, 2)
+    z = np.linalg.inv(L) @ (X - means[:, :, None])
     log_det = 2 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (F * np.log(2 * np.pi) + log_det[:, None]
                    + (z * z).sum(axis=1))
@@ -119,15 +134,15 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    X = _pooled_features(demos)
-    n, F = X.shape
+    X = _pooled_features(demos)                     # F x n, sample-major
+    F, n = X.shape
     if n < 10 * K:
         raise ValueError(f"{n} datapoints too few for K={K}")
-    order = np.argsort(X[:, 0], kind="stable")
+    order = np.argsort(X[0], kind="stable")
     bins = np.array_split(order, K)
     priors = np.array([len(b) / n for b in bins])
-    means = np.array([X[b].mean(axis=0) for b in bins])
-    covs = np.array([np.cov(X[b].T, bias=True) + GMM_REG * np.eye(F)
+    means = np.array([X[:, b].mean(axis=1) for b in bins])
+    covs = np.array([np.cov(X[:, b], bias=True) + GMM_REG * np.eye(F)
                      for b in bins])
     ll_prev = -np.inf
     for _ in range(GMM_MAX_ITER):
@@ -137,10 +152,9 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
         resp = np.exp(logp - norm)
         nk = resp.sum(axis=1)
         priors = nk / n
-        means = (resp @ X) / nk[:, None]
-        Xc = X - means[:, None]
-        covs = (np.swapaxes(resp[:, :, None] * Xc, 1, 2) @ Xc
-                / nk[:, None, None])
+        means = (resp @ X.T) / nk[:, None]
+        Xc = X - means[:, :, None]
+        covs = (resp[:, None] * Xc) @ np.swapaxes(Xc, 1, 2) / nk[:, None, None]
         for k in np.flatnonzero(nk < F + 1):
             warnings.warn(f"component {k} collapsed onto {nk[k]:.3g} "
                           f"points", DegenerateComponent)
@@ -157,7 +171,7 @@ def phase_weights_at(gmm: TimeGmm, s: np.ndarray) -> np.ndarray:
     """Responsibilities of the time marginals at normalized times s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     logp = np.log(gmm.priors)[:, None] + _log_gauss(
-        s[:, None], gmm.means[:, :1], gmm.covariances[:, :1, :1])
+        s[None], gmm.means[:, :1], gmm.covariances[:, :1, :1])
     return np.exp(logp - _logsumexp(logp)).T
 
 
@@ -189,9 +203,10 @@ class PhaseModel:
     """The fitted parameters, K rows each: the GMM's time marginals, the mean
     and variance of normalized time under each phase's frame weights (m_s,
     c_ss) and each chart's ChartFit. __post_init__ derives the weights (T x
-    K) and the ChartGaussians of the K phases and of the T blended references
-    of each chart, with a winner per row (phase_winners, winners): the chart
-    of the smallest determinant, then the lowest index."""
+    K) and each chart's ChartGaussians of the K phases with a winner per
+    phase (phase_winners). The T blended references of each chart and their
+    winner per timestep (winners) are derived on first use. A winner is the
+    chart of the smallest determinant, then the lowest index."""
     charts: list
     horizon: int
     priors: np.ndarray
@@ -202,20 +217,29 @@ class PhaseModel:
     fits: dict                  # ChartId -> ChartFit
 
     def __post_init__(self):
-        K, m_s, c_ss = len(self.priors), self.m_s, self.c_ss
         s_grid = np.arange(self.horizon) / max(self.horizon - 1, 1)
-        self.weights = H = phase_weights_at(
+        self.weights = phase_weights_at(
             TimeGmm(self.priors, self.time_means[:, None],
                     self.time_variances[:, None, None]), s_grid)
+        self.phase_gaussians = {
+            c: ChartGaussians(self.fits[c].means,
+                              *floor_eigenvalues(self.fits[c].moments))
+            for c in self.charts}
+        self.phase_winners = chart_winners(self.phase_dets())
+
+    @cached_property
+    def references(self) -> dict:
+        """ChartId -> ChartGaussians of the T blended references: the phases'
+        conditional Gaussians given time, blended in the tangent space at
+        the mean of the phase that dominates each timestep."""
+        K, m_s, c_ss, H = len(self.priors), self.m_s, self.c_ss, self.weights
+        s_grid = np.arange(self.horizon) / max(self.horizon - 1, 1)
         h = np.where(H > 1e-12, H, 0.0)
         anchor = np.argmax(H, axis=1)  # phase whose mean anchors each timestep
-
-        self.phase_gaussians, self.references = {}, {}
+        references = {}
         for chart in self.charts:
             spec = chart_spec(chart)
-            M, S, c_vs = self.fits[chart]
-            phase = self.phase_gaussians[chart] = ChartGaussians(
-                M, *floor_eigenvalues(S))
+            M, _, c_vs = self.fits[chart]
             slope = c_vs / c_ss[:, None]
             # Conditional mean/covariance of each phase given time; the slope
             # of phase k reaches the mean of phase a by parallel transport,
@@ -227,14 +251,17 @@ class PhaseModel:
             blend = sum(h[:, k, None] * (offset[k] + trend[k]
                                          * (s_grid - m_s[k])[:, None])
                         for k in range(K))
-            C = phase.covariances - c_vs[:, :, None] * slope[:, None]
-            self.references[chart] = ChartGaussians(
+            C = (self.phase_gaussians[chart].covariances
+                 - c_vs[:, :, None] * slope[:, None])
+            references[chart] = ChartGaussians(
                 exp_rows(spec, M[anchor], blend),
                 *floor_eigenvalues(np.tensordot(h, C, 1)))
+        return references
 
-        self.phase_winners = chart_winners(self.phase_dets())
-        self.winners = chart_winners({c: g.dets
-                                      for c, g in self.references.items()})
+    @cached_property
+    def winners(self) -> list:
+        """The winning chart of each timestep's reference."""
+        return chart_winners({c: g.dets for c, g in self.references.items()})
 
     @property
     def phases(self) -> list:
@@ -261,15 +288,15 @@ def build_phase_model(demos: list[Demonstration], gmm: TimeGmm,
     ds = s - m_s[:, None]
     c_ss = np.vecdot(W, ds * ds) + 1e-12
 
+    runs = _frame_runs(demos)
     fits = {}
     for chart in sorted(charts, key=lambda c: c.index):
-        X = np.vstack([chart_rows(chart, d.object_frame, d.positions,
-                                  d.orientations) for d in demos])
+        X = np.vstack([chart_rows(chart, frame, P, O) for frame, P, O in runs])
         try:
             M, U, S = fit_phases(chart_spec(chart), X, W)
         except Exception as exc:
             raise RuntimeError(f"fit failed for chart {chart}") from exc
-        fits[chart] = ChartFit(M, S, ((W * ds)[:, None] @ U)[:, 0])
+        fits[chart] = ChartFit(M, S, (U @ (W * ds)[:, :, None])[..., 0])
     return PhaseModel(list(charts), horizon, gmm.priors, gmm.means[:, 0],
                       gmm.covariances[:, 0, 0], m_s, c_ss, fits)
 
@@ -311,11 +338,14 @@ def phase_model_from_dict(d: dict, horizon: int | None = None) -> PhaseModel:
     """The PhaseModel of a model.json dict; ValueError names the first field
     missing, not finite, out of range, of another shape or schema_version,
     and, given horizon, a model horizon other than it, before the model
-    derives anything."""
+    derives anything. The references are derived here too, so that a model
+    whose references cannot be derived (AntipodalPoint) fails at load."""
     try:
-        return _phase_model(d, horizon)
+        model = _phase_model(d, horizon)
     except KeyError as exc:
         raise ValueError(f"model field {exc.args[0]!r} is missing") from None
+    model.references
+    return model
 
 
 def _phase_model(d: dict, task_horizon: int | None) -> PhaseModel:

@@ -3,7 +3,9 @@
 The mean is a Fréchet (geometric) mean computed by Gauss-Newton iteration of
 the tangent-space average; the covariance is the weighted second moment of
 the log-mapped residuals in the tangent space at the mean. fit_phases fits
-K weightings (the phases of a chart) of the same rows at once. Winner-takes-
+K weightings (the phases of a chart) of the same rows at once, one product
+factor at a time: each factor's means stop at their own tolerance. Its
+residual arrays are sample-major (samples on the last axis). Winner-takes-
 all selection between coordinate systems compares covariance determinants.
 """
 from __future__ import annotations
@@ -92,50 +94,66 @@ def _validated(spec, X, w) -> tuple[np.ndarray, np.ndarray]:
     return X, w / w.sum()
 
 
-def _residuals(spec, X: np.ndarray, M: np.ndarray,
+def _residuals(spec, XT: np.ndarray, M: np.ndarray,
                live: np.ndarray) -> np.ndarray:
-    """Log maps (K x N x tangent) of the rows of X at the mean rows of M, on
-    each mean's quaternion sheet, where live (K x N) holds and 0 elsewhere."""
-    U = np.empty(live.shape + (spec.tangent_dim,))
+    """Log maps (K x tangent x N) of the sample columns of XT (ambient x N)
+    at the mean rows of M (K x ambient), on each mean's quaternion sheet,
+    where live (K x N) holds and 0 elsewhere. The arrays are sample-major,
+    so numpy's inner loops run along the N samples."""
+    U = np.empty((len(M), spec.tangent_dim, XT.shape[1]))
     for leaf, asl, tsl in leaves(spec):
         if isinstance(leaf, Euclidean):
-            U[..., tsl] = np.where(live[..., None],
-                                   X[:, asl] - M[:, None, asl], 0.0)
+            U[:, tsl] = np.where(live[:, None], XT[asl] - M[:, asl, None],
+                                 0.0)
             continue
         # every pair's (m . x, B_m^T x) from one matmul with the means'
-        # (symmetric) Householder matrices; R(-x) = -Rx, so the sheet flip
-        # of x is a sign flip of its reflected row
+        # Householder matrices; R(-x) = -Rx, so the sheet flip of x is a
+        # sign flip of its reflected column
         n = leaf.ambient_dim
-        Y = X[:, asl] @ _reflect(M[:, None, asl], np.eye(n))
+        Y = _reflect(M[:, None, asl], np.eye(n)) @ XT[asl]
         if leaf.dim == 3:
-            Y *= np.where(Y[..., :1] < 0.0, -1.0, 1.0)
-        U[..., tsl] = sphere_log(np.where(live[..., None], Y, np.eye(n)[0]))
+            np.negative(Y, out=Y, where=Y[:, :1] < 0.0)
+        U[:, tsl] = sphere_log(np.where(live[:, None], Y, np.eye(n)[:, :1]),
+                               axis=-2)
     return U
 
 
 def fit_phases(spec, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weighted Gaussians of the rows of X (N x ambient), one per row of W
     (K x N, rows summing to 1): the Fréchet means (K x ambient), the
-    residuals at them (K x N x tangent) and the covariances (K x tangent x
-    tangent). Each mean stops at its own MEAN_TOL step; a row of zero weight
-    takes no part in that fit."""
+    sample-major residuals at them (K x tangent x N) and the covariances
+    (K x tangent x tangent). The Fréchet mean of a product is the product of
+    the factor means, since squared distance adds over factors, so each
+    factor is fitted on its own: a Euclidean factor's mean is W @ X, and a
+    sphere factor's K means iterate, each stopping at its own MEAN_TOL
+    step. A row of zero weight takes no part in that fit. One residual pass
+    at the final means then gives the covariances, cross-factor terms
+    included."""
     live = W > 0.0
+    XT = np.ascontiguousarray(X.T)
     # start from the first live sample on its w >= 0 sheet, so that neither
     # the mean nor its covariance basis depends on the samples' quaternion signs
     w_axes = np.zeros(spec.ambient_dim)
     w_axes[[asl.start for _, asl, _ in leaves(spec)]] = 1.0
     M = quat_sign_align(spec, X[np.argmax(live, axis=1)], w_axes)
-    todo = np.arange(len(W))
-    for _ in range(MEAN_MAX_ITER):
-        u = (W[todo, None] @ _residuals(spec, X, M[todo], live[todo]))[:, 0]
-        M[todo] = exp_rows(spec, M[todo], u)
-        todo = todo[~(np.linalg.norm(u, axis=1) < MEAN_TOL)]  # NaN goes on
-        if not todo.size:
-            break
-    else:
-        warnings.warn("geometric mean did not converge", NoConvergence)
-    U = _residuals(spec, X, M, live)
-    return M, U, np.swapaxes(U * W[..., None], 1, 2) @ U
+    for i, (leaf, asl, _) in enumerate(leaves(spec)):
+        if isinstance(leaf, Euclidean):
+            M[:, asl] = W @ X[:, asl]
+            continue
+        m, todo = M[:, asl], np.arange(len(W))     # m is a view of M
+        for _ in range(MEAN_MAX_ITER):
+            U = _residuals(leaf, XT[asl], m[todo], live[todo])
+            u = (U @ W[todo, :, None])[..., 0]
+            m[todo] = exp_rows(leaf, m[todo], u)
+            todo = todo[~(np.linalg.norm(u, axis=1) < MEAN_TOL)]  # NaN goes on
+            if not todo.size:
+                break
+        else:
+            warnings.warn(f"geometric mean of factor {i} ({leaf}) did not "
+                          f"converge for phases {todo.tolist()}",
+                          NoConvergence)
+    U = _residuals(spec, XT, M, live)
+    return M, U, (U * W[:, None]) @ np.swapaxes(U, 1, 2)
 
 
 def geometric_mean(spec, X: np.ndarray, w: np.ndarray) -> ManifoldPoint:

@@ -338,6 +338,13 @@ def _unknown_chart(model):
     model["charts"][1]["index"] = 7
 
 
+def _antipodal_means(model):
+    # the polar azimuths of phases 0 and 1 are antipodal, so no reference
+    # blends them; the loader derives the references and fails
+    means = model["fits"]["polar-2d"]["means"]
+    means[1][:2] = [-x for x in means[0][:2]]
+
+
 @pytest.mark.parametrize("edit, field", [
     (_cut_rows, "fits polar-2d means has shape (2, 5), not (3, 5)"),
     (_narrow_means, "fits cartesian-2d means has shape (3, 3), not (3, 4)"),
@@ -356,11 +363,13 @@ def _unknown_chart(model):
     (_repeated_chart, "model charts ['cartesian-2d', 'polar-2d', 'polar-2d'] "
                       "must name at least one chart, each once"),
     (_no_charts, "model charts [] must name at least one chart, each once"),
-    (_unknown_chart, "model charts is not a list of {space, index} charts")],
+    (_unknown_chart, "model charts is not a list of {space, index} charts"),
+    (_antipodal_means, "transport undefined for antipodal sphere points")],
     ids=["cut-rows", "narrow-means", "short-row", "other-charts",
          "phase-covariance-2x2", "nan", "off-sphere-mean",
          "zero-time-variance", "fractional-horizon", "pre-change-format",
-         "schema-version", "repeated-chart", "no-charts", "unknown-chart"])
+         "schema-version", "repeated-chart", "no-charts", "unknown-chart",
+         "antipodal-means"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:

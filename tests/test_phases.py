@@ -90,7 +90,7 @@ def test_log_gauss_matches_closed_form_density(seed, K, F):
         maha = np.vecdot(Xc, np.linalg.solve(covs[k], Xc.T).T)
         expect[k] = -0.5 * (F * np.log(2 * np.pi)
                             + np.linalg.slogdet(covs[k])[1] + maha)
-    np.testing.assert_allclose(_log_gauss(X, means, covs), expect,
+    np.testing.assert_allclose(_log_gauss(X.T, means, covs), expect,
                                rtol=1e-12, atol=0)
 
 
@@ -221,18 +221,29 @@ def test_reference_mean_at_dominant_time_matches_phase_mean():
                                   "grasppose3d-spherical"])
 def test_phase_model_json_round_trip(case, tmp_path):
     # model.json holds the fitted parameters, and the loader derives the rest
-    # from them as the fit does, so nothing moves by a bit
+    # from them as the fit does, so nothing moves by a bit; the loader
+    # derives the references before it returns, the fitted model on first use
     model = _model(_task_demos(case))
     path = str(tmp_path / "model.json")
     write_json(path, phase_model_to_dict(model))
     with open(path) as fh:
         back = phase_model_from_dict(json.load(fh))
+    assert "references" in vars(back) and "references" not in vars(model)
     assert back.charts == model.charts and back.horizon == model.horizon
     assert back.winners == model.winners
     # one object per chart, as the fit gives, so that a per-row lookup keyed
     # by charts matches by identity
     assert all(CHART_IDS[c] is c for c in back.charts + back.winners)
     _assert_same_arrays(back, model)
+
+
+def test_build_phase_model_leaves_the_references_underived():
+    # a fit never reads the per-timestep references, so it does not derive
+    # them; the first read does, once
+    model = _model(_task_demos("grasppose3d-spherical"))
+    assert "references" not in vars(model) and "winners" not in vars(model)
+    assert model.references is model.references
+    assert "references" in vars(model)
 
 
 def _assert_same_arrays(a, b):

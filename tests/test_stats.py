@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
+from geoilqr import stats
+from geoilqr.charts import (CARTESIAN_2D, CHART_IDS, CYLINDRICAL_3D, POLAR_2D,
                             SPHERICAL_3D, CartesianPose, Frame2D, chart_spec,
                             to_chart)
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, ManifoldPoint,
                                Product, Sphere, exp_rows, geodesic_distance,
                                leaves, log_map_batch, log_rows, random_point)
-from geoilqr.stats import (EIGVAL_FLOOR, EmptyInput, EmptySample,
-                           ManifoldGaussian, _residuals, fit_gaussian,
-                           fit_phases, geometric_mean, quat_sign_align,
-                           select_winner)
+from geoilqr.stats import (EIGVAL_FLOOR, MEAN_MAX_ITER, MEAN_TOL, EmptyInput,
+                           EmptySample, ManifoldGaussian, NoConvergence,
+                           _residuals, fit_gaussian, fit_phases,
+                           geometric_mean, quat_sign_align, select_winner)
 
 RNG = np.random.default_rng(2)
 
@@ -186,8 +187,10 @@ def test_phase_kernel_matches_separate_fits(chart):
                                    atol=1e-12 * np.abs(S[k]).max())
         live = W[k] > 0
         V = log_map_batch(g.mean, quat_sign_align(spec, X, g.mean.coords))
-        np.testing.assert_allclose(U[k, live], V[live], rtol=0, atol=1e-12)
-        assert np.all(U[k, ~live] == 0.0)
+        # U is sample-major: phase x tangent x sample
+        np.testing.assert_allclose(U[k][:, live], V[live].T, rtol=0,
+                                   atol=1e-12)
+        assert np.all(U[k][:, ~live] == 0.0)
 
 
 def test_zero_weight_antipodal_row_is_ignored():
@@ -233,13 +236,71 @@ def test_pairwise_residuals_match_row_log_maps(case):
             if leaf.dim == 3:
                 X[1::2, asl] *= -1.0
     live = W > 0.0
-    U = _residuals(spec, X, M, live)
+    U = _residuals(spec, X.T, M, live)     # sample-major: K x tangent x N
     for k in range(K):
         V = log_rows(spec, M[k:k + 1],
                      quat_sign_align(spec, X[live[k]], M[k]))
-        np.testing.assert_allclose(U[k, live[k]], V, rtol=0, atol=1e-12)
-    assert np.all(U[~live] == 0.0)
+        np.testing.assert_allclose(U[k][:, live[k]], V.T, rtol=0, atol=1e-12)
+    assert np.all(np.swapaxes(U, 1, 2)[~live] == 0.0)
     if any(isinstance(leaf, Sphere) and leaf.dim < 3 for leaf in spec.factors):
         live[0, 0] = True  # with weight, the antipodal pair has no log map
         with pytest.raises(AntipodalPoint):
-            _residuals(spec, X, M, live)
+            _residuals(spec, X.T, M, live)
+
+
+def _joint_means(spec, X, W):
+    """The Fréchet means of the rows of X under each row of W by the joint
+    iteration: every factor of the product steps until the step of the
+    whole product is below MEAN_TOL. The oracle of the per-factor fit."""
+    live = W > 0.0
+    w_axes = np.zeros(spec.ambient_dim)
+    w_axes[[asl.start for _, asl, _ in leaves(spec)]] = 1.0
+    M = quat_sign_align(spec, X[np.argmax(live, axis=1)], w_axes)
+    for k in range(len(W)):
+        for _ in range(MEAN_MAX_ITER):
+            rows = quat_sign_align(spec, X[live[k]], M[k])
+            u = W[k, live[k]] @ log_rows(spec, M[k:k + 1], rows)
+            M[k] = exp_rows(spec, M[k:k + 1], u[None])[0]
+            if np.linalg.norm(u) < MEAN_TOL:
+                break
+    return M
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from(sorted(CHART_IDS, key=str)), st.integers(0, 2**32 - 1),
+       st.integers(1, 4), st.integers(2, 40))
+def test_factor_means_match_the_joint_iteration(chart, seed, K, N):
+    # each factor stops on its own, so its mean may differ from the joint
+    # one by steps below MEAN_TOL; a Euclidean factor's mean is W @ X.
+    # Some weights are 0 and half of the quaternion signs are flipped.
+    spec = chart_spec(chart)
+    rng = np.random.default_rng(seed)
+    base = random_point(spec, rng).coords[None]
+    X = exp_rows(spec, base, 0.4 * rng.standard_normal((N, spec.tangent_dim)))
+    for leaf, asl, _ in leaves(spec):
+        if isinstance(leaf, Sphere) and leaf.dim == 3:
+            X[::2, asl] *= -1.0
+    W = rng.uniform(size=(K, N)) * (rng.uniform(size=(K, N)) > 0.3)
+    W[np.arange(K), rng.integers(N, size=K)] = 1.0     # one live row at least
+    W /= W.sum(axis=1, keepdims=True)
+    M = fit_phases(spec, X, W)[0]
+    np.testing.assert_allclose(M, _joint_means(spec, X, W), rtol=0, atol=1e-9)
+    for leaf, asl, _ in leaves(spec):
+        if isinstance(leaf, Euclidean):
+            np.testing.assert_allclose(M[:, asl], W @ X[:, asl], rtol=0,
+                                       atol=1e-15)
+
+
+def test_unconverged_mean_names_its_factor_and_phases(monkeypatch):
+    # one step cannot settle the S2 means of phases 0 and 2, which start at
+    # their first sample; phase 1 has one sample, so its first step is 0
+    monkeypatch.setattr(stats, "MEAN_MAX_ITER", 1)
+    spec = Product((Euclidean(1), Sphere(2)))
+    base = random_point(spec, RNG).coords[None]
+    X = exp_rows(spec, base, 0.3 * RNG.standard_normal((6, 3)))
+    W = np.array([[1.0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 0, 0], [0, 1, 0, 1, 1, 0]])
+    W /= W.sum(axis=1, keepdims=True)
+    with pytest.warns(NoConvergence, match=r"factor 1 \(Sphere\(dim=2\)\) "
+                                           r"did not converge for phases "
+                                           r"\[0, 2\]"):
+        fit_phases(spec, X, W)

@@ -12,6 +12,7 @@ from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
                             charts_for, rot2)
 from geoilqr.kinematics import ArmModel, JointTrajectory, planar_ik_3link
 from geoilqr.manifolds import ManifoldPoint
+from geoilqr.phases import ChartFit, PhaseModel
 from geoilqr.planner import PlanProblem, PlanResult, solve
 from geoilqr.stats import ManifoldGaussian, select_winner
 from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
@@ -192,6 +193,38 @@ def test_phase_arrays_match_the_phase_gaussians(kind, extra, seed):
         vals = np.maximum(vals, 1.0 / PRECISION_CAP)[:, None]
         assert np.array_equal(refs.precisions,
                               (vecs / vals) @ np.swapaxes(vecs, 1, 2))
+
+
+def _split_winner_model() -> PhaseModel:
+    """A planar model whose phases all go to Cartesian and whose timesteps
+    all go to polar: each polar phase varies with time along its azimuth,
+    so its covariance given time (a reference's) is smaller than the
+    Cartesian one, which does not vary with time, though its phase
+    covariance is larger."""
+    K, c_ss, s = 3, np.full(3, 0.01), np.array([1 / 6, 1 / 2, 5 / 6])
+    fits = {CARTESIAN_2D: ChartFit(np.tile([1.0, 0.5, 1.0, 0.0], (K, 1)),
+                                   np.tile(0.01 * np.eye(3), (K, 1, 1)),
+                                   np.zeros((K, 3))),
+            POLAR_2D: ChartFit(np.tile([1.0, 0.0, 1.0, 1.0, 0.0], (K, 1)),
+                               np.tile(0.02 * np.eye(3), (K, 1, 1)),
+                               np.tile([np.sqrt(0.0199 * 0.01), 0, 0],
+                                       (K, 1)))}
+    return PhaseModel([CARTESIAN_2D, POLAR_2D], 100, np.full(K, 1 / K), s,
+                      np.full(K, 0.01), s, c_ss, fits)
+
+
+def test_optimal_references_take_the_winners_of_their_mode():
+    # stepwise rows are phases and take phase_winners; dense rows are
+    # timesteps and take winners
+    model = _split_winner_model()
+    assert model.phase_winners == [CARTESIAN_2D] * 3
+    assert model.winners == [POLAR_2D] * 100
+    step = build_references(model, "optimal", 100, ACTIVATION_START,
+                            "stepwise")
+    assert len(step.ts) == 3 and step.charts == [CARTESIAN_2D] * 3
+    dense = build_references(model, "optimal", 100, ACTIVATION_START,
+                             "dense")
+    assert dense.charts == [POLAR_2D] * (100 - ACTIVATION_START)
 
 
 def test_sampled_initial_states_vary():
