@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -80,10 +81,10 @@ def _check_types(d: dict, types: dict, where: str):
 
 def load_settings(path: str, cli_seed: int | None) -> Settings:
     """The checked config: an unknown key, a value of another JSON type, a
-    negative seed, a strategy that names no chart of the task's space, or a
-    value that TaskSpec or ArmModel rejects raises ConfigError. Seed:
-    cli_seed, else GEOILQR_SEED, else the config seed, else the task's,
-    else 0."""
+    negative seed, a strategy that names no chart of the task's space, an
+    activation_start at or past the task's horizon, or a value that TaskSpec
+    or ArmModel rejects raises ConfigError. Seed: cli_seed, else
+    GEOILQR_SEED, else the config seed, else the task's, else 0."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -135,12 +136,15 @@ def load_settings(path: str, cli_seed: int | None) -> Settings:
     if unknown := [n for n in raw.get("strategies", []) if n not in known]:
         raise ConfigError(f"config: 'strategies' names {unknown}, not one of "
                           f"{known}")
+    activation = raw.get("activation_start", ACTIVATION_START)
+    if activation >= spec.horizon:
+        raise ConfigError(f"config: 'activation_start' {activation} must be "
+                          f"< the task horizon {spec.horizon}")
     try:
         arm = replace(DEFAULT_ARM, **arm)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"arm: {exc}") from exc
-    return Settings(raw, seed, spec, arm, float(weight),
-                    raw.get("activation_start", ACTIVATION_START))
+    return Settings(raw, seed, spec, arm, float(weight), activation)
 
 
 def _snapshot(settings: Settings) -> dict:
@@ -178,7 +182,7 @@ def cmd_fit(args, settings: Settings, out: str) -> int:
     if not os.path.exists(demos_path):
         raise ConfigError(f"demos file not found: {demos_path}")
     with open(demos_path) as fh:
-        demos = demos_from_dict(json.load(fh))
+        demos = demos_from_dict(json.load(fh), spec.space)
     charts = charts_for(spec.space)
     gmm = fit_time_gmm(demos, spec.phase_count)
     model = build_phase_model(demos, gmm, charts, horizon=spec.horizon)
@@ -359,6 +363,7 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output directory")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geoilqr",

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 
-from .charts import Frame2D, Frame3D
+from .charts import THREE_D, TWO_D, Frame2D, Frame3D
 
 SCHEMA_VERSION = 1
 
@@ -86,15 +86,19 @@ def _demo(demo_id: str, dt: float, rows, frame):
                          arr[:, 1 + dim:], frame)
 
 
-def demos_from_dict(d: dict) -> list:
-    """The demonstrations of a demos.json dict; ValueError names the first
-    field missing, of another schema_version or type, out of range or of
-    another length."""
+def demos_from_dict(d: dict, space: str) -> list:
+    """The demonstrations of a demos.json dict for a task of space (2d or
+    3d); ValueError names the first field missing, of another
+    schema_version, type or space, out of range or of another length."""
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
     if missing := [k for k in ("object_frame", "dt", "demos") if k not in d]:
         raise ValueError(f"demos field {missing[0]!r} is missing")
     frame = frame_from_dict(d["object_frame"])
+    found = TWO_D if isinstance(frame, Frame2D) else THREE_D
+    if found != space:
+        raise ValueError(f"object_frame is a {found} frame, but the task "
+                         f"space is {space}")
     dt, demos = d["dt"], d["demos"]
     if not isinstance(demos, list):
         raise ValueError("demos is not a list of demos")

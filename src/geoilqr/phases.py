@@ -114,13 +114,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(a - top).sum(axis=0))
 
 
-def _log_gauss(X: np.ndarray, means: np.ndarray,
-               covs: np.ndarray) -> np.ndarray:
-    """Log densities (K x n) of the sample columns of X (F x n) under the K
-    Gaussians with means (K x F) and covariances (K x F x F)."""
-    F = means.shape[1]
+def _log_gauss(Xc: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Log densities (K x n) of the samples centred at each of K means,
+    Xc (K x F x n), under the K Gaussians with covariances (K x F x F)."""
+    F = covs.shape[1]
     L = np.linalg.cholesky(covs)
-    z = np.linalg.inv(L) @ (X - means[:, :, None])
+    z = np.linalg.inv(L) @ Xc
     log_det = 2 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (F * np.log(2 * np.pi) + log_det[:, None]
                    + (z * z).sum(axis=1))
@@ -144,9 +143,10 @@ def fit_time_gmm(demos: list[Demonstration], K: int) -> TimeGmm:
     means = np.array([X[:, b].mean(axis=1) for b in bins])
     covs = np.array([np.cov(X[:, b], bias=True) + GMM_REG * np.eye(F)
                      for b in bins])
+    Xc = X - means[:, :, None]
     ll_prev = -np.inf
     for _ in range(GMM_MAX_ITER):
-        logp = np.log(priors)[:, None] + _log_gauss(X, means, covs)
+        logp = np.log(priors)[:, None] + _log_gauss(Xc, covs)
         norm = _logsumexp(logp)
         ll = float(norm.sum())
         resp = np.exp(logp - norm)
@@ -171,7 +171,7 @@ def phase_weights_at(gmm: TimeGmm, s: np.ndarray) -> np.ndarray:
     """Responsibilities of the time marginals at normalized times s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     logp = np.log(gmm.priors)[:, None] + _log_gauss(
-        s[None], gmm.means[:, :1], gmm.covariances[:, :1, :1])
+        s - gmm.means[:, :1, None], gmm.covariances[:, :1, :1])
     return np.exp(logp - _logsumexp(logp)).T
 
 

@@ -94,8 +94,10 @@ def test_criterion_01_manifold_round_trip(capsys):
 
 def _circle_grid_mean(angles, w):
     grid = np.linspace(-np.pi, np.pi, 125664)   # ~5e-5 rad spacing
-    diffs = np.angle(np.exp(1j * (grid[:, None] - angles[None, :])))
-    cost = (w[None, :] * diffs ** 2).sum(axis=1)
+    # each grid angle minus each sample angle, wrapped into [-pi, pi]
+    x = grid - angles[:, None]
+    diffs = x - 2 * np.pi * np.round(x / (2 * np.pi))
+    cost = w @ diffs ** 2
     a = grid[np.argmin(cost)]
     return np.array([np.cos(a), np.sin(a)])
 

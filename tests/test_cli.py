@@ -10,11 +10,13 @@ import pytest
 
 import geoilqr
 from geoilqr.cli import main
+from geoilqr.io import demos_to_dict
 from geoilqr.kinematics import forward_kinematics, rollout
 from geoilqr.phases import PhaseModel
 from geoilqr.planner import PlanProblem, solve
 from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
-                           build_references, default_spec, fit_task_model)
+                           build_references, default_spec, fit_task_model,
+                           generate_demos)
 
 
 @pytest.fixture
@@ -156,13 +158,8 @@ def test_path_csv_matches_forward_kinematics(grasp_model, cfg, tmp_path):
                                        f"{pose.heading_angle:.6f}"]
 
 
-def test_plan_bad_initial_length(cfg, tmp_path):
-    _run("demo-gen", "--config", cfg)
-    _run("fit", "--config", cfg)
-    assert _run("plan", "--config", cfg, "--initial", "1.0,2.0") == 2
-
-
-@pytest.mark.parametrize("initial", ["nan,0,0", "0,inf,0", "a,b,c"])
+@pytest.mark.parametrize("initial", ["nan,0,0", "0,inf,0", "a,b,c",
+                                     "1.0,2.0"])
 def test_plan_rejects_non_finite_initial_state(initial, grasp_model, cfg,
                                                tmp_path, capsys):
     assert _run("plan", "--config", cfg, "--model", grasp_model,
@@ -472,7 +469,7 @@ def test_plan_and_evaluate_reject_bad_planning_numbers(
 
 
 ARM_KEYS = ("link_lengths", "base_position")
-TOP_KEYS = ("arm", "seed", "strategies")
+TOP_KEYS = ("arm", "seed", "strategies", "activation_start")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -487,7 +484,8 @@ TOP_KEYS = ("arm", "seed", "strategies")
     ("orientation_sigma", float("inf")), ("angular_spread", float("nan")),
     ("arc_radius", -0.3), ("arc_radius", float("inf")),
     ("arc_start", float("-inf")), ("arc_sweep", float("nan")),
-    ("phase_heights", [0.4, float("nan"), 0.1]), ("strategies", ["bogus"])])
+    ("phase_heights", [0.4, float("nan"), 0.1]), ("strategies", ["bogus"]),
+    ("activation_start", 100)])
 @pytest.mark.parametrize("command", ["demo-gen", "fit", "plan", "evaluate"])
 def test_every_command_rejects_bad_task_numbers(command, key, value,
                                                 grasp_model, tmp_path,
@@ -516,13 +514,14 @@ def test_every_command_rejects_bad_task_numbers(command, key, value,
 
 def _fit_edited_demos(grasp_model, tmp_path, capsys, edit) -> str:
     """stderr of a fit, which must exit 3 without warnings or a model, on
-    the grasp2d demos changed by edit."""
+    the grasp2d demos changed by edit, for the task of their config
+    snapshot: grasp2d, unless edit changes it."""
     with open(os.path.join(os.path.dirname(grasp_model), "demos.json")) as fh:
         demos = json.load(fh)
     edit(demos)
     (tmp_path / "demos.json").write_text(json.dumps(demos))
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"task": {"kind": "grasp2d"},
+    path.write_text(json.dumps({"task": demos["config"]["task"],
                                 "out_dir": str(tmp_path)}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -530,25 +529,6 @@ def _fit_edited_demos(grasp_model, tmp_path, capsys, edit) -> str:
     assert caught == []
     assert not (tmp_path / "model.json").exists()
     return capsys.readouterr().err
-
-
-def test_fit_rejects_a_nan_frame(grasp_model, tmp_path, capsys):
-    def edit(d):
-        d["demos"][2][17][1] = float("nan")
-    err = _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
-    assert "demo grasp2d-2: position at frame 17" in err
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda d: d["demos"][1].clear(), "demo grasp2d-1: times must be"),
-    (lambda d: d["demos"][1][5].pop(), "demo grasp2d-1: frame 5 has 4 "
-                                       "values, not 5"),
-    (lambda d: d["demos"][1][5].append(0.0), "demo grasp2d-1: frame 5 has 6 "
-                                             "values, not 5")],
-    ids=["empty", "short-frame", "long-frame"])
-def test_fit_rejects_malformed_demo_rows(edit, message, grasp_model, tmp_path,
-                                         capsys):
-    assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
 
 
 def _set(*path_and_value):
@@ -560,6 +540,27 @@ def _set(*path_and_value):
             d = d[k]
         d[key] = value
     return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["demos"][1].clear(), "demo grasp2d-1: times must be"),
+    (lambda d: d["demos"][1][5].pop(), "demo grasp2d-1: frame 5 has 4 "
+                                       "values, not 5"),
+    (lambda d: d["demos"][1][5].append(0.0), "demo grasp2d-1: frame 5 has 6 "
+                                             "values, not 5"),
+    (_set("demos", 2, 17, 1, float("nan")),
+     "demo grasp2d-2: position at frame 17")],
+    ids=["empty", "short-frame", "long-frame", "nan-position"])
+def test_fit_rejects_malformed_demo_rows(edit, message, grasp_model, tmp_path,
+                                         capsys):
+    assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
+
+
+def _pose_demos(d):
+    """The grasppose3d demos in place of the grasp2d ones, under the grasp2d
+    config snapshot."""
+    d.update(demos_to_dict(generate_demos(default_spec("grasppose3d",
+                                                       seed=0))))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -584,10 +585,14 @@ def _set(*path_and_value):
     (_set("dt", float("nan")), "dt nan is not a finite number > 0"),
     (_set("dt", "0.01"), "dt '0.01' is not a finite number > 0"),
     (lambda d: d.pop("dt"), "demos field 'dt' is missing"),
-    (_set("demos", 6), "demos is not a list of demos")],
+    (_set("demos", 6), "demos is not a list of demos"),
+    (_pose_demos, "object_frame is a 3d frame, but the task space is 2d"),
+    (_set("config", "task", "kind", "grasppose3d"),
+     "object_frame is a 2d frame, but the task space is 3d")],
     ids=["no-translation", "no-heading", "nan-translation", "inf-heading",
          "zero-quaternion", "nan-quaternion", "short-ids", "long-ids",
-         "zero-dt", "nan-dt", "string-dt", "no-dt", "demos-not-a-list"])
+         "zero-dt", "nan-dt", "string-dt", "no-dt", "demos-not-a-list",
+         "3d-demos-2d-task", "2d-demos-3d-task"])
 def test_fit_rejects_a_malformed_demos_file(edit, message, grasp_model,
                                             tmp_path, capsys):
     assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)

@@ -90,8 +90,8 @@ def test_log_gauss_matches_closed_form_density(seed, K, F):
         maha = np.vecdot(Xc, np.linalg.solve(covs[k], Xc.T).T)
         expect[k] = -0.5 * (F * np.log(2 * np.pi)
                             + np.linalg.slogdet(covs[k])[1] + maha)
-    np.testing.assert_allclose(_log_gauss(X.T, means, covs), expect,
-                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_log_gauss(X.T - means[:, :, None], covs),
+                               expect, rtol=1e-12, atol=0)
 
 
 def test_gmm_single_component_is_pooled_statistics():

@@ -9,8 +9,8 @@ from geoilqr.charts import (CARTESIAN_2D, CHART_IDS, CYLINDRICAL_3D, POLAR_2D,
                             SPHERICAL_3D, CartesianPose, Frame2D, chart_spec,
                             to_chart)
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, ManifoldPoint,
-                               Product, Sphere, exp_rows, geodesic_distance,
-                               leaves, log_map_batch, log_rows, random_point)
+                               Product, Sphere, exp_rows, leaves,
+                               log_map_batch, log_rows, random_point)
 from geoilqr.stats import (EIGVAL_FLOOR, MEAN_MAX_ITER, MEAN_TOL, EmptyInput,
                            EmptySample, ManifoldGaussian, NoConvergence,
                            _residuals, fit_gaussian, fit_phases,
@@ -50,20 +50,6 @@ def test_circle_symmetric_samples():
     pts = [_circle(np.deg2rad(30)), _circle(np.deg2rad(-30))]
     mu = geometric_mean(Sphere(1), *_samples(pts))
     assert np.allclose(mu.coords, [1.0, 0.0], atol=1e-9)
-
-
-def test_circle_mean_matches_grid_search():
-    for _ in range(10):
-        angles = RNG.uniform(-1.2, 1.2, size=8)
-        w = RNG.uniform(0.2, 1.0, size=8)
-        pts = [_circle(a) for a in angles]
-        mu = geometric_mean(Sphere(1), *_samples(pts, w))
-        grid = np.linspace(-np.pi, np.pi, 200001)
-        # wrapped squared geodesic distances at every grid angle
-        diffs = np.angle(np.exp(1j * (grid[:, None] - angles[None, :])))
-        cost = (w[None, :] * diffs ** 2).sum(axis=1)
-        best = grid[np.argmin(cost)]
-        assert geodesic_distance(mu, _circle(best)) < 1e-4
 
 
 def test_covariance_of_symmetric_pair():
