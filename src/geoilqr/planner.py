@@ -1,10 +1,15 @@
 """Batch iLQR with Gauss-Newton updates and backtracking line search.
 
 The problem is open loop: the joint states are the running sum of the
-velocity commands, the state cost is a precision-weighted squared geodesic
-residual in the selected chart at each active timestep, and each iteration
-solves the regularized normal equations for the full horizon as a band in
-the moves of the states q_2..q_T with LAPACK's dpbsv; u_T moves no state.
+velocity commands, and the state cost is a precision-weighted squared
+geodesic residual in the selected chart at each of the n active timesteps
+ts. Segment k holds the L_k controls from the previous active timestep (0
+for the first) up to ts[k]. Its least-effort controls for the state
+increment E_k are E_k/(dt·L_k) each, at effort w_k‖E_k‖², w_k = r/(dt²·L_k),
+so the iterations run on E (n x D). Each solves the regularized normal
+equations as a band of n blocks of D in the moves of the states at the
+active rows with LAPACK's dpbsv, in O(n·D³). A row at t = 0 is a constant
+of the plan: its state is q0, and L, E and w are 0 there.
 
 Both planar charts are products of R and S¹ factors, so one closed-form
 pass per line-search candidate evaluates all active rows; the Jacobian pass
@@ -13,6 +18,7 @@ linearizes the accepted one once, from that pass's intermediates.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,15 +62,27 @@ class References(NamedTuple):
     precisions: np.ndarray
 
 
-def _checked(refs: References, T: int, start: int):
-    """The rows of refs at or after start, their polar masks, S¹ means and
-    offsets; ValueError on rows that are not the references of a T-step plan."""
+def _content(a) -> tuple:
+    """The dtype, shape and bytes of an array: a hashable copy of it."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@functools.lru_cache(maxsize=64)
+def _constants(ts, charts, means, precisions, T, start, dt, r, D):
+    """The rows of the references at or after start, checked, and the
+    planar pass's and the step's constants; ValueError on rows that are not
+    the references of a T-step plan. The arrays come as _content, so the
+    trials of one set of references share them, read-only."""
     def need(ok, what: str):
         if not ok:
             raise ValueError(f"references need {what}")
 
-    ts, charts, means, precisions = refs
-    ts, precisions = np.asarray(ts), np.asarray(precisions, dtype=float)
+    def array(content):
+        return np.frombuffer(content[2], content[0]).reshape(content[1])
+
+    ts, precisions = array(ts), array(precisions).astype(float, copy=False)
+    means = {chart: array(M) for chart, M in means}
     need(ts.ndim == 1 and ts.dtype.kind in "iu" and (ts[1:] > ts[:-1]).all()
          and (not ts.size or 0 <= ts[0] and ts[-1] < T),
          f"ts increasing integers in [0, {T})")
@@ -100,8 +118,26 @@ def _checked(refs: References, T: int, start: int):
             blocks[chart] = M[dropped:]
     off = np.abs(np.sqrt(np.vecdot(S, S)) - 1) > 1e-9  # the ManifoldPoint test
     need(not (off[:, 1] | polar & off[:, 0]).any(), "means with unit sphere blocks")
-    return (References(ts[kept:], charts[kept:], blocks, precisions[kept:]),
-            polar[kept:], S[kept:], offset[kept:])
+    refs = References(ts[kept:], charts[kept:], blocks, precisions[kept:])
+    polar, S, offset = polar[kept:], S[kept:], offset[kept:]
+    ts, k0 = refs.ts, int(refs.ts[0] == 0)
+    L, w = ts.copy(), np.zeros(len(ts))
+    L[1:] -= ts[:-1]
+    w[k0:] = r / (dt ** 2 * L[k0:])
+    # the step's band over the rows k0..: (w_k + w_{k+1})·I on row k's
+    # diagonal block and -w_{k+1}·I below it; JₖᵀQₖJₖ[i, j], i >= j (flat
+    # iD + j of block k), goes to band[k, j, i - j]
+    band = np.zeros((len(ts) - k0, D, D + 1))
+    band[:, :, 0] = w[k0:, None]
+    band[:-1, :, 0] += w[k0 + 1:, None]
+    band[:-1, :, D] = -w[k0 + 1:, None]
+    k, rows = np.flatnonzero(np.tri(D, dtype=bool)), np.arange(len(band))
+    planar, segments = (polar, S, _s1_signs(S), offset), (
+        L, w, band, rows[:, None] * (D * D + D) + k % D * D + k // D,
+        rows[:, None] * D * D + k)
+    for a in (refs.ts, refs.precisions, *blocks.values(), *planar, *segments):
+        a.setflags(write=False)     # every problem of these references
+    return refs, planar, (k0, *segments)
 
 
 @dataclass(frozen=True)
@@ -117,20 +153,30 @@ class PlanProblem:
     activation_start: int = 0
 
     def __post_init__(self):
+        for name, kind, low, what in (
+                ("horizon", numbers.Integral, 0, "an int >= 1"),
+                ("dt", numbers.Real, 0, "finite and > 0"),
+                ("control_weight", numbers.Real, 0, "finite and > 0"),
+                ("activation_start", numbers.Integral, -1, "an int >= 0")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not low < value < np.inf):
+                raise ValueError(f"{name} {value!r} must be {what}")
         q0 = np.asarray(self.q0, dtype=float)
-        if self.horizon < 1 or not (self.dt > 0 and self.control_weight > 0):
-            raise ValueError("need horizon >= 1, dt > 0, control_weight > 0")
         if q0.shape != (self.arm.dof,) or not np.all(np.isfinite(q0)):
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
-        references, polar, S, offset = _checked(
-            References(*self.references), self.horizon, self.activation_start)
+        ts, charts, means, precisions = self.references
+        references, planar, segments = _constants(
+            _content(ts), tuple(charts),
+            tuple((c, _content(M)) for c, M in means.items()),
+            _content(precisions), self.horizon, self.activation_start,
+            self.dt, self.control_weight, self.arm.dof)
         object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "references", references)
-        # the planar pass's per-row constants, with the S¹ means' basis signs
-        object.__setattr__(self, "_planar", (polar, S, _s1_signs(S), offset))
-        # the step puts JᵀQJ[i, j], i >= j (flat iD + j), in band[t, j, i - j]
-        D, k = self.arm.dof, np.flatnonzero(np.tri(self.arm.dof, dtype=bool))
-        object.__setattr__(self, "_band_scatter", (k, k % D * D + k // D))
+        # its own containers around the shared, read-only arrays
+        object.__setattr__(self, "references", references._replace(
+            charts=list(references.charts), means=dict(references.means)))
+        object.__setattr__(self, "_planar", planar)
+        object.__setattr__(self, "_segments", segments)
 
 
 @dataclass
@@ -140,15 +186,24 @@ class PlanResult:
     converged: bool
     iterations: int
     residual_norms: dict = field(default_factory=dict)  # timestep -> norm
+    forward_passes: int = 0     # rejected line-search candidates included
 
 
-def _forward(problem: PlanProblem, u: np.ndarray):
-    """Cost at the controls u, the residuals F (n x 3) of the n active
-    timesteps, and their linearization's inputs: the kinematic Jacobians, unit
-    azimuths and radii (p and 1 on a Cartesian row). A chart or log map
-    singularity raises naming the first offending timestep."""
+def _controls(problem: PlanProblem, E: np.ndarray) -> np.ndarray:
+    """The least-effort controls (T x D) of the increments E."""
+    k0, L = problem._segments[:2]
+    U = np.zeros((problem.horizon, problem.arm.dof))
+    U[:L.sum()] = np.repeat(E[k0:] / (problem.dt * L[k0:, None]), L[k0:], 0)
+    return U
+
+
+def _forward(problem: PlanProblem, Q: np.ndarray, effort: float):
+    """Cost of the joint states Q (n x D) of the n active timesteps plus the
+    control effort, their residuals F (n x 3), and their linearization's
+    inputs: the kinematic Jacobians, unit azimuths and radii (p and 1 on a
+    Cartesian row). A chart or log map singularity raises naming the first
+    offending timestep."""
     (polar, S, s, offset), ts = problem._planar, problem.references.ts
-    Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)[ts]
     P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
     X, r = planar_rows(problem.frame, P, H, polar)    # azimuth, heading
     dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
@@ -168,16 +223,22 @@ def _forward(problem: PlanProblem, u: np.ndarray):
     F[:, 0], F[:, 1], F[:, 2] = (np.where(polar, angle[:, 0], X[:, 0, 0]),
                                  np.where(polar, r, X[:, 0, 1]), angle[:, 1])
     F -= offset
-    c = (problem.control_weight * float(u @ u) + float(np.einsum(
-        "ni,nij,nj->", F, problem.references.precisions, F)))
+    c = effort + float(np.einsum("ni,nij,nj->", F,
+                                 problem.references.precisions, F))
     return c, F, (Jk, X[:, 0], r)
 
 
-def _candidate(problem: PlanProblem, u: np.ndarray):
+def _at_controls(problem: PlanProblem, u: np.ndarray):
+    """_forward's states and effort at the stacked controls u."""
+    Q = rollout(problem.q0, u.reshape(-1, problem.arm.dof), problem.dt)
+    return Q[problem.references.ts], problem.control_weight * float(u @ u)
+
+
+def _candidate(problem: PlanProblem, Q: np.ndarray, effort: float):
     """_forward, except that poses in a chart singularity make the candidate
     infeasible (infinite cost), so the line search rejects such steps."""
     try:
-        return _forward(problem, u)
+        return _forward(problem, Q, effort)
     except (OriginSingularity, AntipodalPoint):
         return np.inf, None, None
 
@@ -200,65 +261,74 @@ def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
 def residuals_and_jacobian(problem: PlanProblem, u: np.ndarray):
     """Stacked residual f (3n) of the n active timesteps, its Jacobian rows
     (3n x D) w.r.t. the state at each row's own timestep, and the norms."""
-    _, F, lin = _forward(problem, u)
+    _, F, lin = _forward(problem, *_at_controls(problem, u))
     return F.ravel(), _jacobian(problem, lin), _norms(problem, F)
 
 
 def cost(problem: PlanProblem, u: np.ndarray) -> float:
     """True cost: precision-weighted squared residuals plus control effort,
     infinite where a pose falls into a chart singularity."""
-    return _candidate(problem, u)[0]
+    return _candidate(problem, *_at_controls(problem, u))[0]
 
 
-def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
-                      J: np.ndarray) -> np.ndarray:
-    """Regularized Gauss-Newton update of the stacked controls, solved in the
-    state moves x_t (x_1 = 0, du_t = (x_{t+1} - x_t)/dt), where the normal
-    matrix (r/dt²)·(K ⊗ I_D) + blockdiag(JₜᵀQₜJₜ) has half-bandwidth D, with
-    K = tridiag(-1, 2, -1) but 1 in the last entry. u_T moves no state, so
-    its step is -u_T."""
-    D, T, refs = problem.arm.dof, problem.horizon, problem.references
-    r, dt, U, ts = problem.control_weight, problem.dt, u.reshape(T, D), refs.ts
-    Jr = J.reshape(-1, 3, D)
-    JtQ = Jr.transpose(0, 2, 1) @ refs.precisions
-    # control term r/dt (u_t - u_{t-1}) at state t, u_T left out; row 0 unused
-    g = np.concatenate([U[:-1], np.zeros((1, D))])
-    g[1:] = (r / dt) * (g[1:] - g[:-1])
-    g[ts] -= np.einsum("nai,ni->na", JtQ, f.reshape(-1, 3))
-    # lower band storage, Fortran order: band[t, a, d] = A[tD+a+d, tD+a]
-    band, (k, at) = np.zeros((T, D, D + 1)), problem._band_scatter
-    band.reshape(-1)[ts[:, None] * (D * D + D) + at] = (
-        JtQ @ Jr).reshape(len(ts), -1)[:, k]
-    band[1:, :, 0] += 2.0 * r / dt ** 2
-    band[-1, :, 0] -= r / dt ** 2
-    band[1:-1, :, D] = -r / dt ** 2
-    ab, b = band[1:].reshape(-1, D + 1).T, g[1:].reshape(-1)
+def _step(problem: PlanProblem, E: np.ndarray, F: np.ndarray,
+          J: np.ndarray) -> np.ndarray:
+    """Regularized Gauss-Newton move dE of the increments E, at the
+    residuals F (n x 3) and their Jacobian rows J (3n x D), solved in the
+    moves x of the states at the rows k0.. (dE_k = x_k - x_{k-1}), whose
+    normal matrix is the band of half-width D that _constants starts,
+    plus blockdiag(JₖᵀQₖJₖ)."""
+    (k0, _, w, band, dst, src), D = problem._segments, problem.arm.dof
+    Jr = J.reshape(-1, 3, D)[k0:]
+    JtQ = Jr.transpose(0, 2, 1) @ problem.references.precisions[k0:]
+    wE = w[k0:, None] * E[k0:]
+    g = -(JtQ @ F[k0:, :, None])[..., 0] - wE     # minus the gradient
+    g[:-1] += wE[1:]
+    band = band.copy()
+    band.reshape(-1)[dst] += (JtQ @ Jr).reshape(-1)[src]
+    ab, b = band.reshape(-1, D + 1).T, g.reshape(-1)   # Fortran order
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     _, x, info = banded_solver()(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
-    g[0], g[1:] = 0.0, x.reshape(T - 1, D)     # the moves, x_1 = 0
-    return np.concatenate([((g[1:] - g[:-1]) / dt).ravel(), -U[-1]])
+    dE, x = np.zeros_like(E), x.reshape(-1, D)
+    dE[k0:] = x
+    dE[k0 + 1:] -= x[:-1]
+    return dE
+
+
+def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
+                      J: np.ndarray) -> np.ndarray:
+    """Regularized Gauss-Newton update of the stacked controls u: _step on
+    u's segment increments. The new controls are the least-effort ones, so
+    those from the last active timestep on, u_T included, step by -u."""
+    E = np.diff(_at_controls(problem, u)[0], axis=0, prepend=problem.q0[None])
+    E += _step(problem, E, f.reshape(-1, 3), J)
+    return _controls(problem, E).ravel() - u
 
 
 def solve(problem: PlanProblem) -> PlanResult:
-    """Gauss-Newton iterations from zero controls: each accepted iterate is
-    linearized once, on the states of the forward pass that accepted it."""
-    D, T = problem.arm.dof, problem.horizon
-    u = np.zeros(D * T)
-    c, F, lin = _forward(problem, u)
-    history = [c]
+    """Gauss-Newton iterations on the increments E from zero controls: each
+    accepted iterate is linearized once, on the states of the forward pass
+    that accepted it."""
+    q0, w, r = problem.q0, problem._segments[2], problem.control_weight
+    E = np.zeros((len(w), problem.arm.dof))
+    c, F, lin = _forward(problem, q0 + E, 0.0)
+    history, passes = [c], 1
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        du = gauss_newton_step(problem, u, F.ravel(), _jacobian(problem, lin))
-        if np.linalg.norm(du) < STEP_TOL:
+        dE = _step(problem, E, F, _jacobian(problem, lin))
+        if w @ np.vecdot(dE, dE) < r * STEP_TOL ** 2:   # r‖du‖² below r·tol²
             converged = True
             break
         alpha = 1.0
         while alpha >= LINE_SEARCH_MIN_STEP:
-            c_new, F_new, lin_new = _candidate(problem, u_new := u + alpha * du)
+            E_new = E + alpha * dE      # effort Σ w_k‖E_k‖², which is r‖u‖²
+            c_new, F_new, lin_new = _candidate(problem, q0 + E_new.cumsum(
+                axis=0), float(w @ np.vecdot(E_new, E_new)))
+            passes += 1
             if c_new < c:
                 break
             alpha *= 0.5
@@ -271,14 +341,14 @@ def solve(problem: PlanProblem) -> PlanResult:
                               LineSearchFailed)
             break
         improvement = c - c_new
-        u, c, F, lin = u_new, c_new, F_new, lin_new
+        E, c, F, lin = E_new, c_new, F_new, lin_new
         history.append(c)
         if improvement < COST_TOL * max(abs(c), 1.0):
             converged = True
             break
-    traj = JointTrajectory(problem.dt, rollout(problem.q0, u.reshape(T, D),
-                                               problem.dt), u.reshape(T, D))
-    return PlanResult(traj, history, converged, it, _norms(problem, F))
+    U = _controls(problem, E)
+    traj = JointTrajectory(problem.dt, rollout(problem.q0, U, problem.dt), U)
+    return PlanResult(traj, history, converged, it, _norms(problem, F), passes)
 
 
 # --- JSON round trip --------------------------------------------------------
@@ -293,4 +363,5 @@ def result_to_dict(result: PlanResult) -> dict:
         "converged": result.converged,
         "iterations": result.iterations,
         "residual_norms": {str(t): v for t, v in result.residual_norms.items()},
+        "forward_passes": result.forward_passes,
     }

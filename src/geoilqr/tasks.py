@@ -383,7 +383,8 @@ def _run_trial(args):
         ok, reason = evaluate_trial(result, spec, arm, activation_start)
         entry.update(success=bool(ok), reason=reason,
                      iterations=result.iterations,
-                     final_cost=result.cost_history[-1])
+                     final_cost=result.cost_history[-1],
+                     forward_passes=result.forward_passes)
     except Exception as exc:  # solver failures are recorded per trial
         entry.update(success=False, reason=f"error: {exc}")
     return entry

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoilqr.charts import (CARTESIAN_2D, CHART_IDS, POLAR_2D, chart_spec,
-                            charts_for)
+from geoilqr.charts import CHART_IDS, POLAR_2D, chart_spec, charts_for
 from geoilqr.io import write_json
 from geoilqr.phases import (DegenerateComponent, Demonstration, _log_gauss,
                             build_phase_model, fit_time_gmm,
@@ -180,22 +179,6 @@ def test_phase_model_shapes_and_winners():
                 for c in model.charts}
         best = min(dets, key=lambda c: (dets[c], c.index))
         assert model.winners[t] == best
-
-
-def test_grasp_polar_wins_every_phase():
-    demos = _grasp_demos()
-    gmm = fit_time_gmm(demos, 3)
-    model = build_phase_model(demos, gmm, charts_for("2d"), horizon=100)
-    dets = model.phase_dets()
-    assert np.all(dets[POLAR_2D] < dets[CARTESIAN_2D])
-
-
-def test_box_polar_wins_every_phase():
-    demos = generate_demos(default_spec("boxopen2d", seed=0))
-    gmm = fit_time_gmm(demos, 3)
-    model = build_phase_model(demos, gmm, charts_for("2d"), horizon=100)
-    dets = model.phase_dets()
-    assert np.all(dets[POLAR_2D] < dets[CARTESIAN_2D])
 
 
 def test_reference_mean_at_dominant_time_matches_phase_mean():

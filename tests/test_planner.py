@@ -16,9 +16,12 @@ from geoilqr.kinematics import (ArmModel, JointTrajectory, batch_dynamics,
                                 forward_kinematics, kinematics_rows, rollout)
 from geoilqr.manifolds import (AntipodalPoint, _s1_signs, log_jacobian_rows,
                                log_rows)
-from geoilqr.planner import (PlanProblem, PlanResult, References, cost,
-                             gauss_newton_step, residuals_and_jacobian,
-                             result_to_dict, solve)
+from geoilqr.planner import (LineSearchFailed, PlanProblem, PlanResult,
+                             References, cost, gauss_newton_step,
+                             residuals_and_jacobian, result_to_dict, solve)
+from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
+                           build_references, default_spec, fit_task_model,
+                           plan_mode, sample_initial_states)
 
 RNG = np.random.default_rng(4)
 ARM = ArmModel(np.array([1.0, 1.0, 1.0]))
@@ -192,15 +195,27 @@ def test_problem_rejects_bad_initial_state(q0):
         PlanProblem(ARM, q0, 3, 0.1, FRAME, refs)
 
 
-@pytest.mark.parametrize("horizon, dt, control_weight",
-                         [(0, 0.1, 1e-2), (3, 0.0, 1e-2), (3, -0.1, 1e-2),
-                          (3, 0.1, 0.0), (3, 0.1, -1e-2), (3, 0.1, np.nan)])
-def test_problem_rejects_bad_planning_numbers(horizon, dt, control_weight):
+# (horizon, dt, control_weight, activation_start, the field named); the
+# cases with a good activation_start keep the ids of their three numbers
+@pytest.mark.parametrize("horizon, dt, control_weight, start, name", [
+    *(pytest.param(*case, 0, name, id="-".join(map(str, case)))
+      for *case, name in [(0, 0.1, 1e-2, "horizon"), (3, 0.0, 1e-2, "dt"),
+                          (3, -0.1, 1e-2, "dt"),
+                          (3, 0.1, 0.0, "control_weight"),
+                          (3, 0.1, -1e-2, "control_weight"),
+                          (3, 0.1, np.nan, "control_weight")]),
+    (100.0, 0.1, 1e-2, 0, "horizon"), (True, 0.1, 1e-2, 0, "horizon"),
+    (3, np.inf, 1e-2, 0, "dt"), (3, 0.1, np.inf, 0, "control_weight"),
+    (3, 0.1, 1e-2, -5, "activation_start"),
+    (3, 0.1, 1e-2, 2.5, "activation_start"),
+    (3, 0.1, 1e-2, True, "activation_start")])
+def test_problem_rejects_bad_planning_numbers(horizon, dt, control_weight,
+                                              start, name):
     row = _reference_at(np.array([0.3, 0.4, 0.5]), CARTESIAN_2D)
-    refs = _references(dict.fromkeys(range(horizon), row))
-    with pytest.raises(ValueError, match="dt > 0"):
+    refs = _references(dict.fromkeys(range(3), row))
+    with pytest.raises(ValueError, match=f"^{name} "):
         PlanProblem(ARM, np.zeros(3), horizon, dt, FRAME, refs,
-                    control_weight)
+                    control_weight, start)
 
 
 def test_activation_window():
@@ -220,6 +235,23 @@ def test_activation_window():
     with pytest.raises(ValueError, match=NO_ACTIVE_ROW):
         PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs,
                     activation_start=9)
+
+
+def test_problems_share_the_checked_rows_of_equal_references():
+    # the check runs once per distinct content, and a problem's rows are
+    # read-only copies that the caller's later edits do not reach
+    refs = _two_rows()
+    a = PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs)
+    b = PlanProblem(ARM, np.ones(3), 10, 0.01, FRAME, References(
+        refs.ts.copy(), list(refs.charts),
+        {c: M.copy() for c, M in refs.means.items()}, refs.precisions.copy()))
+    assert b.references.precisions is a.references.precisions
+    refs.precisions[:] *= 2.0
+    c = PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs)
+    np.testing.assert_array_equal(c.references.precisions,
+                                  2.0 * a.references.precisions)
+    with pytest.raises(ValueError, match="read-only"):
+        a.references.precisions[0] = 0.0
 
 
 def test_residual_zero_at_reference():
@@ -473,6 +505,9 @@ def _step_cases(draw):
 @given(_step_cases())
 @example((1, [True], 0, 0.1, -2.0, [POLAR_2D], 0))
 @example((2, [True, True], 0, 0.05, -1.0, [CARTESIAN_2D, POLAR_2D], 1))
+@example((7, [True, False, False, True, False, True, False], 0, 0.1, -2.0,
+          [POLAR_2D] * 7, 2))                   # a t = 0 row, then a gap
+@example((5, [False] * 4 + [True], 0, 0.05, -1.0, [CARTESIAN_2D] * 5, 3))
 def test_banded_step_matches_dense_oracle(case):
     T, active, start, dt, log_r, charts, seed = case
     rng = np.random.default_rng(seed)
@@ -490,6 +525,96 @@ def test_banded_step_matches_dense_oracle(case):
     f, J, _ = residuals_and_jacobian(p, u)
     du, oracle = gauss_newton_step(p, u, f, J), _dense_step(p, u, f, J)
     assert np.abs(du - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+
+def _off_segments(p, U):
+    """How far the controls U (T x D) are from constant on each segment and
+    zero from the last active timestep on, over their largest entry."""
+    ts = p.references.ts
+    spread = [np.abs(U[a:b] - U[a]).max()
+              for a, b in zip(np.r_[0, ts[:-1]], ts) if b > a]
+    return max(spread + [np.abs(U[ts[-1]:]).max()]) / np.abs(U).max()
+
+
+def _task_problem(kind):
+    """The problem of the first evaluate trial of kind at seed 0, with the
+    optimal strategy: stepwise viapoints on grasp2d, dense on boxopen2d."""
+    spec = default_spec(kind, seed=0)
+    demos, _, model = fit_task_model(spec)
+    q0 = sample_initial_states(demos, DEFAULT_ARM, 1,
+                               np.random.default_rng(spec.seed + 1))[0]
+    refs = build_references(model, "optimal", spec.horizon, ACTIVATION_START,
+                            plan_mode(kind))
+    return PlanProblem(DEFAULT_ARM, q0, spec.horizon, spec.dt,
+                       spec.object_frame, refs, CONTROL_WEIGHT,
+                       ACTIVATION_START)
+
+
+@pytest.mark.parametrize("kind", ["grasp2d", "boxopen2d"])
+def test_solve_controls_are_constant_on_each_segment(kind):
+    # the least-effort controls between two active timesteps are constant
+    p = _task_problem(kind)
+    assert _off_segments(p, solve(p).trajectory.controls) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_step_cases())
+def test_solve_controls_are_constant_on_segments_of_any_mask(case):
+    T, active, start, dt, log_r, charts, seed = case
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(0.2, 0.8, size=3)
+    rows = {}
+    for t in np.flatnonzero(active):
+        pose = forward_kinematics(ARM, q0 + 0.5 * rng.standard_normal(3))
+        rows[t] = (charts[t], to_chart(pose, charts[t], FAR_FRAME).coords,
+                   10.0 * np.eye(3))
+    p = PlanProblem(ARM, q0, T, dt, FAR_FRAME, _references(rows),
+                    10.0 ** log_r, start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LineSearchFailed)
+        U = solve(p).trajectory.controls
+    assert not U.any() or _off_segments(p, U) <= 1e-12
+
+
+def test_step_band_has_a_block_per_active_row_past_t0(monkeypatch):
+    # dpbsv gets a (D + 1) x D·m band, m the active rows at t > 0
+    shapes, dpbsv = [], planner.banded_solver()
+
+    def spy(ab, b, **kwargs):
+        shapes.append(ab.shape)
+        return dpbsv(ab, b, **kwargs)
+
+    monkeypatch.setattr(planner, "banded_solver", lambda: spy)
+    q0 = np.array([0.3, 0.5, 0.2])
+    rows = {t: _reference_at(q0 + 0.05 * t, POLAR_2D) for t in (0, 4, 9)}
+    for p, m in ((_viapoint_problem(POLAR_2D), 2),
+                 (_mixed_chart_problem(1), 7),
+                 (PlanProblem(ARM, q0, 12, 0.1, FRAME, _references(rows)), 2),
+                 (_task_problem("grasp2d"), 3)):
+        shapes.clear()
+        result = solve(p)
+        u = result.trajectory.controls.ravel()
+        gauss_newton_step(p, u, *residuals_and_jacobian(p, u)[:2])
+        assert shapes == [(4, 3 * m)] * (result.iterations + 1)
+
+
+def test_forward_passes_count_every_candidate(monkeypatch):
+    # the initial pass and every line-search candidate, rejected ones too
+    passes, forward = [], planner._forward
+
+    def spy(*args):
+        passes.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(planner, "_forward", spy)
+    for p in (_viapoint_problem(POLAR_2D, seed=3),
+              _viapoint_problem(CARTESIAN_2D, seed=5)):
+        passes.clear()
+        result = solve(p)
+        assert result.forward_passes == len(passes) >= len(
+            result.cost_history)
+        assert result_to_dict(result)["forward_passes"] == len(passes)
+    assert len(passes) > len(result.cost_history)   # one was rejected
 
 
 def test_solver_converges_and_descends():
@@ -538,14 +663,15 @@ def test_quadratic_problem_one_step_optimum():
 
 def test_solve_linearizes_each_iterate_as_residuals_and_jacobian(monkeypatch):
     # solve linearizes an accepted iterate from the line search's forward
-    # pass; that must equal a fresh evaluation at the same controls
-    steps = []
+    # pass; that must equal a fresh evaluation at the controls the iterate's
+    # increments stand for
+    steps, step = [], planner._step
 
-    def spy(problem, u, f, J):
-        steps.append((u, f, J))
-        return gauss_newton_step(problem, u, f, J)
+    def spy(problem, E, F, J):
+        steps.append((planner._controls(problem, E).ravel(), F.ravel(), J))
+        return step(problem, E, F, J)
 
-    monkeypatch.setattr(planner, "gauss_newton_step", spy)
+    monkeypatch.setattr(planner, "_step", spy)
     for p in (_viapoint_problem(POLAR_2D, seed=3), _mixed_chart_problem(2)):
         steps.clear()
         result = solve(p)

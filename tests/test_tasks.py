@@ -327,6 +327,7 @@ def test_parallel_trials_match_serial():
     for ts, tp in zip(serial.trials, parallel.trials):
         assert ts["success"] == tp["success"]
         assert np.isclose(ts["final_cost"], tp["final_cost"])
+        assert ts["forward_passes"] == tp["forward_passes"] >= ts["iterations"]
 
 
 # (success, reason, iterations, final cost) of the first three trials of
