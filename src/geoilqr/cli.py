@@ -27,7 +27,7 @@ from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
 from .planner import PlanProblem, result_to_dict, solve
 from .tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM, TaskSpec,
                     build_references, default_spec, evaluate_trial,
-                    fit_task_model, generate_demos, plan_mode, run_experiment,
+                    fit_task_model, generate_demos, plan_mode, run_experiments,
                     sample_initial_states)
 
 EXIT_OK = 0
@@ -336,10 +336,9 @@ def cmd_evaluate(args, settings: Settings, out: str) -> int:
                        [c.name for c in charts_for(spec.space)] + ["optimal"])
     strategies = [_resolve_strategy(n, spec.space) for n in names]
     demos, _, model = fit_task_model(spec)
-    reports = [run_experiment(spec, strat, config.get("trials", 50), arm,
+    reports = run_experiments(spec, strategies, config.get("trials", 50), arm,
                               weight, activation, model=model, demos=demos,
                               jobs=args.jobs)
-               for strat in strategies]
     payload = {"schema_version": SCHEMA_VERSION,
                "config": _snapshot(settings),
                "reports": [r.to_dict() for r in reports]}

@@ -49,19 +49,28 @@ class JointTrajectory:
         return self.states.shape[0]
 
 
-def kinematics_rows(arm: ArmModel, Q: np.ndarray, jacobian: bool = False):
-    """End-effector positions (N x 2), headings (N,) and None or, with
-    jacobian=True, (x, y, heading) Jacobians (N x 3 x D) of joint rows Q."""
+def link_rows(arm: ArmModel, Q: np.ndarray):
+    """End-effector positions (N x 2), headings (N,) and link vectors
+    (2 x N x D) of joint rows Q."""
     angles = arm.base_angle + np.cumsum(Q, axis=1)
     links = arm.link_lengths * np.array([np.cos(angles), np.sin(angles)])
-    P = arm.base_position + links.sum(axis=2).T
-    if not jacobian:
-        return P, angles[:, -1], None
-    # joint i moves every link j >= i: dx is minus the y sum, dy the x sum
-    J = np.ones((len(Q), 3, arm.dof))
+    return arm.base_position + links.sum(axis=2).T, angles[:, -1], links
+
+
+def link_jacobians(links: np.ndarray) -> np.ndarray:
+    """(x, y, heading) Jacobians (N x 3 x D) of link_rows' link vectors:
+    joint i moves every link j >= i, so dx is minus the y sum, dy the x sum."""
+    J = np.ones((links.shape[1], 3, links.shape[2]))
     links[..., ::-1].cumsum(axis=2, out=J[:, 1::-1, ::-1].swapaxes(0, 1))
     J[:, 0] *= -1.0
-    return P, angles[:, -1], J
+    return J
+
+
+def kinematics_rows(arm: ArmModel, Q: np.ndarray, jacobian: bool = False):
+    """link_rows with None or, if jacobian, link_jacobians in place of the
+    link vectors."""
+    P, heading, links = link_rows(arm, Q)
+    return P, heading, link_jacobians(links) if jacobian else None
 
 
 def forward_kinematics(arm: ArmModel, q: np.ndarray) -> CartesianPose:

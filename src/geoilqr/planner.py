@@ -13,10 +13,15 @@ of the plan: its state is q0, and L, E and w are 0 there.
 
 Both planar charts are products of R and S¹ factors, so one closed-form
 pass per line-search candidate evaluates all active rows; the Jacobian pass
-linearizes the accepted one once, from that pass's intermediates.
+linearizes the accepted one once, from that pass's link vectors.
+
+solve returns a copy of its last result, forward_passes included, for a
+problem equal in content, unless that solve raised or warned; planning each
+initial state under every strategy in turn meets equal problems this way.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import numbers
 import warnings
@@ -29,7 +34,8 @@ from numpy.linalg import LinAlgError
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
                      planar_jacobian, planar_rows)
 from .io import SCHEMA_VERSION
-from .kinematics import ArmModel, JointTrajectory, kinematics_rows, rollout
+from .kinematics import (ArmModel, JointTrajectory, link_jacobians, link_rows,
+                         rollout)
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
 
 LINE_SEARCH_MIN_STEP = 1e-4
@@ -37,6 +43,7 @@ STEP_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITER = 100
 PLANAR_CHARTS = {CARTESIAN_2D: False, POLAR_2D: True}   # chart -> is polar
+_last_solve = None, None  # last solve's (_key, result) unless it raised or warned
 
 
 class LineSearchFailed(RuntimeWarning):
@@ -162,15 +169,18 @@ class PlanProblem:
             if (isinstance(value, bool) or not isinstance(value, kind)
                     or not low < value < np.inf):
                 raise ValueError(f"{name} {value!r} must be {what}")
-        q0 = np.asarray(self.q0, dtype=float)
+        q0 = np.array(self.q0, dtype=float)     # its own, as _key holds it
         if q0.shape != (self.arm.dof,) or not np.all(np.isfinite(q0)):
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
         ts, charts, means, precisions = self.references
-        references, planar, segments = _constants(
-            _content(ts), tuple(charts),
-            tuple((c, _content(M)) for c, M in means.items()),
-            _content(precisions), self.horizon, self.activation_start,
-            self.dt, self.control_weight, self.arm.dof)
+        key = (_content(ts), tuple(charts),
+               tuple((c, _content(M)) for c, M in means.items()),
+               _content(precisions), self.horizon, self.activation_start,
+               self.dt, self.control_weight, self.arm.dof)
+        references, planar, segments = _constants(*key)
+        object.__setattr__(self, "_key", key + tuple(map(_content, (
+            q0, self.arm.link_lengths, self.arm.base_position,
+            self.arm.base_angle, self.frame.translation, self.frame.angle))))
         object.__setattr__(self, "q0", q0)
         # its own containers around the shared, read-only arrays
         object.__setattr__(self, "references", references._replace(
@@ -200,11 +210,11 @@ def _controls(problem: PlanProblem, E: np.ndarray) -> np.ndarray:
 def _forward(problem: PlanProblem, Q: np.ndarray, effort: float):
     """Cost of the joint states Q (n x D) of the n active timesteps plus the
     control effort, their residuals F (n x 3), and their linearization's
-    inputs: the kinematic Jacobians, unit azimuths and radii (p and 1 on a
+    inputs: the link vectors, unit azimuths and radii (p and 1 on a
     Cartesian row). A chart or log map singularity raises naming the first
     offending timestep."""
     (polar, S, s, offset), ts = problem._planar, problem.references.ts
-    P, H, Jk = kinematics_rows(problem.arm, Q, jacobian=True)
+    P, H, links = link_rows(problem.arm, Q)
     X, r = planar_rows(problem.frame, P, H, polar)    # azimuth, heading
     dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
     # the first row whose chart or S¹ log map is undefined, the chart first
@@ -225,7 +235,7 @@ def _forward(problem: PlanProblem, Q: np.ndarray, effort: float):
     F -= offset
     c = effort + float(np.einsum("ni,nij,nj->", F,
                                  problem.references.precisions, F))
-    return c, F, (Jk, X[:, 0], r)
+    return c, F, (links, X[:, 0], r)
 
 
 def _at_controls(problem: PlanProblem, u: np.ndarray):
@@ -248,9 +258,9 @@ def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
     states, from a forward pass free of singularities: an S¹ log
     differential s_m·s(x) times a chart row s(x)·c is s_m·c, the chart
     Jacobian with the means' signs."""
-    (polar, _, s, _), (Jk, a, r) = problem._planar, lin
+    (polar, _, s, _), (links, a, r) = problem._planar, lin
     C = planar_jacobian(problem.frame.world_to_object, a, r, polar, s)
-    return (C @ Jk).reshape(-1, problem.arm.dof)
+    return (C @ link_jacobians(links)).reshape(-1, problem.arm.dof)
 
 
 def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
@@ -311,7 +321,11 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
 def solve(problem: PlanProblem) -> PlanResult:
     """Gauss-Newton iterations on the increments E from zero controls: each
     accepted iterate is linearized once, on the states of the forward pass
-    that accepted it."""
+    that accepted it, or a copy of the last result (see the module)."""
+    global _last_solve
+    if problem._key == _last_solve[0]:
+        return copy.deepcopy(_last_solve[1])
+    _last_solve, key = (None, None), problem._key
     q0, w, r = problem.q0, problem._segments[2], problem.control_weight
     E = np.zeros((len(w), problem.arm.dof))
     c, F, lin = _forward(problem, q0 + E, 0.0)
@@ -339,6 +353,7 @@ def solve(problem: PlanProblem) -> PlanResult:
             if not converged:
                 warnings.warn("no descent step found; returning best iterate",
                               LineSearchFailed)
+                key = None
             break
         improvement = c - c_new
         E, c, F, lin = E_new, c_new, F_new, lin_new
@@ -348,7 +363,9 @@ def solve(problem: PlanProblem) -> PlanResult:
             break
     U = _controls(problem, E)
     traj = JointTrajectory(problem.dt, rollout(problem.q0, U, problem.dt), U)
-    return PlanResult(traj, history, converged, it, _norms(problem, F), passes)
+    result = PlanResult(traj, history, converged, it, _norms(problem, F), passes)
+    _last_solve = key, copy.deepcopy(result)    # no key after a warning
+    return result
 
 
 # --- JSON round trip --------------------------------------------------------

@@ -337,9 +337,10 @@ def fit_task_model(spec: TaskSpec):
     return demos, gmm, model
 
 
-def demo_initial_joint_states(demos: list[Demonstration],
-                              arm: ArmModel) -> np.ndarray:
-    """IK solutions for every demonstration's starting pose."""
+def sample_initial_states(demos: list[Demonstration], arm: ArmModel,
+                          n: int, rng) -> np.ndarray:
+    """Gaussian over the IK solutions of the demonstrations' starting poses,
+    floored so a single demonstration still yields diverse trials."""
     qs = []
     for demo in demos:
         start = CartesianPose(demo.positions[0], demo.orientations[0])
@@ -350,14 +351,7 @@ def demo_initial_joint_states(demos: list[Demonstration],
         if not ok:
             raise RuntimeError(f"IK failed for {demo.id} initial pose")
         qs.append(q)
-    return np.array(qs)
-
-
-def sample_initial_states(demos: list[Demonstration], arm: ArmModel,
-                          n: int, rng) -> np.ndarray:
-    """Gaussian over the demonstrated initial joint states, floored so a
-    single demonstration still yields diverse trials."""
-    qs = demo_initial_joint_states(demos, arm)
+    qs = np.array(qs)
     mean = qs.mean(axis=0)
     cov = np.cov(qs.T, bias=True) if len(qs) > 1 else np.zeros((arm.dof,) * 2)
     cov = cov + 1e-3 * np.eye(arm.dof)
@@ -396,10 +390,20 @@ def run_experiment(spec: TaskSpec, strategy, n_trials: int = 50,
                    activation_start: int = ACTIVATION_START,
                    model: PhaseModel | None = None,
                    demos: list | None = None, jobs: int = 1) -> TrialReport:
-    """Full loop: demos -> phase model -> per-trial solve -> scoring.
+    """run_experiments for one strategy."""
+    return run_experiments(spec, [strategy], n_trials, arm, control_weight,
+                           activation_start, model, demos, jobs)[0]
 
-    strategy is a ChartId (fixed chart) or the string 'optimal'. Failed
-    trials are data, not errors. jobs > 1 runs trials in worker processes.
+
+def run_experiments(spec, strategies, n_trials, arm, control_weight,
+                    activation_start, model=None, demos=None, jobs=1):
+    """Full loop: demos -> phase model -> per-trial solve -> scoring, one
+    report per strategy, a ChartId (fixed chart) or the string 'optimal'.
+
+    Failed trials are data, not errors. Each initial state is planned under
+    every strategy in turn, so strategies with equal references meet in
+    solve's last result. jobs > 1 runs each initial state's trials as one
+    task of a worker process.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -407,16 +411,17 @@ def run_experiment(spec: TaskSpec, strategy, n_trials: int = 50,
         demos, _, model = fit_task_model(spec)
     rng = np.random.default_rng(spec.seed + 1)
     q0s = sample_initial_states(demos, arm, n_trials, rng)
-    refs = build_references(model, strategy, spec.horizon, activation_start,
-                            plan_mode(spec.kind))
-    work = [(i, q0s[i], spec, arm, refs, control_weight, activation_start)
-            for i in range(n_trials)]
+    refs = [build_references(model, s, spec.horizon, activation_start,
+                             plan_mode(spec.kind)) for s in strategies]
+    work = [(i, q0s[i], spec, arm, r, control_weight, activation_start)
+            for i in range(n_trials) for r in refs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         banded_solver()   # imported once here, not in every forked worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(_run_trial, work))
+            trials = list(pool.map(_run_trial, work, chunksize=len(refs)))
     else:
         trials = [_run_trial(w) for w in work]
-    name = strategy if isinstance(strategy, str) else f"fixed-{strategy.index}"
-    return TrialReport(name, trials, model.phase_winners)
+    return [TrialReport(s if isinstance(s, str) else f"fixed-{s.index}",
+                        trials[k::len(refs)], model.phase_winners)
+            for k, s in enumerate(strategies)]

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import geoilqr
+from geoilqr import planner
+from geoilqr.charts import charts_for
 from geoilqr.cli import main
 from geoilqr.io import demos_to_dict
 from geoilqr.kinematics import forward_kinematics, rollout
@@ -16,7 +18,7 @@ from geoilqr.phases import PhaseModel
 from geoilqr.planner import PlanProblem, solve
 from geoilqr.tasks import (ACTIVATION_START, CONTROL_WEIGHT, DEFAULT_ARM,
                            build_references, default_spec, fit_task_model,
-                           generate_demos)
+                           generate_demos, run_experiment)
 
 
 @pytest.fixture
@@ -182,6 +184,43 @@ def test_evaluate_outputs(cfg, tmp_path, capsys):
     assert by_name["optimal"]["successes"] >= by_name["fixed-1"]["successes"]
     lines = (out / "report.csv").read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+def test_evaluate_solves_each_distinct_problem_once(cfg, tmp_path,
+                                                   monkeypatch):
+    # optimal picks polar in every grasp2d phase, so its 3 trials are
+    # polar's problems again, each met right after polar's solve
+    monkeypatch.setattr(planner, "_last_solve", (None, None))
+    starts, forward = [], planner._forward
+
+    def spy(problem, Q, effort):
+        if effort == 0.0:         # the initial pass, from zero controls
+            starts.append(problem)
+        return forward(problem, Q, effort)
+
+    monkeypatch.setattr(planner, "_forward", spy)
+    assert _run("evaluate", "--config", cfg, "--jobs", "1") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [r["total"] for r in report["reports"]] == [3, 3, 3]
+    assert len(starts) == 6
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_trials_equal_run_experiment_per_strategy(jobs, cfg,
+                                                           tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(planner, "_last_solve", (None, None))
+    assert _run("evaluate", "--config", cfg, "--jobs", jobs) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    spec = default_spec("grasp2d", seed=0)
+    demos, _, model = fit_task_model(spec)
+    strategies = [*charts_for(spec.space), "optimal"]
+    assert len(report["reports"]) == len(strategies)
+    for r, strategy in zip(report["reports"], strategies):
+        monkeypatch.setattr(planner, "_last_solve", (None, None))
+        alone = run_experiment(spec, strategy, 3, model=model, demos=demos)
+        assert r["strategy"] == alone.strategy
+        assert r["trials"] == alone.trials
 
 
 @pytest.mark.parametrize("command", ["plan", "evaluate"])
@@ -415,7 +454,8 @@ def test_plan_rejects_a_model_of_another_space(strategy, message, pose_model,
             in err)
 
 
-def test_plan_solves_the_problem_of_the_fitted_model(grasp_model, tmp_path):
+def test_plan_solves_the_problem_of_the_fitted_model(grasp_model, tmp_path,
+                                                     monkeypatch):
     # model.json holds the fitted parameters and the loader derives the
     # references from them as the fit does, so plan gives the trajectory of
     # the in-memory model that evaluate plans with, bit for bit
@@ -426,6 +466,7 @@ def test_plan_solves_the_problem_of_the_fitted_model(grasp_model, tmp_path):
     model = fit_task_model(spec)[2]
     refs = build_references(model, "optimal", spec.horizon, ACTIVATION_START,
                             "stepwise")
+    monkeypatch.setattr(planner, "_last_solve", (None, None))  # solve anew
     result = solve(PlanProblem(DEFAULT_ARM, planned["states"][0],
                                spec.horizon, spec.dt, spec.object_frame,
                                refs, CONTROL_WEIGHT, ACTIVATION_START))

@@ -576,7 +576,13 @@ def test_solve_controls_are_constant_on_segments_of_any_mask(case):
     assert not U.any() or _off_segments(p, U) <= 1e-12
 
 
-def test_step_band_has_a_block_per_active_row_past_t0(monkeypatch):
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """solve's last result emptied, so that every solve of the test runs."""
+    monkeypatch.setattr(planner, "_last_solve", (None, None))
+
+
+def test_step_band_has_a_block_per_active_row_past_t0(monkeypatch, empty_slot):
     # dpbsv gets a (D + 1) x D·m band, m the active rows at t > 0
     shapes, dpbsv = [], planner.banded_solver()
 
@@ -598,7 +604,7 @@ def test_step_band_has_a_block_per_active_row_past_t0(monkeypatch):
         assert shapes == [(4, 3 * m)] * (result.iterations + 1)
 
 
-def test_forward_passes_count_every_candidate(monkeypatch):
+def test_forward_passes_count_every_candidate(monkeypatch, empty_slot):
     # the initial pass and every line-search candidate, rejected ones too
     passes, forward = [], planner._forward
 
@@ -661,7 +667,8 @@ def test_quadratic_problem_one_step_optimum():
     assert np.linalg.norm(du) < 1e-6
 
 
-def test_solve_linearizes_each_iterate_as_residuals_and_jacobian(monkeypatch):
+def test_solve_linearizes_each_iterate_as_residuals_and_jacobian(monkeypatch,
+                                                                 empty_slot):
     # solve linearizes an accepted iterate from the line search's forward
     # pass; that must equal a fresh evaluation at the controls the iterate's
     # increments stand for
@@ -683,6 +690,107 @@ def test_solve_linearizes_each_iterate_as_residuals_and_jacobian(monkeypatch):
         _, _, norms = residuals_and_jacobian(
             p, result.trajectory.controls.ravel())
         assert result.residual_norms == pytest.approx(norms, rel=1e-12)
+
+
+MEMO_REFS = _references({15: _reference_at(np.array([0.7, 0.1, 0.4]),
+                                           POLAR_2D),
+                          29: _reference_at(np.array([0.4, 0.2, 0.9]),
+                                            POLAR_2D)})
+
+
+def _memo_problem(**change):
+    """A two-viapoint problem built from fresh arrays, with change applied."""
+    ts, charts, means, precisions = MEMO_REFS
+    inputs = dict(arm=ArmModel(np.ones(3)), q0=np.array([0.3, 0.5, 0.2]),
+                  horizon=30, dt=0.1, frame=Frame2D(np.zeros(2), 0.0),
+                  references=References(ts.copy(), list(charts), {
+                      c: M.copy() for c, M in means.items()},
+                      precisions.copy()), control_weight=1e-3,
+                  activation_start=0)
+    return PlanProblem(**(inputs | change))
+
+
+def _spy_forward(monkeypatch) -> list:
+    """The arguments of every _forward call from now on."""
+    passes, forward = [], planner._forward
+    monkeypatch.setattr(planner, "_forward",
+                        lambda *args: passes.append(args) or forward(*args))
+    return passes
+
+
+def test_an_equal_problem_gets_the_last_result_again(monkeypatch, empty_slot):
+    first = result_to_dict(solve(_memo_problem()))
+    passes = _spy_forward(monkeypatch)
+    again = solve(_memo_problem())
+    assert passes == []
+    assert result_to_dict(again) == first
+    assert again.forward_passes == first["forward_passes"] > 1
+
+
+def test_changing_a_result_leaves_the_next_one_unchanged(empty_slot):
+    p = _memo_problem()
+    results = [solve(p)]
+    expected = result_to_dict(results[0])
+    for _ in range(2):
+        r = results[-1]
+        r.trajectory.states[:] = r.trajectory.controls[:] = 0.0
+        r.cost_history.append(1.0)
+        r.residual_norms.clear()
+        results.append(solve(p))
+        assert result_to_dict(results[-1]) == expected
+
+
+def _precision_entry_changed():
+    precisions = MEMO_REFS.precisions.copy()
+    precisions[1, 2, 2] += 1.0
+    return MEMO_REFS._replace(precisions=precisions)
+
+
+ONE_FIELD_CHANGES = {
+    "q0-one-ulp": dict(q0=np.array([np.nextafter(0.3, 1.0), 0.5, 0.2])),
+    "dt": dict(dt=0.11),
+    "control_weight": dict(control_weight=2e-3),
+    "horizon": dict(horizon=31),
+    "activation_start": dict(activation_start=1),
+    "precision-entry": dict(references=_precision_entry_changed()),
+    "frame-translation": dict(frame=Frame2D(np.array([0.0, 1e-3]), 0.0)),
+    "frame-angle": dict(frame=Frame2D(np.zeros(2), 1e-3)),
+    "link-length": dict(arm=ArmModel(np.array([1.0, 1.0, 1.001]))),
+}
+
+
+@pytest.mark.parametrize("change", ONE_FIELD_CHANGES.values(),
+                         ids=ONE_FIELD_CHANGES)
+def test_a_one_field_change_is_solved_again(change, monkeypatch, empty_slot):
+    solve(_memo_problem())
+    passes = _spy_forward(monkeypatch)
+    solve(_memo_problem(**change))
+    assert passes
+
+
+def test_a_raising_problem_raises_again(monkeypatch, empty_slot):
+    # the end effector at q0 sits on the polar chart's origin
+    q0 = np.array([0.3, 0.5, 0.2])
+    bad = _memo_problem(frame=Frame2D(forward_kinematics(ARM, q0).position))
+    solve(_memo_problem())
+    for _ in range(2):
+        with pytest.raises(OriginSingularity, match="timestep 15"):
+            solve(bad)
+    passes = _spy_forward(monkeypatch)
+    solve(_memo_problem())      # the raise emptied the slot
+    assert passes
+
+
+def test_a_problem_that_warns_warns_again(monkeypatch, empty_slot):
+    # every line-search candidate infeasible: no descent step is found
+    p = _memo_problem()
+    monkeypatch.setattr(planner, "_candidate", lambda *args: (np.inf, None,
+                                                              None))
+    results = []
+    for _ in range(2):
+        with pytest.warns(LineSearchFailed):
+            results.append(result_to_dict(solve(p)))
+    assert results[0] == results[1]
 
 
 def test_solution_reaches_viapoints():

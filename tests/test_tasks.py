@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import geoilqr
+from geoilqr import planner
 from geoilqr.charts import (CARTESIAN_2D, CYLINDRICAL_3D, POLAR_2D,
                             SPHERICAL_3D, CartesianPose, Frame2D, chart_spec,
                             charts_for, rot2)
@@ -317,11 +318,14 @@ def test_failed_trials_are_data():
     assert report.total == 3   # no exception even if trials fail
 
 
-def test_parallel_trials_match_serial():
+def test_parallel_trials_match_serial(monkeypatch):
+    # each path from an empty slot: forked workers get the parent's
     spec = default_spec("grasp2d", seed=0)
     demos, _, model = fit_task_model(spec)
+    monkeypatch.setattr(planner, "_last_solve", (None, None))
     serial = run_experiment(spec, "optimal", n_trials=2, model=model,
                             demos=demos, jobs=1)
+    monkeypatch.setattr(planner, "_last_solve", (None, None))
     parallel = run_experiment(spec, "optimal", n_trials=2, model=model,
                               demos=demos, jobs=2)
     for ts, tp in zip(serial.trials, parallel.trials):
