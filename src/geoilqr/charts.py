@@ -100,10 +100,6 @@ def rot2(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def perp2(v: np.ndarray) -> np.ndarray:
-    return v[..., ::-1] * (-1.0, 1.0)
-
-
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternions (w, x, y, z): single quaternions and
     N x 4 rows broadcast alike."""
@@ -181,25 +177,28 @@ def _finite(name: str, value, shape: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class Frame2D:
     """Pose of the object frame in the world: p_w = t + R(angle) p_obj, where
-    angle is the frame's heading."""
+    angle is the frame's heading; its maps take a point as x + iy."""
     translation: np.ndarray = field(default_factory=lambda: np.zeros(2))
     angle: float = 0.0
-    world_to_object: np.ndarray = field(init=False, repr=False, compare=False)
+    world_to_object: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation",
                            _finite("translation", self.translation, (2,)))
         object.__setattr__(self, "angle",
                            float(_finite("heading", self.angle, ())))
-        object.__setattr__(self, "world_to_object", rot2(-self.angle))
+        object.__setattr__(self, "world_to_object", np.exp(-1j * self.angle))
+        object.__setattr__(self, "_origin", complex(*self.translation))
 
     def to_object(self, p_world: np.ndarray) -> np.ndarray:
         """Object-frame coordinates of a world point, or of N x 2 rows."""
-        return (p_world - self.translation) @ self.world_to_object.T
+        z = np.ascontiguousarray(p_world, dtype=float).view(complex)
+        return ((z - self._origin) * self.world_to_object).view(float)
 
     def to_world(self, p_obj: np.ndarray) -> np.ndarray:
         """World coordinates of an object-frame point, or of N x 2 rows."""
-        return self.translation + np.asarray(p_obj) @ rot2(self.angle).T
+        z = np.ascontiguousarray(p_obj, dtype=float).view(complex)
+        return (z / self.world_to_object + self._origin).view(float)
 
 
 @dataclass(frozen=True)
@@ -309,17 +308,18 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ManifoldPoint:
 
 def planar_rows(frame: Frame2D, positions: np.ndarray, headings: np.ndarray,
                 polar):
-    """Unit azimuths and unit local headings (N x 2 x 2, in that order) and
-    radii (N,) of planar world poses given as positions (N x 2) and headings
-    (N,), with polar one bool or one per row. A Cartesian row returns its
-    object-frame position as its azimuth and 1 as its radius. The caller
-    rejects radii below RADIUS_EPS, whose azimuths are not unit."""
+    """Azimuths a = p/r and local headings (N x 2, complex) and radii
+    r = sqrt(p·p) (N,) of the object-frame positions p of planar world poses
+    given as positions (N x 2) and unit headings (N, complex), with polar
+    one bool or one per row; a Cartesian row has a = p and r = 1, and a
+    polar row's heading is turned back by the azimuth. The caller rejects
+    radii below RADIUS_EPS, whose azimuths are not unit."""
     p = frame.to_object(positions)
-    r = np.where(polar, np.sqrt((p * p).sum(axis=-1)), 1.0)
-    X = np.empty((len(p), 2, 2))
-    X[:, 0] = p / np.maximum(r, RADIUS_EPS)[:, None]
-    loc = headings - frame.angle - polar * np.arctan2(p[:, 1], p[:, 0])
-    X[:, 1, 0], X[:, 1, 1] = np.cos(loc), np.sin(loc)
+    r = np.where(polar, np.sqrt(np.add.reduce(p * p, -1)), 1.0)
+    X = np.empty((len(p), 2), complex)
+    np.divide(p, np.maximum(r, RADIUS_EPS)[:, None], out=X[:, :1].view(float))
+    X[:, 1] = (headings * frame.world_to_object
+               * np.where(polar, np.conj(X[:, 0]), 1))
     return X, r
 
 
@@ -329,11 +329,13 @@ def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
     (N x 2) and headings (N,)."""
     if chart.space != TWO_D:
         raise DimensionMismatch(f"planar poses cannot use chart {chart}")
-    X, r = planar_rows(frame, positions, headings, chart == POLAR_2D)
+    X, r = planar_rows(frame, positions, np.exp(1j * headings),
+                       chart == POLAR_2D)
+    X = X.view(float)
     if chart == CARTESIAN_2D:
-        return X.reshape(-1, 4)
+        return X
     _check_radius(r, "polar")
-    return np.hstack([X[:, 0], r[:, None], X[:, 1]])
+    return np.hstack([X[:, :2], r[:, None], X[:, 2:]])
 
 
 def chart_rows_3d(chart: ChartId, frame: Frame3D, positions: np.ndarray,
@@ -391,27 +393,31 @@ def from_chart(x: ManifoldPoint, chart: ChartId, frame) -> CartesianPose:
 
 # --- chart differentials ----------------------------------------------------
 
-def planar_jacobian(G: np.ndarray, a: np.ndarray, r: np.ndarray, polar,
-                    s: np.ndarray) -> np.ndarray:
-    """Chart Jacobians (N x 3 x 3) from world pose velocities (dx, dy,
-    dheading) to intrinsic velocities, at the azimuths a and radii r of
-    planar_rows, with G = frame.world_to_object and s (N x 2) the S¹ basis
-    signs of the azimuth and the heading."""
-    daz = (perp2(a) / r[:, None]) @ G      # d(azimuth)/d(world position)
-    C = np.zeros((len(a), 3, 3))
-    C[:, 0, :2], C[:, 1, :2] = s[:, :1] * daz, a @ G
-    C[:, 2, :2], C[:, 2, 2] = -s[:, 1:] * daz, s[:, 1]
-    np.copyto(C[:, :, :2], (*G, (0.0, 0.0)),      # Cartesian rows
-              where=~np.reshape(polar, (-1, 1, 1)))
-    return C
+def planar_jacobian(G: complex, levers: np.ndarray, turns, a: np.ndarray,
+                    r: np.ndarray, polar, s: np.ndarray) -> np.ndarray:
+    """Chart Jacobians (N x 3 x D), at the azimuths a and radii r of
+    planar_rows (r = 1 on a Cartesian row), of D motions: motion k moves the
+    world positions at i·levers[:, k] (N x D, complex) and turns the
+    headings at turns[k]. G is frame.world_to_object, s (N x 2) the S¹ basis
+    signs. A Cartesian row takes the object-frame velocity z = lever·i·G, a
+    polar row z = -lever·G·conj(a)/r = -dθ + i·dr/r: y or the radius moves
+    at r·Im z, the azimuth at -Re z and the local heading at turns + Re z."""
+    polar = np.asarray(polar)[..., None]
+    z = levers * np.where(polar, (np.conj(a) * -G / r)[:, None], 1j * G)
+    J = np.empty((len(z), 3, z.shape[1]))
+    np.multiply(z.real, np.where(polar, -s[:, :1], 1.0), out=J[:, 0])
+    np.multiply(z.imag, r[:, None], out=J[:, 1])
+    np.multiply(s[:, 1:], turns + polar * z.real, out=J[:, 2])
+    return J
 
 
 def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
     """Differential of the chart map at the pose.
 
     Maps world-frame pose velocities to intrinsic tangent velocities at the
-    current chart point. Input columns are (dx, dy, dheading) in 2D and
-    (dx, dy, dz, wx, wy, wz) in 3D, with w the world angular velocity.
+    current chart point. Input columns are (dx, dy, dheading) in 2D (the
+    velocities i·lever of the levers -i, 1 and 0) and (dx, dy, dz, wx, wy,
+    wz) in 3D, with w the world angular velocity.
     """
     if pose.space != chart.space:
         raise DimensionMismatch(f"{pose.dim}D pose cannot use chart {chart}")
@@ -420,7 +426,8 @@ def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
     x, polar = to_chart(pose, chart, frame).coords, chart == POLAR_2D
     r = x[2:3] if polar else np.ones(1)
     s = _s1_signs(np.array([x[:2], x[-2:]]))[None]
-    return planar_jacobian(frame.world_to_object, x[None, :2], r, polar, s)[0]
+    return planar_jacobian(frame.world_to_object, np.array([[-1j, 1, 0]]),
+                           (0, 0, 1), x[:2].view(complex), r, polar, s)[0]
 
 
 def _jac_3d(pose, chart, frame) -> np.ndarray:
@@ -435,7 +442,7 @@ def _jac_3d(pose, chart, frame) -> np.ndarray:
         J[0:3, 0:3] = Gp
     elif chart == CYLINDRICAL_3D:
         a, rho = x[:2], x[2]
-        daz = (perp2(a) / rho) @ Gp[:2]
+        daz = (a[::-1] * (-1.0, 1.0) / rho) @ Gp[:2]
         J[0, 0:3] = _s1_signs(a) * daz
         J[1, 0:3] = a @ Gp[:2]
         J[2, 0:3] = Gp[2]

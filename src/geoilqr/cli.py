@@ -20,7 +20,7 @@ import numpy as np
 from .charts import CARTESIAN_2D, chart_spec, charts_for
 from .io import (SCHEMA_VERSION, atomic_write_text, demos_from_dict,
                  demos_to_csv, demos_to_dict, write_json)
-from .kinematics import ArmModel, kinematics_rows, link_positions
+from .kinematics import ArmModel, link_positions, link_rows
 from .manifolds import exp_rows
 from .phases import (build_phase_model, fit_time_gmm, phase_model_from_dict,
                      phase_model_to_dict)
@@ -227,7 +227,7 @@ def _scene_svg(arm: ArmModel, result, problem, frame) -> str:
     """Planar scene: arm snapshots in gray shades, end-effector path, and
     1-sigma reference contours."""
     T = problem.horizon
-    world = kinematics_rows(arm, result.trajectory.states)[0]
+    world = link_rows(arm, result.trajectory.states)[0]
     pts = [world]
     snaps = []
     for i, t in enumerate(np.linspace(0, T - 1, 6).astype(int)):
@@ -309,8 +309,8 @@ def cmd_plan(args, settings: Settings, out: str) -> int:
 
     rows = ["t,q,x,y,heading,chart,residual_norm"]
     names = dict(zip(refs.ts.tolist(), (c.name for c in refs.charts)))
-    P, headings, _ = kinematics_rows(arm, result.trajectory.states)
-    headings = np.arctan2(np.sin(headings), np.cos(headings))
+    P, headings, _ = link_rows(arm, result.trajectory.states)
+    headings = np.arctan2(headings.imag, headings.real)
     for t, (q, (x, y), h) in enumerate(zip(result.trajectory.states, P,
                                           headings)):
         chart = names.get(t, "")

@@ -32,6 +32,7 @@ class ArmModel:
         object.__setattr__(self, "link_lengths", ll)
         object.__setattr__(self, "base_position", xy)
         object.__setattr__(self, "base_angle", float(self.base_angle))
+        object.__setattr__(self, "_base", complex(*xy))   # for link_rows
 
     @property
     def dof(self) -> int:
@@ -50,45 +51,38 @@ class JointTrajectory:
 
 
 def link_rows(arm: ArmModel, Q: np.ndarray):
-    """End-effector positions (N x 2), headings (N,) and link vectors
-    (2 x N x D) of joint rows Q."""
-    angles = arm.base_angle + np.cumsum(Q, axis=1)
-    links = arm.link_lengths * np.array([np.cos(angles), np.sin(angles)])
-    return arm.base_position + links.sum(axis=2).T, angles[:, -1], links
+    """End-effector positions (N x 2), unit headings (N, complex) and link
+    vectors (N x D, complex) of joint rows Q: link j points along
+    e^{i(base_angle + q_1 + ... + q_j)}."""
+    E = np.zeros(Q.shape, complex)
+    np.add(arm.base_angle, np.add.accumulate(Q, axis=1), out=E.imag)
+    links = arm.link_lengths * np.exp(E, out=E)
+    P = np.add.reduce(links, 1, keepdims=True, initial=arm._base)
+    return P.view(float), E[:, -1], links
 
 
-def link_jacobians(links: np.ndarray) -> np.ndarray:
-    """(x, y, heading) Jacobians (N x 3 x D) of link_rows' link vectors:
-    joint i moves every link j >= i, so dx is minus the y sum, dy the x sum."""
-    J = np.ones((links.shape[1], 3, links.shape[2]))
-    links[..., ::-1].cumsum(axis=2, out=J[:, 1::-1, ::-1].swapaxes(0, 1))
-    J[:, 0] *= -1.0
-    return J
-
-
-def kinematics_rows(arm: ArmModel, Q: np.ndarray, jacobian: bool = False):
-    """link_rows with None or, if jacobian, link_jacobians in place of the
-    link vectors."""
-    P, heading, links = link_rows(arm, Q)
-    return P, heading, link_jacobians(links) if jacobian else None
+def levers(links: np.ndarray) -> np.ndarray:
+    """Sums of the link vectors (N x D, complex) from joint k on: turning
+    joint k at unit rate moves the end effector at i times the k-th sum."""
+    return np.add.accumulate(links[:, ::-1], axis=1)[:, ::-1]
 
 
 def forward_kinematics(arm: ArmModel, q: np.ndarray) -> CartesianPose:
-    P, heading, _ = kinematics_rows(arm, np.asarray(q, dtype=float)[None])
-    return CartesianPose(P[0], np.array([np.cos(heading[0]), np.sin(heading[0])]))
+    P, heading, _ = link_rows(arm, np.asarray(q, dtype=float)[None])
+    return CartesianPose(P[0], heading.view(float))
 
 
 def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     """Joint positions including the base, (D+1) x 2. For plotting."""
-    angles = arm.base_angle + np.cumsum(q)
-    steps = arm.link_lengths[:, None] * np.stack([np.cos(angles),
-                                                  np.sin(angles)], axis=1)
-    return arm.base_position + np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+    links = link_rows(arm, np.asarray(q, dtype=float)[None])[2][0]
+    joints = np.concatenate([[arm._base], links])
+    return np.add.accumulate(joints).view(float).reshape(-1, 2)
 
 
 def kinematic_jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     """3 x D matrix of (dx, dy, dheading) per joint rate."""
-    return kinematics_rows(arm, np.asarray(q, dtype=float)[None], True)[2][0]
+    c = levers(link_rows(arm, np.asarray(q, dtype=float)[None])[2])[0]
+    return np.array([-c.imag, c.real, np.ones(arm.dof)])
 
 
 def batch_dynamics(D: int, T: int, dt: float) -> tuple[np.ndarray, np.ndarray]:

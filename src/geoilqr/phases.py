@@ -105,7 +105,7 @@ def _pooled_features(demos: list[Demonstration]) -> np.ndarray:
     object-frame position of every frame of every demo."""
     s = np.concatenate([d.phase_variable() for d in demos])
     P = np.vstack([frame.to_object(P) for frame, P, _ in _frame_runs(demos)])
-    return np.vstack([s, P.T])
+    return np.ascontiguousarray(np.vstack([s, P.T]))   # rows, not strided
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ equations as a band of n blocks of D in the moves of the states at the
 active rows with LAPACK's dpbsv, in O(n·D³). A row at t = 0 is a constant
 of the plan: its state is q0, and L, E and w are 0 there.
 
-Both planar charts are products of R and S¹ factors, so one closed-form
-pass per line-search candidate evaluates all active rows; the Jacobian pass
-linearizes the accepted one once, from that pass's link vectors.
+Both planar charts are products of R and S¹ factors, worked in complex
+numbers, so one closed-form pass per line-search candidate evaluates all
+active rows; the Jacobian pass linearizes the accepted one once, one
+planar_jacobian call on that pass's link vectors, azimuths and radii.
 
 solve returns a copy of its last result, forward_passes included, for a
 problem equal in content, unless that solve raised or warned; planning each
@@ -21,7 +22,6 @@ initial state under every strategy in turn meets equal problems this way.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import numbers
 import warnings
@@ -34,8 +34,7 @@ from numpy.linalg import LinAlgError
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
                      planar_jacobian, planar_rows)
 from .io import SCHEMA_VERSION
-from .kinematics import (ArmModel, JointTrajectory, link_jacobians, link_rows,
-                         rollout)
+from .kinematics import ArmModel, JointTrajectory, levers, link_rows, rollout
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
 
 LINE_SEARCH_MIN_STEP = 1e-4
@@ -139,9 +138,11 @@ def _constants(ts, charts, means, precisions, T, start, dt, r, D):
     band[:-1, :, 0] += w[k0 + 1:, None]
     band[:-1, :, D] = -w[k0 + 1:, None]
     k, rows = np.flatnonzero(np.tri(D, dtype=bool)), np.arange(len(band))
-    planar, segments = (polar, S, _s1_signs(S), offset), (
+    # the conjugated means, 0 at a Cartesian row's azimuth
+    planar, segments = (polar, S.view(complex)[..., 0].conj(), _s1_signs(S),
+                        offset, ~polar[:, None]), (
         L, w, band, rows[:, None] * (D * D + D) + k % D * D + k // D,
-        rows[:, None] * D * D + k)
+        rows[:, None] * (D * D + D) + k + k // D)
     for a in (refs.ts, refs.precisions, *blocks.values(), *planar, *segments):
         a.setflags(write=False)     # every problem of these references
     return refs, planar, (k0, *segments)
@@ -210,28 +211,26 @@ def _controls(problem: PlanProblem, E: np.ndarray) -> np.ndarray:
 def _forward(problem: PlanProblem, Q: np.ndarray, effort: float):
     """Cost of the joint states Q (n x D) of the n active timesteps plus the
     control effort, their residuals F (n x 3), and their linearization's
-    inputs: the link vectors, unit azimuths and radii (p and 1 on a
-    Cartesian row). A chart or log map singularity raises naming the first
-    offending timestep."""
-    (polar, S, s, offset), ts = problem._planar, problem.references.ts
-    P, H, links = link_rows(problem.arm, Q)
-    X, r = planar_rows(problem.frame, P, H, polar)    # azimuth, heading
-    dots = np.vecdot(S, X)                  # 0 at a Cartesian row's azimuth
-    # the first row whose chart or S¹ log map is undefined, the chart first
-    singular = r < RADIUS_EPS
-    bad = singular | (dots <= -1.0 + ANTIPODAL_TOL).any(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
+    inputs: the link vectors, azimuths and radii (p and 1 on a Cartesian
+    row). A chart or log map singularity raises naming the first offending
+    timestep."""
+    (polar, S, s, offset, cart), ts = problem._planar, problem.references.ts
+    P, heading, links = link_rows(problem.arm, Q)
+    X, r = planar_rows(problem.frame, P, heading, polar)  # azimuth, heading
+    W = S * X           # conj(mean)·x: (cos, sin) of the S¹ residual angle
+    singular, antipodal = r < RADIUS_EPS, W.real <= -1.0 + ANTIPODAL_TOL
+    if singular.any() or antipodal.any():
+        # the first row whose chart or S¹ log map is undefined, the chart first
+        row = int(np.argmax(singular | antipodal.any(axis=1)))
         if singular[row]:
             raise OriginSingularity(f"timestep {ts[row]}: polar radius "
                                     f"{r[row]} below {RADIUS_EPS}")
         raise AntipodalPoint(f"timestep {ts[row]}: log map undefined for "
                              "antipodal sphere points")
-    cross = S[..., 0] * X[..., 1] - S[..., 1] * X[..., 0]
-    angle = s * np.arctan2(cross, dots)       # (azimuth, heading) residuals
+    angle = s * np.arctan2(W.imag, W.real)    # (azimuth, heading) residuals
     F = np.empty((len(ts), 3))    # polar (angle, radius) or Cartesian x, y
-    F[:, 0], F[:, 1], F[:, 2] = (np.where(polar, angle[:, 0], X[:, 0, 0]),
-                                 np.where(polar, r, X[:, 0, 1]), angle[:, 1])
+    F[:, ::2], F[:, 1] = angle, r
+    np.copyto(F[:, :2], X[:, :1].view(float), where=cart)
     F -= offset
     c = effort + float(np.einsum("ni,nij,nj->", F,
                                  problem.references.precisions, F))
@@ -255,12 +254,12 @@ def _candidate(problem: PlanProblem, Q: np.ndarray, effort: float):
 
 def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
     """Jacobian rows (3n x D) of the active residuals w.r.t. their joint
-    states, from a forward pass free of singularities: an S¹ log
-    differential s_m·s(x) times a chart row s(x)·c is s_m·c, the chart
-    Jacobian with the means' signs."""
-    (polar, _, s, _), (links, a, r) = problem._planar, lin
-    C = planar_jacobian(problem.frame.world_to_object, a, r, polar, s)
-    return (C @ link_jacobians(links)).reshape(-1, problem.arm.dof)
+    states, from a forward pass free of singularities: joint k turns the
+    heading at rate 1 and moves the end effector at i times its lever. An
+    S¹ log differential s_m·s(x) times a chart row s(x)·c is s_m·c."""
+    (polar, _, s, *_), (links, a, r) = problem._planar, lin
+    return planar_jacobian(problem.frame.world_to_object, levers(links), 1.0,
+                           a, r, polar, s).reshape(-1, problem.arm.dof)
 
 
 def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
@@ -290,19 +289,20 @@ def _step(problem: PlanProblem, E: np.ndarray, F: np.ndarray,
     plus blockdiag(JₖᵀQₖJₖ)."""
     (k0, _, w, band, dst, src), D = problem._segments, problem.arm.dof
     Jr = J.reshape(-1, 3, D)[k0:]
-    JtQ = Jr.transpose(0, 2, 1) @ problem.references.precisions[k0:]
-    wE = w[k0:, None] * E[k0:]
-    g = -(JtQ @ F[k0:, :, None])[..., 0] - wE     # minus the gradient
-    g[:-1] += wE[1:]
-    band = band.copy()
-    band.reshape(-1)[dst] += (JtQ @ Jr).reshape(-1)[src]
-    ab, b = band.reshape(-1, D + 1).T, g.reshape(-1)   # Fortran order
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    H = Jr.transpose(0, 2, 1) @ problem.references.precisions[k0:]
+    H = H @ np.concatenate([Jr, F[k0:, :, None]], axis=2)  # [JᵀQJ | JᵀQF]
+    g, wE = H[..., D], w[k0:, None] * E[k0:]    # g: JᵀQF, then the gradient
+    g += wE
+    g[:-1] -= wE[1:]
+    if not np.isfinite(H).all():
         raise ValueError("array must not contain infs or NaNs")
+    band = band.copy()
+    band.reshape(-1)[dst] += H.reshape(-1)[src]
+    ab, b = band.reshape(-1, D + 1).T, np.negative(g).ravel()  # column-major
     _, x, info = banded_solver()(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
-    dE, x = np.zeros_like(E), x.reshape(-1, D)
+    dE, x = np.zeros(E.shape), x.reshape(-1, D)
     dE[k0:] = x
     dE[k0 + 1:] -= x[:-1]
     return dE
@@ -324,7 +324,7 @@ def solve(problem: PlanProblem) -> PlanResult:
     that accepted it, or a copy of the last result (see the module)."""
     global _last_solve
     if problem._key == _last_solve[0]:
-        return copy.deepcopy(_last_solve[1])
+        return _copy(_last_solve[1])
     _last_solve, key = (None, None), problem._key
     q0, w, r = problem.q0, problem._segments[2], problem.control_weight
     E = np.zeros((len(w), problem.arm.dof))
@@ -337,15 +337,15 @@ def solve(problem: PlanProblem) -> PlanResult:
         if w @ np.vecdot(dE, dE) < r * STEP_TOL ** 2:   # r‖du‖² below r·tol²
             converged = True
             break
-        alpha = 1.0
+        alpha, step = 1.0, dE   # step = alpha·dE, exactly: alpha halves
         while alpha >= LINE_SEARCH_MIN_STEP:
-            E_new = E + alpha * dE      # effort Σ w_k‖E_k‖², which is r‖u‖²
-            c_new, F_new, lin_new = _candidate(problem, q0 + E_new.cumsum(
-                axis=0), float(w @ np.vecdot(E_new, E_new)))
+            E_new = E + step            # effort Σ w_k‖E_k‖², which is r‖u‖²
+            c_new, F_new, lin_new = _candidate(problem, q0 + np.add.accumulate(
+                E_new), float(w @ np.vecdot(E_new, E_new)))
             passes += 1
             if c_new < c:
                 break
-            alpha *= 0.5
+            alpha, step = 0.5 * alpha, 0.5 * step
         else:
             # no descent: a stationary point up to rounding if even the last
             # candidate moves the cost by less than the tolerance
@@ -364,8 +364,16 @@ def solve(problem: PlanProblem) -> PlanResult:
     U = _controls(problem, E)
     traj = JointTrajectory(problem.dt, rollout(problem.q0, U, problem.dt), U)
     result = PlanResult(traj, history, converged, it, _norms(problem, F), passes)
-    _last_solve = key, copy.deepcopy(result)    # no key after a warning
+    _last_solve = key, _copy(result)    # no key after a warning
     return result
+
+
+def _copy(r: PlanResult) -> PlanResult:
+    """A copy of r that shares no mutable part with it."""
+    t = r.trajectory
+    t = JointTrajectory(t.dt, t.states.copy(), t.controls.copy())
+    return PlanResult(t, list(r.cost_history), r.converged, r.iterations,
+                      dict(r.residual_norms), r.forward_passes)
 
 
 # --- JSON round trip --------------------------------------------------------

@@ -17,7 +17,7 @@ from .charts import (THREE_D, TWO_D, CartesianPose, Frame2D, Frame3D,
                      quat_mul, quat_normalize)
 from .io import SCHEMA_VERSION
 from .kinematics import (ArmModel, forward_kinematics, inverse_kinematics,
-                         kinematics_rows, planar_ik_3link)
+                         link_rows, planar_ik_3link)
 from .phases import (Demonstration, PhaseModel, build_phase_model,
                      fit_time_gmm)
 from .planner import (PlanProblem, PlanResult, References, banded_solver,
@@ -289,7 +289,7 @@ def _active_arc(plan: PlanResult, spec: TaskSpec, arm: ArmModel, start: int):
     """Object-frame end-effector positions from timestep start on, and
     their max relative deviation from the arc radius."""
     states = plan.trajectory.states[start:]
-    p_obj = spec.object_frame.to_object(kinematics_rows(arm, states)[0])
+    p_obj = spec.object_frame.to_object(link_rows(arm, states)[0])
     dev = np.abs(np.linalg.norm(p_obj, axis=1) - spec.arc_radius).max()
     return p_obj, float(dev / spec.arc_radius)
 

@@ -7,12 +7,13 @@ from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             POLAR_2D, RADIUS_EPS, SPHERICAL_3D, CartesianPose,
                             ChartId, Frame2D, Frame3D, OriginSingularity,
                             chart_jacobian, chart_spec, charts_for,
-                            from_chart, perp2, planar_jacobian, planar_rows,
-                            pole_quat, position_spec, quat_conj,
-                            quat_from_axis_angle, quat_mul, rot2,
+                            chart_rows_2d, from_chart, planar_jacobian,
+                            planar_rows, pole_quat, position_spec, quat_conj,
+                            quat_from_axis_angle, quat_mul,
                             rotmat_from_quat, to_chart)
+from geoilqr.kinematics import ArmModel, levers, link_rows
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, Product,
-                               SpecMismatch, Sphere, log_rows)
+                               SpecMismatch, Sphere, _s1_signs, log_rows)
 
 RNG = np.random.default_rng(1)
 
@@ -208,39 +209,105 @@ def _moved(pose, step):
     return CartesianPose(pose.position + step[:3], q / np.linalg.norm(q))
 
 
+PLANAR_MASKS = ["cartesian", "polar", "mixed"]
+
+
+def _planar_mask(rng, n, masks):
+    """planar_rows' polar argument and the one bool per row it stands for."""
+    polar = {"cartesian": False, "polar": True,
+             "mixed": rng.random(n) < 0.5}[masks]
+    return polar, np.broadcast_to(polar, n)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.integers(0, 2 ** 16), st.sampled_from([1, 80]),
-       st.sampled_from(["cartesian", "polar", "mixed"]))
+       st.sampled_from(PLANAR_MASKS))
 def test_planar_pass_equals_plain_formulas_bit_for_bit(seed, n, masks):
-    """planar_rows and planar_jacobian against each chart's formulas, row by
-    row, with the same float operations in the same order. The products
-    with the frame rotation run on all rows at once, as in the kernels,
-    because numpy's matmul rounds one row apart from a stack of them."""
+    """planar_rows against each chart's formulas, row by row, with the same
+    float operations in the same order. The frame map runs on all rows at
+    once, as in the kernel, and each complex product on one-element arrays:
+    numpy's complex product may fuse a multiply and an add, Python's does
+    not."""
     rng = np.random.default_rng(seed)
     frame = _random_frame_2d(rng)
     P, H = rng.uniform(-2, 2, (n, 2)), rng.uniform(-np.pi, np.pi, n)
-    polar = {"cartesian": False, "polar": True,
-             "mixed": rng.random(n) < 0.5}[masks]
-    rows = np.broadcast_to(polar, n)
-    X, r = planar_rows(frame, P, H, polar)
-    p = (P - frame.translation) @ rot2(-frame.angle).T
+    polar, rows = _planar_mask(rng, n, masks)
+    X, r = planar_rows(frame, P, np.exp(1j * H), polar)
+    p = frame.to_object(P)
     for i, is_polar in enumerate(rows):
         radius = np.sqrt(p[i, 0] * p[i, 0] + p[i, 1] * p[i, 1])
-        heading = H[i] - frame.angle
-        if is_polar:
-            heading = heading - np.arctan2(p[i, 1], p[i, 0])
         assert r[i] == (radius if is_polar else 1.0)
-        assert np.array_equal(X[i, 0], p[i] / max(r[i], RADIUS_EPS))
-        assert np.array_equal(X[i, 1], [np.cos(heading), np.sin(heading)])
+        a = p[i] / max(r[i], RADIUS_EPS)
+        assert X[i, 0] == a[0] + 1j * a[1]
+        heading = np.exp(1j * H[i:i + 1]) * frame.world_to_object
+        if is_polar:
+            heading = heading * X[i:i + 1, 0].conj()
+        assert X[i, 1] == heading[0]
 
-    s, G = np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0), rot2(-frame.angle)
-    C = planar_jacobian(frame.world_to_object, X[:, 0], r, polar, s)
-    daz, aG = (perp2(X[:, 0]) / r[:, None]) @ G, X[:, 0] @ G
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 2 ** 16), st.sampled_from([1, 80]),
+       st.sampled_from(PLANAR_MASKS), st.integers(1, 4))
+def test_planar_jacobian_equals_plain_formulas_bit_for_bit(seed, n, masks,
+                                                           dof):
+    """planar_jacobian against a loop over its rows doing the same float
+    operations in the same order, complex ones on one-element arrays."""
+    rng = np.random.default_rng(seed)
+    G = _random_frame_2d(rng).world_to_object
+    C = rng.standard_normal((n, dof)) + 1j * rng.standard_normal((n, dof))
+    turns, r = rng.standard_normal(dof), rng.uniform(1e-6, 2, n)
+    a = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    s = np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0)
+    polar, rows = _planar_mask(rng, n, masks)
+    J = planar_jacobian(G, C, turns, a, r, polar, s)
+    assert J.shape == (n, 3, dof)
     for i, is_polar in enumerate(rows):
-        top = ([s[i, 0] * daz[i], aG[i], -s[i, 1] * daz[i]] if is_polar
-               else [G[0], G[1], [0.0, 0.0]])
-        assert np.array_equal(C[i, :, :2], top)
-        assert np.array_equal(C[i, :, 2], [0.0, 0.0, s[i, 1]])
+        if is_polar:
+            z = C[i] * (a[i:i + 1].conj() * -G / r[i:i + 1])
+            expect = [z.real * -s[i, 0], z.imag * r[i],
+                      s[i, 1] * (turns + z.real)]
+        else:
+            z = C[i] * (1j * G)
+            expect = [z.real, z.imag * r[i], s[i, 1] * turns]
+        assert np.array_equal(J[i], expect)
+
+
+@pytest.mark.parametrize("chart, distance", [(POLAR_2D, 1.5 * RADIUS_EPS),
+                                             (CARTESIAN_2D, 0.0)],
+                         ids=["polar-near-origin", "cartesian-on-origin"])
+@pytest.mark.parametrize("seed", range(5))
+def test_planar_jacobian_of_joints_matches_central_differences(chart,
+                                                               distance,
+                                                               seed):
+    """planar_jacobian of an arm's joint motions against central
+    differences of the chart map, at an end effector 1.5·RADIUS_EPS from the
+    object origin in the polar chart, and exactly on it in the Cartesian
+    chart. The steps stay well inside the distance to the origin."""
+    rng = np.random.default_rng(seed)
+    arm = ArmModel(rng.uniform(0.5, 1.5, 3), rng.uniform(-1, 1, 2),
+                   rng.uniform(-np.pi, np.pi))
+    q = rng.uniform(-np.pi, np.pi, 3)
+    P, E, links = link_rows(arm, q[None])
+    away = distance * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    frame = Frame2D(P[0] - (away.real, away.imag), rng.uniform(-np.pi, np.pi))
+    polar, spec = chart == POLAR_2D, chart_spec(chart)
+    X, r = planar_rows(frame, P, E, polar)
+    x = chart_rows_2d(chart, frame, P, np.angle(E))
+    s = _s1_signs(np.stack([x[:, :2], x[:, -2:]], 1))
+    J = planar_jacobian(frame.world_to_object, levers(links), 1.0, X[:, 0],
+                        r, polar, s)[0]
+    # rounding of the object-frame position, ~1e-16 against a radius of
+    # 1.5e-6, leaves the polar quotients good to about 1e-6
+    h = 2e-10 if polar else 1e-6
+    num = np.empty_like(J)
+    for k, step in enumerate(np.diag(np.full(3, h))):
+        ends = [link_rows(arm, (q + sign * step)[None]) for sign in (1, -1)]
+        logs = log_rows(spec, x, np.vstack([
+            chart_rows_2d(chart, frame, Pk, np.angle(Ek))
+            for Pk, Ek, _ in ends]))
+        num[:, k] = (logs[0] - logs[1]) / (2 * h)
+    assert (np.abs(J - num) <= 1e-5 * np.abs(num).max(axis=1,
+                                                       keepdims=True)).all()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

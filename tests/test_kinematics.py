@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from geoilqr.charts import rot2
 from geoilqr.kinematics import (ArmModel, JointTrajectory, batch_dynamics,
                                 forward_kinematics, inverse_kinematics,
-                                kinematic_jacobian, kinematics_rows,
-                                link_positions, planar_ik_3link, rollout)
+                                kinematic_jacobian, levers, link_positions,
+                                link_rows, planar_ik_3link, rollout)
 
 RNG = np.random.default_rng(3)
 ARM = ArmModel(np.array([1.0, 1.0, 1.0]))
@@ -161,10 +161,10 @@ def test_damped_ik_fallback():
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.integers(0, 2 ** 16), st.sampled_from([1, 80]), st.integers(1, 4))
 def test_row_kernels_equal_plain_formulas_bit_for_bit(seed, n, dof):
-    """rollout and kinematics_rows against a loop over timesteps, rows and
-    links doing the same float operations in the same order: the planner,
-    the CLI and the 2D fit rely on these kernels, so any change in them must
-    keep every plan the same to the last bit."""
+    """rollout, link_rows and levers against a loop over timesteps, rows
+    and links doing the same float operations in the same order: the
+    planner, the CLI and the 2D fit rely on these kernels, so any change in
+    them must keep every plan the same to the last bit."""
     rng = np.random.default_rng(seed)
     arm = ArmModel(rng.uniform(0.5, 1.5, dof), rng.uniform(-1, 1, 2),
                    rng.uniform(-np.pi, np.pi))
@@ -176,20 +176,23 @@ def test_row_kernels_equal_plain_formulas_bit_for_bit(seed, n, dof):
     Q = rollout(q0, u, dt)
     assert np.array_equal(Q, np.array(states))
 
-    P, H, none = kinematics_rows(arm, Q)
-    Pj, Hj, J = kinematics_rows(arm, Q, jacobian=True)
-    assert none is None
+    P, E, links = link_rows(arm, Q)
+    C = levers(links)
     for i, q in enumerate(Q):
         angles = arm.base_angle + np.cumsum(q)
-        cos = arm.link_lengths * np.cos(angles)
-        sin = arm.link_lengths * np.sin(angles)
-        expect = arm.base_position + np.array([np.sum(cos), np.sum(sin)])
-        assert np.array_equal(P[i], expect) and np.array_equal(Pj[i], expect)
-        assert H[i] == Hj[i] == angles[-1]
+        units = np.exp(1j * angles)     # e^{iθ} of each link
+        cos, sin = arm.link_lengths * units.real, arm.link_lengths * units.imag
+        assert np.array_equal(links[i], cos + 1j * sin)
+        tip = np.sum(links[i])  # numpy sums 4 or more complex terms pairwise
+        expect = arm.base_position + np.array([tip.real, tip.imag])
+        assert np.array_equal(P[i], expect)
+        assert E[i] == units[-1]
         # joint k moves the links k.. D-1, summed from the last link
         dx, dy = np.zeros(dof), np.zeros(dof)
         for k in range(dof):
             for j in range(dof - 1, k - 1, -1):
-                dx[k] += sin[j]
-                dy[k] += cos[j]
-        assert np.array_equal(J[i], [-dx, dy, np.ones(dof)])
+                dx[k] += cos[j]
+                dy[k] += sin[j]
+        assert np.array_equal(C[i], dx + 1j * dy)
+        assert np.array_equal(kinematic_jacobian(arm, q), [-dy, dx,
+                                                           np.ones(dof)])
