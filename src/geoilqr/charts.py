@@ -84,13 +84,10 @@ def position_spec(chart: ChartId):
     return _POS_SPECS[chart]
 
 
-def orientation_spec(chart: ChartId):
-    return Sphere(1) if chart.space == TWO_D else Sphere(3)
-
-
 def chart_spec(chart: ChartId) -> Product:
     """Full product manifold (position part then orientation part)."""
-    return Product((position_spec(chart), orientation_spec(chart)))
+    return Product((position_spec(chart),
+                    Sphere(1 if chart.space == TWO_D else 3)))
 
 
 # --- rotation helpers -------------------------------------------------------
@@ -307,19 +304,21 @@ def to_chart(pose: CartesianPose, chart: ChartId, frame) -> ManifoldPoint:
 
 
 def planar_rows(frame: Frame2D, positions: np.ndarray, headings: np.ndarray,
-                polar):
+                cart):
     """Azimuths a = p/r and local headings (N x 2, complex) and radii
     r = sqrt(p·p) (N,) of the object-frame positions p of planar world poses
-    given as positions (N x 2) and unit headings (N, complex), with polar
-    one bool or one per row; a Cartesian row has a = p and r = 1, and a
-    polar row's heading is turned back by the azimuth. The caller rejects
-    radii below RADIUS_EPS, whose azimuths are not unit."""
+    given as positions (N x 2) and unit headings (N, complex), with cart
+    one bool or one per row: a Cartesian row has a = p and r = 1, a polar
+    row's heading is turned back by the azimuth. The caller rejects radii
+    below RADIUS_EPS, whose azimuths are not unit."""
     p = frame.to_object(positions)
-    r = np.where(polar, np.sqrt(np.add.reduce(p * p, -1)), 1.0)
+    r = np.sqrt(np.add(*(p * p).T))
+    r[cart] = 1.0
     X = np.empty((len(p), 2), complex)
-    np.divide(p, np.maximum(r, RADIUS_EPS)[:, None], out=X[:, :1].view(float))
-    X[:, 1] = (headings * frame.world_to_object
-               * np.where(polar, np.conj(X[:, 0]), 1))
+    X[:, 0] = a = (p / np.maximum(r, RADIUS_EPS)[:, None]).view(complex)[:, 0]
+    turn = np.conj(a)   # back by the azimuth on a polar row, by 1 otherwise
+    turn[cart] = 1.0
+    np.multiply(headings * frame.world_to_object, turn, out=X[:, 1])
     return X, r
 
 
@@ -330,7 +329,7 @@ def chart_rows_2d(chart: ChartId, frame: Frame2D, positions: np.ndarray,
     if chart.space != TWO_D:
         raise DimensionMismatch(f"planar poses cannot use chart {chart}")
     X, r = planar_rows(frame, positions, np.exp(1j * headings),
-                       chart == POLAR_2D)
+                       chart == CARTESIAN_2D)
     X = X.view(float)
     if chart == CARTESIAN_2D:
         return X
@@ -393,22 +392,31 @@ def from_chart(x: ManifoldPoint, chart: ChartId, frame) -> CartesianPose:
 
 # --- chart differentials ----------------------------------------------------
 
+def planar_factors(polar, s: np.ndarray) -> tuple:
+    """planar_jacobian's factors of rows with polar (N bools, an array) and
+    S¹ basis signs s (N x 2): cart = ~polar and, as N x 1 columns, the
+    azimuth rate's sign (-s₀ polar, 1 Cartesian), s₁ and s₁·polar."""
+    return (~polar, np.where(polar, -s[:, 0], 1.0)[:, None], s[:, 1:],
+            s[:, 1:] * polar[:, None])
+
+
 def planar_jacobian(G: complex, levers: np.ndarray, turns, a: np.ndarray,
-                    r: np.ndarray, polar, s: np.ndarray) -> np.ndarray:
-    """Chart Jacobians (N x 3 x D), at the azimuths a and radii r of
-    planar_rows (r = 1 on a Cartesian row), of D motions: motion k moves the
-    world positions at i·levers[:, k] (N x D, complex) and turns the
-    headings at turns[k]. G is frame.world_to_object, s (N x 2) the S¹ basis
-    signs. A Cartesian row takes the object-frame velocity z = lever·i·G, a
-    polar row z = -lever·G·conj(a)/r = -dθ + i·dr/r: y or the radius moves
-    at r·Im z, the azimuth at -Re z and the local heading at turns + Re z."""
-    polar = np.asarray(polar)[..., None]
-    z = levers * np.where(polar, (np.conj(a) * -G / r)[:, None], 1j * G)
-    J = np.empty((len(z), 3, z.shape[1]))
-    np.multiply(z.real, np.where(polar, -s[:, :1], 1.0), out=J[:, 0])
-    np.multiply(z.imag, r[:, None], out=J[:, 1])
-    np.multiply(s[:, 1:], turns + polar * z.real, out=J[:, 2])
-    return J
+                    r: np.ndarray, factors: tuple, out: np.ndarray):
+    """Chart Jacobians (N x 3 x D, into out) of D motions, at the azimuths a
+    and radii r of planar_rows: motion k moves the world positions at
+    i·levers[:, k] (N x D, complex) and turns the headings at turns[k]. G is
+    frame.world_to_object. A Cartesian row takes the object-frame velocity
+    z = lever·i·G, a polar row z = -lever·G·conj(a)/r = -dθ + i·dr/r: y or
+    the radius moves at r·Im z, the azimuth at -Re z and the local heading
+    at turns + Re z; factors are the rows' planar_factors."""
+    cart, sign, s1, s1_polar = factors
+    coef = np.conj(a) * -G / r
+    coef[cart] = 1j * G
+    z = levers * coef[:, None]
+    out[:, 0] = z.real * sign
+    out[:, 1] = z.imag * r[:, None]
+    out[:, 2] = z.real * s1_polar + s1 * turns
+    return out
 
 
 def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
@@ -427,7 +435,8 @@ def chart_jacobian(pose: CartesianPose, chart: ChartId, frame) -> np.ndarray:
     r = x[2:3] if polar else np.ones(1)
     s = _s1_signs(np.array([x[:2], x[-2:]]))[None]
     return planar_jacobian(frame.world_to_object, np.array([[-1j, 1, 0]]),
-                           (0, 0, 1), x[:2].view(complex), r, polar, s)[0]
+                           (0, 0, 1), x[:2].view(complex), r, planar_factors(
+                               np.array([polar]), s), np.empty((1, 3, 3)))[0]
 
 
 def _jac_3d(pose, chart, frame) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 from .charts import THREE_D, TWO_D, Frame2D, Frame3D
 
 SCHEMA_VERSION = 1
+_NUMBERS = frozenset((int, float))      # JSON numbers: no bool or string
 
 
 def atomic_write_text(path: str, text: str):
@@ -77,7 +78,12 @@ def _demo(demo_id: str, dt: float, rows, frame):
     from .phases import Demonstration
     dim = len(frame.translation)
     width = 1 + dim + (4 if dim == 3 else 2)
+    if not isinstance(rows, list):
+        raise ValueError(f"demo {demo_id} is not a list of frames")
     for i, row in enumerate(rows):
+        if type(row) is not list or not _NUMBERS.issuperset(map(type, row)):
+            raise ValueError(f"demo {demo_id}: frame {i} is not a list of "
+                             "numbers")
         if len(row) != width:
             raise ValueError(f"demo {demo_id}: frame {i} has {len(row)} "
                              f"values, not {width} (t, position, orientation)")
@@ -90,6 +96,8 @@ def demos_from_dict(d: dict, space: str) -> list:
     """The demonstrations of a demos.json dict for a task of space (2d or
     3d); ValueError names the first field missing, of another
     schema_version, type or space, out of range or of another length."""
+    if not isinstance(d, dict):
+        raise ValueError("demos file is not an object")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
     if missing := [k for k in ("object_frame", "dt", "demos") if k not in d]:

@@ -340,6 +340,8 @@ def phase_model_from_dict(d: dict, horizon: int | None = None) -> PhaseModel:
     and, given horizon, a model horizon other than it, before the model
     derives anything. The references are derived here too, so that a model
     whose references cannot be derived (AntipodalPoint) fails at load."""
+    if not isinstance(d, dict):
+        raise ValueError("model is not an object")
     try:
         model = _phase_model(d, horizon)
     except KeyError as exc:
@@ -372,15 +374,19 @@ def _phase_model(d: dict, task_horizon: int | None) -> PhaseModel:
     K = len(d["priors"])
     rows = {name: _field(name, d[name], (K,), name in _POSITIVE)
             for name in _K_ROWS}
+    if not isinstance(d["fits"], dict):
+        raise ValueError("model fits is not an object")
     if set(d["fits"]) != set(by_name):
         raise ValueError(f"model fits names charts {sorted(d['fits'])}, "
                          f"not the model charts {sorted(by_name)}")
     fits = {}
     for name, chart in by_name.items():
-        spec = chart_spec(chart)
+        spec, fit = chart_spec(chart), d["fits"][name]
+        if not isinstance(fit, dict):
+            raise ValueError(f"model fits {name} is not an object")
         n, k = spec.ambient_dim, spec.tangent_dim
         fits[chart] = ChartFit(*(
-            _field(f"fits {name} {key}", d["fits"][name][key], shape)
+            _field(f"fits {name} {key}", fit[key], shape)
             for key, shape in zip(ChartFit._fields,
                                   ((K, n), (K, k, k), (K, k)))))
         if not on_spheres(spec, fits[chart].means):

@@ -13,8 +13,8 @@ of the plan: its state is q0, and L, E and w are 0 there.
 
 Both planar charts are products of R and S¹ factors, worked in complex
 numbers, so one closed-form pass per line-search candidate evaluates all
-active rows; the Jacobian pass linearizes the accepted one once, one
-planar_jacobian call on that pass's link vectors, azimuths and radii.
+active rows, with the row factors of _constants in place of np.where; the
+Jacobian pass fills the step's [J | F] buffer once, for the accepted one.
 
 solve returns a copy of its last result, forward_passes included, for a
 problem equal in content, unless that solve raised or warned; planning each
@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .charts import (CARTESIAN_2D, POLAR_2D, RADIUS_EPS, OriginSingularity,
-                     planar_jacobian, planar_rows)
+                     planar_factors, planar_jacobian, planar_rows)
 from .io import SCHEMA_VERSION
 from .kinematics import ArmModel, JointTrajectory, levers, link_rows, rollout
 from .manifolds import ANTIPODAL_TOL, AntipodalPoint, _s1_signs
@@ -41,7 +41,7 @@ LINE_SEARCH_MIN_STEP = 1e-4
 STEP_TOL = 1e-9
 COST_TOL = 1e-9
 MAX_ITER = 100
-PLANAR_CHARTS = {CARTESIAN_2D: False, POLAR_2D: True}   # chart -> is polar
+PLANAR_CHARTS = {(c.space, c.index): c for c in (CARTESIAN_2D, POLAR_2D)}
 _last_solve = None, None  # last solve's (_key, result) unless it raised or warned
 
 
@@ -75,11 +75,11 @@ def _content(a) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _constants(ts, charts, means, precisions, T, start, dt, r, D):
+def _constants(ts, codes, means, precisions, T, start, dt, r, D):
     """The rows of the references at or after start, checked, and the
     planar pass's and the step's constants; ValueError on rows that are not
-    the references of a T-step plan. The arrays come as _content, so the
-    trials of one set of references share them, read-only."""
+    the references of a T-step plan. The arrays come as _content, the charts
+    as (space, index), so the trials of one set of references share them."""
     def need(ok, what: str):
         if not ok:
             raise ValueError(f"references need {what}")
@@ -92,9 +92,8 @@ def _constants(ts, charts, means, precisions, T, start, dt, r, D):
     need(ts.ndim == 1 and ts.dtype.kind in "iu" and (ts[1:] > ts[:-1]).all()
          and (not ts.size or 0 <= ts[0] and ts[-1] < T),
          f"ts increasing integers in [0, {T})")
-    is_polar = [PLANAR_CHARTS.get(c) for c in charts]
-    need(len(charts) == len(ts) and None not in is_polar,
-         "one 2D chart per row")
+    charts = [PLANAR_CHARTS.get(c) for c in codes]
+    need(len(charts) == len(ts) and None not in charts, "one 2D chart per row")
     need(precisions.shape == (len(ts), 3, 3) and np.isfinite(precisions).all(),
          f"{len(ts)} finite 3 x 3 precisions")
     tol = 1e-9 * np.abs(precisions).max(axis=(1, 2), keepdims=True,
@@ -106,11 +105,10 @@ def _constants(ts, charts, means, precisions, T, start, dt, r, D):
         psd = False
     need(psd, "symmetric positive semidefinite precisions, within 1e-9 of "
          "each one's largest entry")
-    need(set(means) == {(CARTESIAN_2D, POLAR_2D)[f] for f in set(is_polar)},
-         "one means block per chart")
+    need(set(means) == set(charts), "one means block per chart")
     kept = int(np.searchsorted(ts, start))   # the rows kept are a suffix
     need(kept < len(ts), f"a row at or after activation_start {start}")
-    polar = np.array(is_polar, dtype=bool)
+    polar = np.array([c is POLAR_2D for c in charts], dtype=bool)
     blocks, S, offset = {}, np.zeros((len(ts), 2, 2)), np.zeros((len(ts), 3))
     for chart, M in means.items():
         mask = polar if chart == POLAR_2D else ~polar
@@ -139,8 +137,8 @@ def _constants(ts, charts, means, precisions, T, start, dt, r, D):
     band[:-1, :, D] = -w[k0 + 1:, None]
     k, rows = np.flatnonzero(np.tri(D, dtype=bool)), np.arange(len(band))
     # the conjugated means, 0 at a Cartesian row's azimuth
-    planar, segments = (polar, S.view(complex)[..., 0].conj(), _s1_signs(S),
-                        offset, ~polar[:, None]), (
+    planar, segments = (S.view(complex)[..., 0].conj(), s := _s1_signs(S),
+                        offset, *planar_factors(polar, s)), (
         L, w, band, rows[:, None] * (D * D + D) + k % D * D + k // D,
         rows[:, None] * (D * D + D) + k + k // D)
     for a in (refs.ts, refs.precisions, *blocks.values(), *planar, *segments):
@@ -174,7 +172,7 @@ class PlanProblem:
         if q0.shape != (self.arm.dof,) or not np.all(np.isfinite(q0)):
             raise ValueError(f"q0 must be {self.arm.dof} finite joint angles")
         ts, charts, means, precisions = self.references
-        key = (_content(ts), tuple(charts),
+        key = (_content(ts), tuple([(c.space, c.index) for c in charts]),
                tuple((c, _content(M)) for c, M in means.items()),
                _content(precisions), self.horizon, self.activation_start,
                self.dt, self.control_weight, self.arm.dof)
@@ -214,23 +212,22 @@ def _forward(problem: PlanProblem, Q: np.ndarray, effort: float):
     inputs: the link vectors, azimuths and radii (p and 1 on a Cartesian
     row). A chart or log map singularity raises naming the first offending
     timestep."""
-    (polar, S, s, offset, cart), ts = problem._planar, problem.references.ts
+    (S, s, offset, cart, *_), ts = problem._planar, problem.references.ts
     P, heading, links = link_rows(problem.arm, Q)
-    X, r = planar_rows(problem.frame, P, heading, polar)  # azimuth, heading
+    X, r = planar_rows(problem.frame, P, heading, cart)  # azimuth, heading
     W = S * X           # conj(mean)·x: (cos, sin) of the S¹ residual angle
-    singular, antipodal = r < RADIUS_EPS, W.real <= -1.0 + ANTIPODAL_TOL
-    if singular.any() or antipodal.any():
+    if r.min() < RADIUS_EPS or W.real.min() <= -1.0 + ANTIPODAL_TOL:
         # the first row whose chart or S¹ log map is undefined, the chart first
+        singular, antipodal = r < RADIUS_EPS, W.real <= -1.0 + ANTIPODAL_TOL
         row = int(np.argmax(singular | antipodal.any(axis=1)))
         if singular[row]:
             raise OriginSingularity(f"timestep {ts[row]}: polar radius "
                                     f"{r[row]} below {RADIUS_EPS}")
         raise AntipodalPoint(f"timestep {ts[row]}: log map undefined for "
                              "antipodal sphere points")
-    angle = s * np.arctan2(W.imag, W.real)    # (azimuth, heading) residuals
     F = np.empty((len(ts), 3))    # polar (angle, radius) or Cartesian x, y
-    F[:, ::2], F[:, 1] = angle, r
-    np.copyto(F[:, :2], X[:, :1].view(float), where=cart)
+    F[:, ::2], F[:, 1] = s * np.arctan2(W.imag, W.real), r   # S¹ residuals
+    np.copyto(F[:, :2], X[:, :1].view(float), where=cart[:, None])
     F -= offset
     c = effort + float(np.einsum("ni,nij,nj->", F,
                                  problem.references.precisions, F))
@@ -252,14 +249,17 @@ def _candidate(problem: PlanProblem, Q: np.ndarray, effort: float):
         return np.inf, None, None
 
 
-def _jacobian(problem: PlanProblem, lin) -> np.ndarray:
-    """Jacobian rows (3n x D) of the active residuals w.r.t. their joint
-    states, from a forward pass free of singularities: joint k turns the
-    heading at rate 1 and moves the end effector at i times its lever. An
-    S¹ log differential s_m·s(x) times a chart row s(x)·c is s_m·c."""
-    (polar, _, s, *_), (links, a, r) = problem._planar, lin
-    return planar_jacobian(problem.frame.world_to_object, levers(links), 1.0,
-                           a, r, polar, s).reshape(-1, problem.arm.dof)
+def _jacobian(problem: PlanProblem, F: np.ndarray, lin) -> np.ndarray:
+    """[J | F] (n x 3 x (D + 1)): the Jacobian rows w.r.t. their joint states
+    of the residuals F of a forward pass free of singularities, and F: joint
+    k turns the heading at rate 1 and moves the end effector at i times its
+    lever. An S¹ log differential s_m·s(x) by a chart row s(x)·c is s_m·c."""
+    (links, a, r), D = lin, problem.arm.dof
+    JF = np.empty((len(F), 3, D + 1))
+    JF[..., D] = F
+    planar_jacobian(problem.frame.world_to_object, levers(links), 1.0, a, r,
+                    problem._planar[3:], JF[..., :D])
+    return JF
 
 
 def _norms(problem: PlanProblem, F: np.ndarray) -> dict:
@@ -271,7 +271,8 @@ def residuals_and_jacobian(problem: PlanProblem, u: np.ndarray):
     """Stacked residual f (3n) of the n active timesteps, its Jacobian rows
     (3n x D) w.r.t. the state at each row's own timestep, and the norms."""
     _, F, lin = _forward(problem, *_at_controls(problem, u))
-    return F.ravel(), _jacobian(problem, lin), _norms(problem, F)
+    J = _jacobian(problem, F, lin)[..., :-1].reshape(-1, problem.arm.dof)
+    return F.ravel(), J, _norms(problem, F)
 
 
 def cost(problem: PlanProblem, u: np.ndarray) -> float:
@@ -280,17 +281,14 @@ def cost(problem: PlanProblem, u: np.ndarray) -> float:
     return _candidate(problem, *_at_controls(problem, u))[0]
 
 
-def _step(problem: PlanProblem, E: np.ndarray, F: np.ndarray,
-          J: np.ndarray) -> np.ndarray:
+def _step(problem: PlanProblem, E: np.ndarray, JF: np.ndarray) -> np.ndarray:
     """Regularized Gauss-Newton move dE of the increments E, at the
-    residuals F (n x 3) and their Jacobian rows J (3n x D), solved in the
-    moves x of the states at the rows k0.. (dE_k = x_k - x_{k-1}), whose
-    normal matrix is the band of half-width D that _constants starts,
-    plus blockdiag(JₖᵀQₖJₖ)."""
+    linearization [J | F] of _jacobian, solved in the moves x of the states
+    at the rows k0.. (dE_k = x_k - x_{k-1}), whose normal matrix is the
+    band of half-width D that _constants starts, plus blockdiag(JₖᵀQₖJₖ)."""
     (k0, _, w, band, dst, src), D = problem._segments, problem.arm.dof
-    Jr = J.reshape(-1, 3, D)[k0:]
-    H = Jr.transpose(0, 2, 1) @ problem.references.precisions[k0:]
-    H = H @ np.concatenate([Jr, F[k0:, :, None]], axis=2)  # [JᵀQJ | JᵀQF]
+    H = (JF[k0:, :, :D].transpose(0, 2, 1)     # [JᵀQJ | JᵀQF]
+         @ problem.references.precisions[k0:] @ JF[k0:])
     g, wE = H[..., D], w[k0:, None] * E[k0:]    # g: JᵀQF, then the gradient
     g += wE
     g[:-1] -= wE[1:]
@@ -299,7 +297,7 @@ def _step(problem: PlanProblem, E: np.ndarray, F: np.ndarray,
     band = band.copy()
     band.reshape(-1)[dst] += H.reshape(-1)[src]
     ab, b = band.reshape(-1, D + 1).T, np.negative(g).ravel()  # column-major
-    _, x, info = banded_solver()(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
+    _, x, info = banded_solver()(ab, b, 1, D + 1, 1, 1)  # lower, overwritten
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
     dE, x = np.zeros(E.shape), x.reshape(-1, D)
@@ -314,7 +312,8 @@ def gauss_newton_step(problem: PlanProblem, u: np.ndarray, f: np.ndarray,
     u's segment increments. The new controls are the least-effort ones, so
     those from the last active timestep on, u_T included, step by -u."""
     E = np.diff(_at_controls(problem, u)[0], axis=0, prepend=problem.q0[None])
-    E += _step(problem, E, f.reshape(-1, 3), J)
+    E += _step(problem, E, np.concatenate([J.reshape(-1, 3, problem.arm.dof),
+                                           f.reshape(-1, 3, 1)], axis=2))
     return _controls(problem, E).ravel() - u
 
 
@@ -329,11 +328,9 @@ def solve(problem: PlanProblem) -> PlanResult:
     q0, w, r = problem.q0, problem._segments[2], problem.control_weight
     E = np.zeros((len(w), problem.arm.dof))
     c, F, lin = _forward(problem, q0 + E, 0.0)
-    history, passes = [c], 1
-    converged = False
-    it = 0
+    history, passes, converged, it = [c], 1, False, 0
     for it in range(1, MAX_ITER + 1):
-        dE = _step(problem, E, F, _jacobian(problem, lin))
+        dE = _step(problem, E, _jacobian(problem, F, lin))
         if w @ np.vecdot(dE, dE) < r * STEP_TOL ** 2:   # r‖du‖² below r·tol²
             converged = True
             break

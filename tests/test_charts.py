@@ -7,10 +7,10 @@ from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, CYLINDRICAL_3D,
                             POLAR_2D, RADIUS_EPS, SPHERICAL_3D, CartesianPose,
                             ChartId, Frame2D, Frame3D, OriginSingularity,
                             chart_jacobian, chart_spec, charts_for,
-                            chart_rows_2d, from_chart, planar_jacobian,
-                            planar_rows, pole_quat, position_spec, quat_conj,
-                            quat_from_axis_angle, quat_mul,
-                            rotmat_from_quat, to_chart)
+                            chart_rows_2d, from_chart, planar_factors,
+                            planar_jacobian, planar_rows, pole_quat,
+                            position_spec, quat_conj, quat_from_axis_angle,
+                            quat_mul, rotmat_from_quat, to_chart)
 from geoilqr.kinematics import ArmModel, levers, link_rows
 from geoilqr.manifolds import (AntipodalPoint, Euclidean, Product,
                                SpecMismatch, Sphere, _s1_signs, log_rows)
@@ -232,7 +232,7 @@ def test_planar_pass_equals_plain_formulas_bit_for_bit(seed, n, masks):
     frame = _random_frame_2d(rng)
     P, H = rng.uniform(-2, 2, (n, 2)), rng.uniform(-np.pi, np.pi, n)
     polar, rows = _planar_mask(rng, n, masks)
-    X, r = planar_rows(frame, P, np.exp(1j * H), polar)
+    X, r = planar_rows(frame, P, np.exp(1j * H), np.logical_not(polar))
     p = frame.to_object(P)
     for i, is_polar in enumerate(rows):
         radius = np.sqrt(p[i, 0] * p[i, 0] + p[i, 1] * p[i, 1])
@@ -259,7 +259,8 @@ def test_planar_jacobian_equals_plain_formulas_bit_for_bit(seed, n, masks,
     a = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     s = np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0)
     polar, rows = _planar_mask(rng, n, masks)
-    J = planar_jacobian(G, C, turns, a, r, polar, s)
+    J = planar_jacobian(G, C, turns, a, r, planar_factors(rows, s),
+                        np.empty((n, 3, dof)))
     assert J.shape == (n, 3, dof)
     for i, is_polar in enumerate(rows):
         if is_polar:
@@ -291,11 +292,12 @@ def test_planar_jacobian_of_joints_matches_central_differences(chart,
     away = distance * np.exp(1j * rng.uniform(-np.pi, np.pi))
     frame = Frame2D(P[0] - (away.real, away.imag), rng.uniform(-np.pi, np.pi))
     polar, spec = chart == POLAR_2D, chart_spec(chart)
-    X, r = planar_rows(frame, P, E, polar)
+    X, r = planar_rows(frame, P, E, not polar)
     x = chart_rows_2d(chart, frame, P, np.angle(E))
     s = _s1_signs(np.stack([x[:, :2], x[:, -2:]], 1))
     J = planar_jacobian(frame.world_to_object, levers(links), 1.0, X[:, 0],
-                        r, polar, s)[0]
+                        r, planar_factors(np.array([polar]), s),
+                        np.empty((1, 3, 3)))[0]
     # rounding of the object-frame position, ~1e-16 against a radius of
     # 1.5e-6, leaves the polar quotients good to about 1e-6
     h = 2e-10 if polar else 1e-6

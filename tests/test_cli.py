@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -370,6 +371,16 @@ def _no_charts(model):
     model["charts"] = []
 
 
+class Whole(NamedTuple):
+    """What an edit returns to replace a whole JSON file by value."""
+    value: object
+
+
+def _fits_entry(value):
+    """An edit that replaces the polar-2d fit by value."""
+    return lambda model: model["fits"].update({"polar-2d": value})
+
+
 def _unknown_chart(model):
     model["charts"][1]["index"] = 7
 
@@ -400,17 +411,24 @@ def _antipodal_means(model):
                       "must name at least one chart, each once"),
     (_no_charts, "model charts [] must name at least one chart, each once"),
     (_unknown_chart, "model charts is not a list of {space, index} charts"),
-    (_antipodal_means, "transport undefined for antipodal sphere points")],
+    (_antipodal_means, "transport undefined for antipodal sphere points"),
+    (lambda model: Whole(3), "model is not an object"),
+    (lambda model: Whole([model]), "model is not an object"),
+    (lambda model: model.update(fits=[]), "model fits is not an object"),
+    (_fits_entry(3), "model fits polar-2d is not an object"),
+    (_fits_entry([[0.0]]), "model fits polar-2d is not an object")],
     ids=["cut-rows", "narrow-means", "short-row", "other-charts",
          "phase-covariance-2x2", "nan", "off-sphere-mean",
          "zero-time-variance", "fractional-horizon", "pre-change-format",
          "schema-version", "repeated-chart", "no-charts", "unknown-chart",
-         "antipodal-means"])
+         "antipodal-means", "int-model", "list-model", "list-fits",
+         "int-fit", "list-fit"])
 def test_plan_rejects_a_model_with_mismatched_rows(edit, field, box_model,
                                                    tmp_path, capsys):
     with open(box_model) as fh:
         model = json.load(fh)
-    edit(model)
+    if isinstance(replaced := edit(model), Whole):
+        model = replaced.value
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     assert _plan_with_model(str(path), {"kind": "boxopen2d"}, tmp_path) == 2
@@ -559,8 +577,9 @@ def _fit_edited_demos(grasp_model, tmp_path, capsys, edit) -> str:
     snapshot: grasp2d, unless edit changes it."""
     with open(os.path.join(os.path.dirname(grasp_model), "demos.json")) as fh:
         demos = json.load(fh)
-    edit(demos)
-    (tmp_path / "demos.json").write_text(json.dumps(demos))
+    replaced = edit(demos)
+    (tmp_path / "demos.json").write_text(json.dumps(
+        replaced.value if isinstance(replaced, Whole) else demos))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"task": demos["config"]["task"],
                                 "out_dir": str(tmp_path)}))
@@ -590,8 +609,24 @@ def _set(*path_and_value):
     (lambda d: d["demos"][1][5].append(0.0), "demo grasp2d-1: frame 5 has 6 "
                                              "values, not 5"),
     (_set("demos", 2, 17, 1, float("nan")),
-     "demo grasp2d-2: position at frame 17")],
-    ids=["empty", "short-frame", "long-frame", "nan-position"])
+     "demo grasp2d-2: position at frame 17"),
+    (_set("demos", 1, 7), "demo grasp2d-1 is not a list of frames"),
+    (_set("demos", 1, {}), "demo grasp2d-1 is not a list of frames"),
+    (_set("demos", 1, 5, 7),
+     "demo grasp2d-1: frame 5 is not a list of numbers"),
+    (_set("demos", 1, 5, {}),
+     "demo grasp2d-1: frame 5 is not a list of numbers"),
+    (_set("demos", 1, 5, 2, "x"),
+     "demo grasp2d-1: frame 5 is not a list of numbers"),
+    (_set("demos", 1, 5, 2, "0.5"),
+     "demo grasp2d-1: frame 5 is not a list of numbers"),
+    (_set("demos", 1, 5, 3, True),
+     "demo grasp2d-1: frame 5 is not a list of numbers"),
+    (_set("demos", 1, 5, 0, None),
+     "demo grasp2d-1: frame 5 is not a list of numbers")],
+    ids=["empty", "short-frame", "long-frame", "nan-position", "int-demo",
+         "object-demo", "int-frame", "object-frame", "string-entry",
+         "numeric-string-entry", "true-entry", "null-entry"])
 def test_fit_rejects_malformed_demo_rows(edit, message, grasp_model, tmp_path,
                                          capsys):
     assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)
@@ -627,13 +662,15 @@ def _pose_demos(d):
     (_set("dt", "0.01"), "dt '0.01' is not a finite number > 0"),
     (lambda d: d.pop("dt"), "demos field 'dt' is missing"),
     (_set("demos", 6), "demos is not a list of demos"),
+    (lambda d: Whole(6), "demos file is not an object"),
+    (lambda d: Whole([d]), "demos file is not an object"),
     (_pose_demos, "object_frame is a 3d frame, but the task space is 2d"),
     (_set("config", "task", "kind", "grasppose3d"),
      "object_frame is a 2d frame, but the task space is 3d")],
     ids=["no-translation", "no-heading", "nan-translation", "inf-heading",
          "zero-quaternion", "nan-quaternion", "short-ids", "long-ids",
          "zero-dt", "nan-dt", "string-dt", "no-dt", "demos-not-a-list",
-         "3d-demos-2d-task", "2d-demos-3d-task"])
+         "int-file", "list-file", "3d-demos-2d-task", "2d-demos-3d-task"])
 def test_fit_rejects_a_malformed_demos_file(edit, message, grasp_model,
                                             tmp_path, capsys):
     assert message in _fit_edited_demos(grasp_model, tmp_path, capsys, edit)

@@ -9,9 +9,9 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from geoilqr import planner
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D, RADIUS_EPS,
-                            Frame2D, OriginSingularity,
-                            chart_rows_2d, chart_spec, planar_jacobian, rot2,
-                            to_chart)
+                            ChartId, Frame2D, OriginSingularity,
+                            chart_rows_2d, chart_spec, planar_factors,
+                            planar_jacobian, rot2, to_chart)
 from geoilqr.kinematics import (ArmModel, JointTrajectory, batch_dynamics,
                                 forward_kinematics, levers, link_rows, rollout)
 from geoilqr.manifolds import (AntipodalPoint, _s1_signs, log_jacobian_rows,
@@ -237,21 +237,43 @@ def test_activation_window():
                     activation_start=9)
 
 
+def _planar_arrays(p) -> list:
+    """The planar pass's per-references arrays of a problem: the conjugated
+    means, the S¹ signs, the offsets and the planar_factors."""
+    return list(p._planar)
+
+
 def test_problems_share_the_checked_rows_of_equal_references():
-    # the check runs once per distinct content, and a problem's rows are
-    # read-only copies that the caller's later edits do not reach
+    # the check runs once per distinct content, also for charts equal to but
+    # not the same objects as the CHART_IDS entries, and a problem's rows and
+    # planar factors are read-only copies that the caller's later edits do
+    # not reach
     refs = _two_rows()
     a = PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs)
+    equal = {c: ChartId(c.space, c.index) for c in refs.means}
+    assert all(e == c and e is not c for c, e in equal.items())
     b = PlanProblem(ARM, np.ones(3), 10, 0.01, FRAME, References(
-        refs.ts.copy(), list(refs.charts),
-        {c: M.copy() for c, M in refs.means.items()}, refs.precisions.copy()))
+        refs.ts.copy(), [equal[c] for c in refs.charts],
+        {equal[c]: M.copy() for c, M in refs.means.items()},
+        refs.precisions.copy()))
     assert b.references.precisions is a.references.precisions
+    assert len(_planar_arrays(a)) == 7
+    for x, y in zip(_planar_arrays(a), _planar_arrays(b), strict=True):
+        assert x is y and not x.flags.writeable
+    kept = [x.copy() for x in _planar_arrays(a)]
     refs.precisions[:] *= 2.0
+    refs.means[POLAR_2D][:, :2] = (0.0, -1.0)   # another unit azimuth
     c = PlanProblem(ARM, np.zeros(3), 10, 0.01, FRAME, refs)
     np.testing.assert_array_equal(c.references.precisions,
                                   2.0 * a.references.precisions)
+    assert not all(np.array_equal(x, y) for x, y in zip(
+        _planar_arrays(c), kept))
+    for x, y in zip(_planar_arrays(a), kept):
+        np.testing.assert_array_equal(x, y)
     with pytest.raises(ValueError, match="read-only"):
         a.references.precisions[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        a._planar[5][0] = 0.0
 
 
 def test_residual_zero_at_reference():
@@ -350,9 +372,11 @@ def _generic_pass(p, u):
         # chart Jacobian of the joint motions with the point's own S¹ signs
         X, a, r = _chart_points(chart, p.frame,
                                 np.where(rows[:, None], P, P + 1.0), H)
+        signs = _s1_signs(np.stack([X[:, :2], X[:, -2:]], 1))
         Jc = planar_jacobian(p.frame.world_to_object, levers(links), 1.0,
-                             a.view(complex)[:, 0], r, chart == POLAR_2D,
-                             _s1_signs(np.stack([X[:, :2], X[:, -2:]], 1)))
+                             a.view(complex)[:, 0], r, planar_factors(
+                                 np.full(len(r), chart == POLAR_2D), signs),
+                             np.empty((len(r), 3, D)))
         F[rows] = log_rows(spec, M, X[rows])
         J[rows] = log_jacobian_rows(spec, M, X[rows]) @ Jc[rows]
     return F.ravel(), J.reshape(-1, D)
@@ -588,9 +612,9 @@ def test_step_band_has_a_block_per_active_row_past_t0(monkeypatch, empty_slot):
     # dpbsv gets a (D + 1) x D·m band, m the active rows at t > 0
     shapes, dpbsv = [], planner.banded_solver()
 
-    def spy(ab, b, **kwargs):
+    def spy(ab, b, *args, **kwargs):
         shapes.append(ab.shape)
-        return dpbsv(ab, b, **kwargs)
+        return dpbsv(ab, b, *args, **kwargs)
 
     monkeypatch.setattr(planner, "banded_solver", lambda: spy)
     q0 = np.array([0.3, 0.5, 0.2])
@@ -677,9 +701,11 @@ def test_solve_linearizes_each_iterate_as_residuals_and_jacobian(monkeypatch,
     # increments stand for
     steps, step = [], planner._step
 
-    def spy(problem, E, F, J):
-        steps.append((planner._controls(problem, E).ravel(), F.ravel(), J))
-        return step(problem, E, F, J)
+    def spy(problem, E, JF):
+        steps.append((planner._controls(problem, E).ravel(),
+                      JF[..., -1].ravel(),
+                      JF[..., :-1].reshape(-1, problem.arm.dof)))
+        return step(problem, E, JF)
 
     monkeypatch.setattr(planner, "_step", spy)
     for p in (_viapoint_problem(POLAR_2D, seed=3), _mixed_chart_problem(2)):
