@@ -95,7 +95,8 @@ def _demo(demo_id: str, dt: float, rows, frame):
 def demos_from_dict(d: dict, space: str) -> list:
     """The demonstrations of a demos.json dict for a task of space (2d or
     3d); ValueError names the first field missing, of another
-    schema_version, type or space, out of range or of another length."""
+    schema_version, type or space, out of range, repeated or of another
+    length."""
     if not isinstance(d, dict):
         raise ValueError("demos file is not an object")
     if d.get("schema_version") != SCHEMA_VERSION:
@@ -118,6 +119,10 @@ def demos_from_dict(d: dict, space: str) -> list:
     if not isinstance(ids, list) or len(ids) != len(demos):
         raise ValueError(f"ids is not a list of {len(demos)} names, one per "
                          "demo")
+    if not all(type(i) is str for i in ids):
+        raise ValueError("ids holds a name that is not a string")
+    if len(set(ids)) != len(ids):
+        raise ValueError("ids repeats a name: each demo needs its own")
     return [_demo(i, float(dt), rows, frame) for i, rows in zip(ids, demos)]
 
 

@@ -8,7 +8,8 @@ for the first) up to ts[k]. Its least-effort controls for the state
 increment E_k are E_k/(dt·L_k) each, at effort w_k‖E_k‖², w_k = r/(dt²·L_k),
 so the iterations run on E (n x D). Each solves the regularized normal
 equations as a band of n blocks of D in the moves of the states at the
-active rows with LAPACK's dpbsv, in O(n·D³). A row at t = 0 is a constant
+active rows with LAPACK's dpbsv, in O(n·D³), loaded from scipy's _flapack
+extension without the scipy.linalg package. A row at t = 0 is a constant
 of the plan: its state is q0, and L, E and w are 0 there.
 
 Both planar charts are products of R and S¹ factors, worked in complex
@@ -22,10 +23,15 @@ initial state under every strategy in turn meets equal problems this way.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import importlib.util
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +58,27 @@ class LineSearchFailed(RuntimeWarning):
 @functools.cache
 def banded_solver():
     """LAPACK's dpbsv, the Cholesky band solve under scipy.linalg's
-    solveh_banded, imported by the first call: loading scipy.linalg takes
-    most of the package's import time, and only planning needs it."""
-    from scipy.linalg.lapack import dpbsv
-    return dpbsv
+    solveh_banded, loaded by the first call from scipy's one _flapack
+    extension file as scipy.linalg._flapack, which a later import of
+    scipy.linalg shares: importing scipy.linalg itself would take most of
+    a plan's time. Without exactly one such file, or when it fails to load,
+    the same routine comes from scipy.linalg.lapack."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        origin = importlib.util.find_spec("scipy").origin  # imports nothing
+        stem = os.path.join(os.path.dirname(origin), "linalg", "_flapack")
+        files = [stem + s for s in EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + s)]
+        if len(files) == 1:
+            spec = importlib.util.spec_from_file_location(name, files[0])
+            with contextlib.suppress(ImportError, OSError):  # fall back below
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+    if name not in sys.modules:
+        from scipy.linalg.lapack import dpbsv
+        return dpbsv
+    return sys.modules[name].dpbsv
 
 
 class References(NamedTuple):

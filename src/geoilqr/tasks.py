@@ -417,7 +417,7 @@ def run_experiments(spec, strategies, n_trials, arm, control_weight,
             for i in range(n_trials) for r in refs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        banded_solver()   # imported once here, not in every forked worker
+        banded_solver()   # loaded once here, and inherited by each fork
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             trials = list(pool.map(_run_trial, work, chunksize=len(refs)))
     else:

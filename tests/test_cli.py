@@ -511,6 +511,41 @@ def test_demo_gen_and_fit_load_no_scipy(tmp_path):
     assert (tmp_path / "model.json").exists()
 
 
+def test_plan_and_evaluate_load_the_solver_without_scipy_linalg(grasp_model,
+                                                                tmp_path):
+    # the planner loads scipy's _flapack extension on its own; a later
+    # import of scipy.linalg shares it and solves a band bit for bit alike
+    src = os.path.dirname(os.path.dirname(geoilqr.__file__))
+    config = str(tmp_path / "cfg.json")
+    with open(config, "w") as fh:
+        json.dump({"task": {"kind": "grasp2d"}, "trials": 3,
+                   "out_dir": str(tmp_path)}, fh)
+    code = (
+        "import sys, numpy as np, geoilqr.cli as cli\n"
+        f"assert cli.main(['plan', '--config', {config!r}, '--model', "
+        f"{grasp_model!r}]) == 0\n"
+        f"assert cli.main(['evaluate', '--jobs', '2', '--config', "
+        f"{config!r}]) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "from geoilqr.planner import banded_solver\n"
+        "import scipy.linalg\n"
+        "ab = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 30))\n"
+        "ab[0] += 8.0  # diagonally dominant, so positive definite\n"
+        "b = np.arange(30.0)\n"
+        "_, x, info = banded_solver()(ab.copy(), b.copy(), 1, 4, 1, 1)\n"
+        "_, y, info_y = scipy.linalg.lapack.dpbsv(ab.copy(), b.copy(), 1, 4, "
+        "1, 1)\n"
+        "assert info == info_y == 0 and np.array_equal(x, y)\n"
+        "print(scipy.linalg.lapack.dpbsv is banded_solver())")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines()[-1] == "True"
+    assert (tmp_path / "trajectory.json").exists()
+    assert (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("control_weight", 0), ("control_weight", float("inf")),
     ("control_weight", "0.01"),
@@ -657,6 +692,9 @@ def _pose_demos(d):
     (lambda d: d["ids"].pop(), "ids is not a list of 6 names, one per demo"),
     (lambda d: d["ids"].append("grasp2d-6"),
      "ids is not a list of 6 names, one per demo"),
+    (_set("ids", 0, [1]), "ids holds a name that is not a string"),
+    (_set("ids", ["grasp2d-0"] * 6),
+     "ids repeats a name: each demo needs its own"),
     (_set("dt", 0.0), "dt 0.0 is not a finite number > 0"),
     (_set("dt", float("nan")), "dt nan is not a finite number > 0"),
     (_set("dt", "0.01"), "dt '0.01' is not a finite number > 0"),
@@ -669,6 +707,7 @@ def _pose_demos(d):
      "object_frame is a 2d frame, but the task space is 3d")],
     ids=["no-translation", "no-heading", "nan-translation", "inf-heading",
          "zero-quaternion", "nan-quaternion", "short-ids", "long-ids",
+         "list-id", "equal-ids",
          "zero-dt", "nan-dt", "string-dt", "no-dt", "demos-not-a-list",
          "int-file", "list-file", "3d-demos-2d-task", "2d-demos-3d-task"])
 def test_fit_rejects_a_malformed_demos_file(edit, message, grasp_model,

@@ -1,12 +1,18 @@
 """Batch Gauss-Newton planner: residuals, steps, convergence, round trips."""
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, lapack
 
+import geoilqr
 from geoilqr import planner
 from geoilqr.charts import (CARTESIAN_2D, CARTESIAN_3D, POLAR_2D, RADIUS_EPS,
                             ChartId, Frame2D, OriginSingularity,
@@ -628,6 +634,96 @@ def test_step_band_has_a_block_per_active_row_past_t0(monkeypatch, empty_slot):
         u = result.trajectory.controls.ravel()
         gauss_newton_step(p, u, *residuals_and_jacobian(p, u)[:2])
         assert shapes == [(4, 3 * m)] * (result.iterations + 1)
+
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+@pytest.fixture
+def unloaded_solver(monkeypatch):
+    """banded_solver's cache emptied and scipy's _flapack module out of
+    sys.modules for the test; both come back after it."""
+    monkeypatch.delitem(sys.modules, FLAPACK)
+    planner.banded_solver.cache_clear()
+    yield
+    planner.banded_solver.cache_clear()
+
+
+def _assert_falls_back_to_scipy_linalg():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert planner.banded_solver() is lapack.dpbsv
+    assert caught == []
+    assert FLAPACK not in sys.modules
+
+
+@pytest.mark.parametrize("copies", [0, 2], ids=["no-file", "two-files"])
+def test_banded_solver_needs_exactly_one_extension_file(copies, monkeypatch,
+                                                        unloaded_solver,
+                                                        tmp_path):
+    # each copy is the real extension, so loading either one would work
+    (tmp_path / "linalg").mkdir()
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES[:copies]:
+        os.symlink(lapack._flapack.__file__,
+                   tmp_path / "linalg" / f"_flapack{suffix}")
+    fake = importlib.machinery.ModuleSpec(
+        "scipy", None, origin=str(tmp_path / "__init__.py"))
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        fake if name == "scipy" else find_spec(name, *args)))
+    _assert_falls_back_to_scipy_linalg()
+
+
+@pytest.mark.parametrize("error", [ImportError, OSError])
+def test_banded_solver_falls_back_when_the_extension_fails_to_load(
+        error, monkeypatch, unloaded_solver):
+    def create_module(self, spec):
+        raise error(f"cannot load {spec.name}")
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader,
+                        "create_module", create_module)
+    _assert_falls_back_to_scipy_linalg()
+
+
+def test_both_solver_loads_solve_bands_bit_for_bit(monkeypatch, empty_slot,
+                                                   tmp_path):
+    # a band of a real boxopen2d solve with 60 active rows past t = 0, and
+    # that band with a negative pivot; the extension loaded on its own runs
+    # in a fresh interpreter, as this one has imported scipy.linalg
+    bands, dpbsv = [], planner.banded_solver()
+
+    def spy(ab, b, *args):
+        bands.append((ab.copy(), b.copy()))
+        return dpbsv(ab, b, *args)
+
+    monkeypatch.setattr(planner, "banded_solver", lambda: spy)
+    p = _task_problem("boxopen2d")
+    solve(PlanProblem(p.arm, p.q0, p.horizon, p.dt, p.frame, p.references,
+                      p.control_weight, p.horizon - 60))
+    ab, b = bands[0]
+    assert ab.shape == (4, 3 * 60)
+    bad = ab.copy()
+    bad[0, 100] = -1.0
+    np.savez(tmp_path / "bands.npz", ab=ab, bad=bad, b=b)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from geoilqr.planner import banded_solver\n"
+            "dpbsv = banded_solver()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            f"assert {FLAPACK!r} in sys.modules\n"
+            f"d = np.load({str(tmp_path / 'bands.npz')!r})\n"
+            "x, info = dpbsv(d['ab'], d['b'], 1, 4, 1, 1)[1:]\n"
+            "y, bad_info = dpbsv(d['bad'], d['b'], 1, 4, 1, 1)[1:]\n"
+            f"np.savez({str(tmp_path / 'out.npz')!r}, x=x, info=info, y=y, "
+            "bad_info=bad_info)")
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(
+        os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            geoilqr.__file__))))
+    out = np.load(tmp_path / "out.npz")
+    _, x, info = lapack.dpbsv(ab.copy(), b.copy(), 1, 4, 1, 1)
+    _, y, bad_info = lapack.dpbsv(bad.copy(), b.copy(), 1, 4, 1, 1)
+    assert info == out["info"] == 0 and np.array_equal(x, out["x"])
+    assert bad_info == out["bad_info"] > 0 and np.array_equal(y, out["y"])
 
 
 def test_forward_passes_count_every_candidate(monkeypatch, empty_slot):

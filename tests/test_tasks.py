@@ -373,14 +373,21 @@ def test_planning_outcomes_match_recorded_values(kind):
 
 
 def test_worker_pools_start_after_the_parent_loads_the_solver():
-    # forked workers inherit scipy.linalg from the parent, rather than each
-    # importing it on its first banded solve
+    # forked workers inherit the solver from the parent, rather than each
+    # loading it on its first banded solve
     src = os.path.dirname(os.path.dirname(geoilqr.__file__))
-    code = ("import sys\n"
+    code = ("from concurrent.futures import ProcessPoolExecutor\n"
+            "from geoilqr.planner import banded_solver\n"
             "from geoilqr.tasks import default_spec, run_experiment\n"
+            "init, started = ProcessPoolExecutor.__init__, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    assert banded_solver.cache_info().currsize == 1\n"
+            "    started.append(True)\n"
+            "    init(*args, **kwargs)\n"
+            "ProcessPoolExecutor.__init__ = spy\n"
             "run_experiment(default_spec('grasp2d'), 'optimal', n_trials=2, "
             "jobs=2)\n"
-            "assert 'scipy.linalg' in sys.modules")
+            "assert started == [True]")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
 
